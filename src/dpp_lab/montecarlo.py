@@ -370,9 +370,12 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
 def _worker_count() -> int:
     raw = os.environ.get("DPP_LAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"DPP_LAB_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def simulate_paths(spec: ProblemSpec, master_seed: int, num_paths: int, T: int,

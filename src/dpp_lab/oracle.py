@@ -7,13 +7,20 @@ are cross-checked by exhaustive grid search over per-event probability
 simplices (see :func:`grid_stationary_optimum`), which is the independent
 oracle the simplex solver is validated against.
 
+The grid oracle lists each event's simplex grid in lexicographic order of
+its integer counts and sums every joint (cost, constraints) value event by
+event from zero, in event order, so each value is the same float whichever
+order the joint points are visited in; only the min and max are reported.
+Joint points are evaluated in chunks of at most 2**20, so memory stays at
+about two chunks of (L+1) floats plus the per-event grids, whatever the size
+of the joint grid.
+
 Also the exact conditional one-step expectations of the controller's rule,
 evaluated by enumerating the event support rather than by sampling.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -191,21 +198,34 @@ def exact_conditional_truncated_expectation(spec: ProblemSpec, q1: float,
 # grid-search oracles
 # ---------------------------------------------------------------------------
 
+def _check_grid_args(n_actions: int, resolution: int) -> None:
+    if n_actions < 1:
+        raise ValueError(f"n_actions must be at least 1, got {n_actions!r}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
+
+
 def simplex_grid(n_actions: int, resolution: int) -> np.ndarray:
     """All probability vectors over ``n_actions`` whose coordinates are
-    multiples of 1/resolution; shape (count, n_actions)."""
-    if n_actions == 1:
-        return np.ones((1, 1))
-    combos = np.array(
-        list(itertools.combinations(range(resolution + n_actions - 1), n_actions - 1)),
-        dtype=np.int64,
-    )
-    bounds = np.empty((combos.shape[0], n_actions + 1), dtype=np.int64)
-    bounds[:, 0] = -1
-    bounds[:, 1:-1] = combos
-    bounds[:, -1] = resolution + n_actions - 1
-    counts = np.diff(bounds, axis=1) - 1
-    return counts / float(resolution)
+    multiples of 1/resolution; shape (count, n_actions).
+
+    Rows are in lexicographic order of their integer counts, which is the
+    order of ``itertools.combinations`` over stars-and-bars positions.  The
+    counts are built one column at a time: each row whose last column still
+    holds ``left`` units splits into ``left + 1`` rows that place 0..left
+    units in the new column and leave the rest in the last one.
+    """
+    _check_grid_args(n_actions, resolution)
+    cols = [np.array([resolution], dtype=np.int64)]
+    for _ in range(n_actions - 1):
+        reps = cols[-1] + 1
+        placed = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+        cols = [np.repeat(c, reps) for c in cols]
+        cols[-1:] = [placed, cols[-1] - placed]
+    out = np.empty((cols[0].shape[0], n_actions))
+    for j, c in enumerate(cols):
+        out[:, j] = c / float(resolution)
+    return out
 
 
 def grid_points_budget(spec: ProblemSpec, resolution: int) -> int:
@@ -216,11 +236,12 @@ def grid_points_budget(spec: ProblemSpec, resolution: int) -> int:
 
 
 def simplex_grid_size(n_actions: int, resolution: int) -> int:
+    _check_grid_args(n_actions, resolution)
     return math.comb(resolution + n_actions - 1, n_actions - 1)
 
 
 def _event_grid_contributions(spec: ProblemSpec, resolution: int) -> list[np.ndarray]:
-    """Per event: array (grid points, L+1) of probability-weighted
+    """Per event: array (L+1, grid points) of probability-weighted
     contributions (cost first, then each constraint)."""
     out = []
     for e in spec.events:
@@ -228,27 +249,43 @@ def _event_grid_contributions(spec: ProblemSpec, resolution: int) -> list[np.nda
         for k, a in enumerate(e.actions):
             vals[k, 0] = a.z0
             vals[k, 1:] = a.z
-        grid = simplex_grid(len(e.actions), resolution)
-        out.append(e.probability * (grid @ vals))
+        weighted = e.probability * (simplex_grid(len(e.actions), resolution) @ vals)
+        out.append(np.ascontiguousarray(weighted.T))
     return out
 
 
 def _iter_grid_chunks(spec: ProblemSpec, resolution: int, chunk: int = 1 << 20):
-    """Iterate the full product grid in chunks of joint policies, yielding
-    (chunk, L+1) arrays of expected (cost, constraints)."""
+    """Iterate the full product grid in chunks of at most ``chunk`` joint
+    policies, yielding (L+1, points) arrays of expected (cost, constraints).
+
+    Every joint value is summed event by event from zero,
+    ``((0 + c_0) + c_1) + ...``, so it is the same float whatever order the
+    joint points are visited in (starting from zero also turns a -0.0 sum
+    into +0.0).  The leading events whose joint grid fits in ``chunk`` points
+    are broadcast into one prefix table; the next event is taken in slices
+    such that prefix x slice fits; every later event is visited one grid
+    point at a time and added in place.  Memory therefore stays at one chunk
+    plus the prefix table (itself at most one chunk) and the per-event
+    contributions, whatever the size of the joint grid.
+    """
     contribs = _event_grid_contributions(spec, resolution)
-    sizes = [c.shape[0] for c in contribs]
-    total = 1
-    for s in sizes:
-        total *= s
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        acc = np.zeros((idx.shape[0], spec.L + 1))
-        rem = idx
-        for c, size in zip(contribs, sizes):
-            rem, sub = np.divmod(rem, size)
-            acc += c[sub]
-        yield acc
+    width = spec.L + 1
+    prefix = np.zeros((width, 1))
+    k = 0
+    while k < len(contribs) and prefix.shape[1] * contribs[k].shape[1] <= chunk:
+        prefix = (prefix[:, :, None] + contribs[k][:, None, :]).reshape(width, -1)
+        k += 1
+    if k == len(contribs):
+        yield prefix
+        return
+    split, later = contribs[k], contribs[k + 1:]
+    step = chunk // prefix.shape[1]
+    for point in np.ndindex(*(c.shape[1] for c in later)):
+        for lo in range(0, split.shape[1], step):
+            acc = (prefix[:, :, None] + split[:, None, lo:lo + step]).reshape(width, -1)
+            for c, i in zip(later, point):
+                acc += c[:, i:i + 1]
+            yield acc
 
 
 def grid_stationary_optimum(spec: ProblemSpec, resolution: int = 200,
@@ -264,9 +301,9 @@ def grid_stationary_optimum(spec: ProblemSpec, resolution: int = 200,
         raise ValueError("joint grid too large; shrink the instance or resolution")
     best = None
     for acc in _iter_grid_chunks(spec, resolution):
-        feas = np.all(acc[:, 1:] <= 1e-12, axis=1)
+        feas = np.all(acc[1:] <= 1e-12, axis=0)
         if np.any(feas):
-            m = float(np.min(acc[feas, 0]))
+            m = float(np.min(acc[0][feas]))
             best = m if best is None else min(best, m)
     return best
 
@@ -278,6 +315,6 @@ def grid_max_slackness(spec: ProblemSpec, resolution: int = 200,
         raise ValueError("joint grid too large; shrink the instance or resolution")
     best = -np.inf
     for acc in _iter_grid_chunks(spec, resolution):
-        slack = np.min(-acc[:, 1:], axis=1)
-        best = max(best, float(np.max(slack)))
+        # max_x min_l(-z_l) == -min_x max_l(z_l): negation is exact
+        best = max(best, -float(np.min(np.max(acc[1:], axis=0))))
     return best

@@ -188,6 +188,15 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--paths", "0"]) == 1
 
 
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("DPP_LAB_THREADS", threads)
+    cfg = _write(tmp_path, SQ_CFG)
+    assert main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "DPP_LAB_THREADS" in err and repr(threads) in err
+
+
 def test_cli_runs_as_module(tmp_path):
     cfg = _write(tmp_path, SIM_CFG.replace("T = 800", "T = 50"))
     proc = subprocess.run([sys.executable, "-m", "dpp_lab.cli", "simulate",

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import random_small_instance
+from helpers import (random_small_instance, reference_grid_chunks,
+                     reference_grid_max_slackness,
+                     reference_grid_stationary_optimum, reference_simplex_grid)
 
 from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, SlacknessError,
                      build_server_scheduling_spec,
@@ -10,7 +13,8 @@ from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, SlacknessError,
                      grid_stationary_optimum, solve_max_slackness,
                      solve_stationary_optimum)
 from dpp_lab.events import u64_at
-from dpp_lab.oracle import _lp_matrices, simplex_grid, simplex_grid_size
+from dpp_lab.oracle import (_iter_grid_chunks, _lp_matrices, grid_points_budget,
+                            simplex_grid, simplex_grid_size)
 from dpp_lab.schema import load_schema, validate
 from dpp_lab.simplex import LpStatus, solve_lp
 
@@ -113,11 +117,96 @@ def test_simplex_grid_shape_and_content():
     g = simplex_grid(3, 10)
     assert g.shape == (simplex_grid_size(3, 10), 3)
     assert g.shape[0] == math.comb(12, 2)
-    assert np.allclose(g.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(g >= 0.0)
-    scaled = g * 10
-    assert np.allclose(scaled, np.round(scaled), atol=1e-9)
+    counts = np.rint(g * 10).astype(np.int64)
+    assert np.array_equal(counts / 10.0, g)
+    assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == 10)
+    assert len({tuple(row) for row in counts.tolist()}) == g.shape[0]
     assert simplex_grid(1, 200).tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("n_actions,resolution",
+                         [(n, r) for n in range(1, 6) for r in (1, 2, 3, 10)]
+                         + [(n, 200) for n in range(1, 5)])
+def test_simplex_grid_matches_reference(n_actions, resolution):
+    g = simplex_grid(n_actions, resolution)
+    ref = reference_simplex_grid(n_actions, resolution)
+    assert g.dtype == ref.dtype and g.shape == ref.shape
+    assert g.tobytes() == ref.tobytes()
+
+
+def test_grid_rejects_invalid_arguments(sq_spec):
+    for n_actions, resolution in ((3, 0), (3, -1), (0, 5), (-2, 5)):
+        with pytest.raises(ValueError):
+            simplex_grid(n_actions, resolution)
+        with pytest.raises(ValueError):
+            simplex_grid_size(n_actions, resolution)
+    with pytest.raises(ValueError, match="resolution"):
+        grid_stationary_optimum(sq_spec, resolution=0)
+    with pytest.raises(ValueError, match="resolution"):
+        grid_max_slackness(sq_spec, resolution=0)
+
+
+def _sorted_rows(a: np.ndarray) -> bytes:
+    return a[np.lexsort(a.T[::-1])].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, 1 << 20])
+def test_grid_chunks_enumerate_reference_values(chunk):
+    # every chunking path (prefix only, split event, later events added in
+    # place) yields exactly the reference's joint values, bit for bit
+    spec = random_small_instance(np.random.default_rng(31), L=2, shape=(2, 2, 2))
+    ref = np.concatenate(list(reference_grid_chunks(spec, 20)))
+    chunks = list(_iter_grid_chunks(spec, 20, chunk=chunk))
+    assert all(c.shape[1] <= chunk for c in chunks)
+    got = np.concatenate(chunks, axis=1).T
+    assert got.shape == ref.shape
+    assert _sorted_rows(got) == _sorted_rows(ref)
+
+
+def test_grid_oracle_matches_reference_on_criterion_8_instances():
+    rng = np.random.default_rng(20240611)  # the criterion-8 instances
+    for _ in range(50):
+        spec = random_small_instance(rng)
+        assert (repr(grid_stationary_optimum(spec, resolution=50))
+                == repr(reference_grid_stationary_optimum(spec, 50)))
+        assert (repr(grid_max_slackness(spec, resolution=50))
+                == repr(reference_grid_max_slackness(spec, 50)))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 1), (1,)])
+def test_grid_oracle_single_action_events(shape):
+    spec = random_small_instance(np.random.default_rng(7), L=2, shape=shape)
+    assert (repr(grid_stationary_optimum(spec, resolution=200))
+            == repr(reference_grid_stationary_optimum(spec, 200)))
+    assert (repr(grid_max_slackness(spec, resolution=200))
+            == repr(reference_grid_max_slackness(spec, 200)))
+
+
+def test_grid_chunks_memory_stays_within_chunk_bound():
+    # (3, 2, 1): the joint grid is 4.08M points, but memory must stay at a
+    # chunk plus the prefix table and the per-event arrays, also when the
+    # last event has a single action
+    spec = random_small_instance(np.random.default_rng(7), L=2, shape=(3, 2, 1))
+    chunk = 1 << 16
+    row_bytes = (spec.L + 1) * 8
+    event_bytes = sum(simplex_grid_size(len(e.actions), 200)
+                      * max(len(e.actions), spec.L + 1) * 8 for e in spec.events)
+    # one chunk and the prefix table; per event, its simplex grid and the
+    # weighted contributions being built from it
+    bound = 2 * chunk * row_bytes + 4 * event_bytes
+    joint_bytes = grid_points_budget(spec, 200) * row_bytes
+    assert bound < joint_bytes / 10
+    rows = 0
+    tracemalloc.start()
+    try:
+        for acc in _iter_grid_chunks(spec, 200, chunk=chunk):
+            assert acc.shape[1] <= chunk
+            rows += acc.shape[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == grid_points_budget(spec, 200)
+    assert peak <= bound, (peak, bound)
 
 
 def test_lp_matches_grid_on_small_instances():
