@@ -3,21 +3,19 @@ closed-form tail and convergence bounds, and a seeded Monte Carlo
 verification harness."""
 
 from .analysis import (BoundConstants, ConsistencyError, DerivedProcesses,
-                       TelescopingReport, azuma_bound, build_processes,
+                       LawReport, azuma_bound, build_processes,
                        calibrated_deviation_level, chained_deviation_check,
-                       check_telescoping, compute_constants,
+                       check_trace_laws, compute_constants,
                        constants_for_horizon, convergence_time_multi,
                        convergence_time_single, default_truncation_level,
                        g_tail_bound, queue_tail_bound,
                        queue_tail_vacuity_crossover, xtail_bound)
-from .controller import DppState, new_state, run_path, select_action, step
-from .core import (ActionVector, EventOutcome, PathTrace, ProblemSpec,
-                   SlotRecord, TieBreak, VirtualQueueState, drift,
-                   drift_upper_bound_check, queue_update, read_trace_csv,
-                   time_average, write_trace_csv)
-from .events import (EventStream, build_server_scheduling_spec,
-                     build_single_queue_spec, builtin_spec, derive_seed,
-                     event_stream, sample, sample_block)
+from .controller import pick_actions, run_path, select_action
+from .core import (LAWS, ActionVector, EventOutcome, PathTrace, ProblemSpec,
+                   drift, queue_update, read_trace_csv, time_average,
+                   write_trace_csv)
+from .events import (build_server_scheduling_spec, build_single_queue_spec,
+                     builtin_spec, derive_seed, sample_block)
 from .montecarlo import (BatchConfig, BatchSummary, CheckResult,
                          InvariantViolation, TailEstimate, empirical_tail,
                          run_batch, wilson_interval)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import LAW_TOL, PathTrace
+from .core import LAW_TOL, PathTrace, law_problems, laws_for, trace_law_values
 from .oracle import SlacknessError
 
 
@@ -133,32 +133,16 @@ class DerivedProcesses:
     g: np.ndarray | None          # (T+1,) when L == 1
     visit_slots: np.ndarray | None
 
-    @property
-    def x_increments(self) -> np.ndarray:
-        return np.diff(self.x)
-
-    @property
-    def y_increments(self) -> np.ndarray:
-        return np.diff(self.y)
-
-    @property
-    def g_increments(self) -> np.ndarray | None:
-        return None if self.g is None else np.diff(self.g)
-
 
 def build_processes(trace: PathTrace, z_opt: float, constants: BoundConstants) -> DerivedProcesses:
-    T, L = trace.T, trace.L
+    L = trace.L
     V = constants.V
-    qb = trace.q_before
-    dx = V * (trace.z0 - z_opt) + np.einsum("ij,ij->i", qb, trace.z)
-    x = np.concatenate(([0.0], np.cumsum(dx)))
-    qnorm = np.sqrt(np.einsum("ij,ij->i", qb, qb))
-    exceed = np.nonzero(qnorm > constants.c1)[0]
+    v = trace_law_values(trace)
+    x = np.concatenate(([0.0], np.cumsum(V * (trace.z0 - z_opt) + v.qz)))
+    exceed = np.nonzero(v.norm_before > constants.c1)[0]
     tau = int(exceed[0]) + 1 if exceed.size else None
-    if tau is None:
-        y = x.copy()
-    else:
-        y = x.copy()
+    y = x.copy()
+    if tau is not None:
         y[tau:] = x[tau - 1]
     g = None
     visits = None
@@ -169,6 +153,64 @@ def build_processes(trace: PathTrace, z_opt: float, constants: BoundConstants) -
         g = np.concatenate(([0.0], np.cumsum(dg)))
         visits = np.nonzero(q1 <= cap)[0] + 1  # slot numbers 1..T+1
     return DerivedProcesses(x=x, tau=tau, y=y, g=g, visit_slots=visits)
+
+
+@dataclass(frozen=True)
+class LawReport:
+    """The law table evaluated over the slots of one stored trace.
+
+    ``problems`` maps every violated law, in table order, to messages for
+    its first five failing slots.  ``nJ`` (the last slot in 1..T+1 whose
+    queue value lies in [0, C0*V]), ``tele_gap`` and ``tele_avg`` are the
+    telescoping quantities, computed in the lockstep engine's float order;
+    they are None unless the trace has one constraint and C0*V >= B.
+    """
+
+    problems: dict[str, list[str]]
+    nJ: int | None = None
+    tele_gap: float | None = None
+    tele_avg: float | None = None
+
+    @property
+    def violated(self) -> tuple[str, ...]:
+        return tuple(self.problems)
+
+
+def check_trace_laws(trace: PathTrace, z_opt: float, constants: BoundConstants,
+                     tol: float = LAW_TOL) -> LawReport:
+    """Evaluate every law of :data:`dpp_lab.core.LAWS` that applies to the
+    trace, reporting all violations rather than stopping at the first.
+
+    dX is V*(z0 - z_opt) + q.z; the stopped process stops changing from the
+    first slot whose starting queue norm exceeds c1.  With one constraint, dG
+    clips the queue weight at C0*V, and the truncated partial sums run left
+    to right from zero, as in the engine.
+    """
+    V = constants.V
+    v = trace_law_values(trace)
+    vars(v).update(B=constants.B, c2=constants.c2, V=V, z_max=constants.z_max,
+                   C0=constants.C0)
+    penalty = V * (trace.z0 - z_opt)
+    stopped = np.logical_or.accumulate(v.norm_before > constants.c1)
+    v.dy = np.where(stopped, 0.0, penalty + v.qz)
+    laws = laws_for(trace.L, final=False)
+    tele: dict = {}
+    if trace.L == 1:
+        cap = constants.C0 * V
+        q1 = trace.q[:, 0]
+        terms = np.minimum(q1[:-1], cap) * trace.z[:, 0]
+        v.dg = penalty + terms
+        if cap >= constants.B:  # the telescoping laws assume the cap clears one step
+            partial = np.cumsum(np.concatenate(([0.0], terms)))  # before slots 1..T+1
+            visits = np.nonzero(q1 <= cap)[0]
+            nJ = int(visits[-1]) + 1 if visits.size else 1
+            q_nJ = float(q1[nJ - 1])
+            tele = {"nJ": nJ,
+                    "tele_gap": abs(float(partial[nJ - 1]) - 0.5 * q_nJ * q_nJ),
+                    "tele_avg": float(partial[-1]) / trace.T}
+            vars(v).update(tele)
+            laws += laws_for(1, final=True)
+    return LawReport(law_problems(laws, v, trace.T, tol), **tele)
 
 
 # ---------------------------------------------------------------------------
@@ -261,77 +303,3 @@ def chained_deviation_check(constants: BoundConstants, epsilon: float, delta: fl
     lhs = deviation_over_horizon(constants, T, delta)
     rhs = 6.0 * constants.C * epsilon
     return lhs, rhs, lhs <= rhs * (1.0 + rel_tol)
-
-
-# ---------------------------------------------------------------------------
-# single-constraint telescoping checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TelescopingReport:
-    nJ: int
-    lhs_gap: float
-    bound: float
-    avg_truncated_sum: float
-    avg_lower_bound: float
-    passed: bool
-
-
-def check_telescoping(trace: PathTrace, constants: BoundConstants,
-                      tol: float = LAW_TOL) -> TelescopingReport:
-    """Evaluate the two truncated-sum inequalities on a single-constraint path.
-
-    nJ is the last slot in 1..T+1 whose queue value lies in [0, C0*V].  The
-    partial truncated sum up to nJ-1 must stay within (5/2) B^2 (nJ - 1) of
-    half the squared queue value at nJ, and the full-horizon truncated sum
-    average must stay above -(5/2) B^2.
-    """
-    if trace.L != 1:
-        raise ValueError("telescoping checks need a single-constraint trace")
-    cap = constants.C0 * constants.V
-    if constants.V < constants.B / constants.C0:
-        raise ValueError("requires V >= B/C0")
-    q1 = trace.q[:, 0]
-    z1 = trace.z[:, 0]
-    T = trace.T
-    terms = np.minimum(q1[:-1], cap) * z1
-    visits = np.nonzero(q1 <= cap)[0]  # indices into q1; slot number is index+1
-    nJ = int(visits[-1]) + 1 if visits.size else 1
-    partial = float(np.sum(terms[:nJ - 1]))
-    lhs_gap = abs(partial - 0.5 * float(q1[nJ - 1]) ** 2)
-    bound = 2.5 * constants.B ** 2 * (nJ - 1)
-    avg = float(np.sum(terms)) / T
-    lower = -2.5 * constants.B ** 2
-    passed = (lhs_gap <= bound + tol) and (avg >= lower - tol)
-    return TelescopingReport(nJ=nJ, lhs_gap=lhs_gap, bound=bound,
-                             avg_truncated_sum=avg, avg_lower_bound=lower, passed=passed)
-
-
-def verify_difference_bounds(proc: DerivedProcesses, constants: BoundConstants,
-                             tol: float = LAW_TOL) -> list[str]:
-    """Per-path difference-bound laws: |dY| <= c2 always, and when the
-    truncated process exists, |dG| <= 2 V z_max + C0 V B."""
-    problems: list[str] = []
-    dy = np.abs(proc.y_increments)
-    bad = np.nonzero(dy > constants.c2 + tol)[0]
-    for i in bad[:5]:
-        problems.append(f"slot {i + 1}: |dY|={dy[i]!r} exceeds c2={constants.c2!r}")
-    dg = proc.g_increments
-    if dg is not None:
-        cap = 2.0 * constants.V * constants.z_max + constants.C0 * constants.V * constants.B
-        bad = np.nonzero(np.abs(dg) > cap + tol)[0]
-        for i in bad[:5]:
-            problems.append(f"slot {i + 1}: |dG| exceeds {cap!r}")
-    return problems
-
-
-def verify_stopping_consistency(proc: DerivedProcesses, trace: PathTrace,
-                                constants: BoundConstants) -> list[str]:
-    """If x and y part ways by the horizon, some visited queue norm must have
-    exceeded c1; otherwise the two processes are identical."""
-    problems: list[str] = []
-    qb = trace.q_before
-    qnorm = np.sqrt(np.einsum("ij,ij->i", qb, qb))
-    if proc.x[-1] != proc.y[-1] and not np.any(qnorm > constants.c1):
-        problems.append("x and y diverge although no queue norm exceeded c1")
-    return problems

@@ -25,7 +25,8 @@ from .configfile import ConfigError, RunConfig, load_config
 from .controller import run_path
 from .core import ProblemSpec, time_average, write_trace_csv
 from .events import derive_seed
-from .montecarlo import ALL_CHECKS, BatchConfig, InvariantViolation, run_batch
+from .montecarlo import (_SINGLE_ONLY, ALL_CHECKS, BatchConfig,
+                         InvariantViolation, run_batch)
 from .oracle import SlacknessError, solve_stationary_optimum
 
 EXIT_OK = 0
@@ -43,9 +44,7 @@ def _write_json(path: str, payload: dict, schema_name: str | None = None) -> Non
 
 
 def _default_checks(spec: ProblemSpec) -> tuple[str, ...]:
-    if spec.L == 1:
-        return ALL_CHECKS
-    return tuple(c for c in ALL_CHECKS if c not in ("GTail", "Telescoping", "Theorem3"))
+    return tuple(c for c in ALL_CHECKS if spec.L == 1 or c not in _SINGLE_ONLY)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:

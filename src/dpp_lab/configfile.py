@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import ActionVector, EventOutcome, ProblemSpec, TieBreak
+from .core import ActionVector, EventOutcome, ProblemSpec
 from .events import BUILTIN_SPECS, builtin_spec
 from .montecarlo import ALL_CHECKS
 
@@ -111,7 +111,7 @@ class RunConfig:
                                        actions=tuple(actions)))
         try:
             return ProblemSpec(events=tuple(events), L=L, z_max=z_max, B=B,
-                               V=float(V), tie_break=TieBreak.LOWEST_INDEX)
+                               V=float(V))
         except ValueError as e:
             raise ConfigError(f"inline problem rejected: {e}") from None
 

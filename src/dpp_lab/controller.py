@@ -6,17 +6,15 @@ distribution live in :mod:`dpp_lab.oracle`.
 
 Float evaluation order is pinned: an action's score is ``V*z0`` followed by
 ``+= q[l]*z[l]`` for l ascending.  The vectorized batch engine replays the
-same order so the two engines agree bit for bit.
+same order so the two engines agree bit for bit, and both pick actions from
+their scores through :func:`pick_actions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (ActionVector, EventOutcome, PathTrace, ProblemSpec,
-                   SlotRecord, TieBreak, VirtualQueueState, norm_sq)
+from .core import ActionVector, EventOutcome, PathTrace, ProblemSpec
 from .events import sample_block
 
 CHAOS_MODES = ("skip-minimization", "worst-action")
@@ -31,12 +29,9 @@ def action_score(q, action: ActionVector, V: float) -> float:
     return acc
 
 
-def select_action(q, event: EventOutcome, V: float,
-                  tie_break: TieBreak = TieBreak.LOWEST_INDEX) -> tuple[int, float]:
+def select_action(q, event: EventOutcome, V: float) -> tuple[int, float]:
     """Index and score of the minimizing action; exact score ties go to the
     lowest index."""
-    if tie_break is not TieBreak.LOWEST_INDEX:
-        raise ValueError(f"unsupported tie break {tie_break!r}")
     best_k = 0
     best = action_score(q, event.actions[0], V)
     for k in range(1, len(event.actions)):
@@ -46,52 +41,18 @@ def select_action(q, event: EventOutcome, V: float,
     return best_k, best
 
 
-def _chaos_pick(mode: str, scores: list[float]) -> int:
-    if mode == "skip-minimization":
-        return 0
-    if mode == "worst-action":
-        best_k, best = 0, scores[0]
-        for k, v in enumerate(scores):
-            if v > best:
-                best, best_k = v, k
-        return best_k
-    raise ValueError(f"unknown chaos mode {mode!r}; choices: {CHAOS_MODES}")
-
-
-@dataclass
-class DppState:
-    """Mutable per-path state: the virtual queues plus the owning spec."""
-
-    queues: VirtualQueueState
-    spec: ProblemSpec
-
-    def __post_init__(self) -> None:
-        if self.queues.q.shape != (self.spec.L,):
-            raise ValueError("queue dimension does not match spec")
-
-
-def new_state(spec: ProblemSpec) -> DppState:
-    return DppState(VirtualQueueState(np.zeros(spec.L)), spec)
-
-
-def step(state: DppState, event_id: int, t: int | None = None) -> SlotRecord:
-    """Resolve one slot: pick the minimizing action, update the queues,
-    advance the state, and return the full record."""
-    spec = state.spec
-    if not 0 <= event_id < len(spec.events):
-        raise ValueError(f"unknown event id {event_id}")
-    if t is None:
-        t = state.queues.t
-    event = spec.events[event_id]
-    q = state.queues.q.tolist()
-    k, _ = select_action(q, event, spec.V, spec.tie_break)
-    action = event.actions[k]
-    q_after = [max(qc + zc, 0.0) for qc, zc in zip(q, action.z)]
-    d = 0.5 * (norm_sq(q_after) - norm_sq(q))
-    state.queues.q = np.asarray(q_after)
-    state.queues.t = t + 1
-    return SlotRecord(t=t, event_id=event_id, action_index=k, action=action,
-                      q_before=tuple(q), q_after=tuple(q_after), drift=d)
+def pick_actions(scores: np.ndarray, chaos: str | None = None) -> np.ndarray:
+    """Row-wise action index from an (N, K) score array: the lowest-index
+    minimizer, or under ``chaos`` index 0 (``skip-minimization``) or the
+    lowest-index finite maximizer (``worst-action``).  Padding entries must
+    be +inf so they never win either rule."""
+    if chaos is None:
+        return np.argmin(scores, axis=1)
+    if chaos == "skip-minimization":
+        return np.zeros(scores.shape[0], dtype=np.int64)
+    if chaos == "worst-action":
+        return np.argmax(np.where(np.isfinite(scores), scores, -np.inf), axis=1)
+    raise ValueError(f"unknown chaos mode {chaos!r}; choices: {CHAOS_MODES}")
 
 
 def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> PathTrace:
@@ -136,14 +97,8 @@ def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> 
                 if v < best:
                     best, best_k = v, k
         else:
-            scores = []
-            for k in range(len(vz0s)):
-                v = vz0s[k]
-                zrow = zs[k]
-                for l in rng_l:
-                    v += q[l] * zrow[l]
-                scores.append(v)
-            best_k = _chaos_pick(chaos, scores)
+            scores = [action_score(q, a, V) for a in spec.events[id_list[t]].actions]
+            best_k = int(pick_actions(np.array([scores]), chaos)[0])
         zrow = zs[best_k]
         na2 = 0.0
         for l in rng_l:
@@ -174,25 +129,3 @@ def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> 
         q=q_arr,
         drift=np.asarray(drifts, dtype=np.float64),
     )
-
-
-def verify_minimality(spec: ProblemSpec, trace: PathTrace) -> list[str]:
-    """Re-scan every visited action set: no action may score strictly below
-    the one recorded.  Comparison is exact (tolerance zero) because the scan
-    reproduces the engine's float expressions."""
-    problems: list[str] = []
-    V = spec.V
-    qb = trace.q_before
-    for i in range(trace.T):
-        event = spec.events[int(trace.event_ids[i])]
-        q = qb[i].tolist()
-        chosen = int(trace.action_indices[i])
-        chosen_score = action_score(q, event.actions[chosen], V)
-        for k, a in enumerate(event.actions):
-            if action_score(q, a, V) < chosen_score:
-                problems.append(
-                    f"slot {i + 1}: action {k} scores below recorded action {chosen}")
-                break
-        if len(problems) >= 5:
-            break
-    return problems

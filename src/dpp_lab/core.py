@@ -1,4 +1,5 @@
-"""Domain types and the exact queue/drift dynamics shared by the rest of the package.
+"""Domain types, the exact queue/drift dynamics, and the table of
+deterministic per-path laws shared by the rest of the package.
 
 Everything here is 64-bit floating point.  Per-slot law assertions use an
 absolute tolerance of 1e-9 unless a caller overrides it; the queue update and
@@ -11,20 +12,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 LAW_TOL = 1e-9
 PROB_TOL = 1e-12
-
-
-class TieBreak(Enum):
-    """How the per-slot minimization breaks exact ties between actions."""
-
-    LOWEST_INDEX = "lowest-index"
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,8 @@ class ProblemSpec:
 
     Construction validates every action against the declared bounds; all
     downstream constants rely on ``z_max`` and ``B`` being true bounds.
+    Exact score ties in the per-slot minimization always go to the lowest
+    action index.
     """
 
     events: tuple[EventOutcome, ...]
@@ -71,7 +68,6 @@ class ProblemSpec:
     z_max: float
     B: float
     V: float
-    tie_break: TieBreak = TieBreak.LOWEST_INDEX
 
     def __post_init__(self) -> None:
         if self.L < 1:
@@ -103,7 +99,7 @@ class ProblemSpec:
         """Content hash; identical specs hash identically, bit for bit."""
         h = hashlib.sha256()
         h.update(f"L={self.L};z_max={self.z_max!r};B={self.B!r};V={self.V!r};"
-                 f"tie={self.tie_break.value};".encode())
+                 "tie=lowest-index;".encode())
         for e in self.events:
             h.update(f"e{e.id}:p={e.probability!r};".encode())
             for a in e.actions:
@@ -116,37 +112,7 @@ class ProblemSpec:
 
     def with_v(self, V: float) -> "ProblemSpec":
         """Same instance under a different trade-off weight."""
-        return ProblemSpec(self.events, self.L, self.z_max, self.B, V, self.tie_break)
-
-
-@dataclass
-class VirtualQueueState:
-    """The L nonnegative virtual queues and the current slot index (1-based).
-    Queues start at zero on slot 1."""
-
-    q: np.ndarray
-    t: int = 1
-
-    def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=np.float64)
-        if self.t < 1:
-            raise ValueError("slot index starts at 1")
-        if np.any(self.q < 0.0):
-            raise ValueError("virtual queues must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SlotRecord:
-    """Everything that happened on one slot: the observed event, the chosen
-    action, the queue vector before and after, and the quadratic drift."""
-
-    t: int
-    event_id: int
-    action_index: int
-    action: ActionVector
-    q_before: tuple[float, ...]
-    q_after: tuple[float, ...]
-    drift: float
+        return ProblemSpec(self.events, self.L, self.z_max, self.B, V)
 
 
 @dataclass(frozen=True)
@@ -154,8 +120,7 @@ class PathTrace:
     """A full sample path, stored columnwise.
 
     ``q`` has T+1 rows: row t-1 is the queue vector at the start of slot t,
-    row T is the final post-update vector.  Views of individual slots are
-    materialized on demand through :meth:`record`.
+    row T is the final post-update vector.
     """
 
     spec_digest: str
@@ -183,24 +148,6 @@ class PathTrace:
     def q_after(self) -> np.ndarray:
         return self.q[1:]
 
-    def record(self, t: int) -> SlotRecord:
-        """The slot record for 1-based slot t."""
-        if not 1 <= t <= self.T:
-            raise ValueError(f"slot {t} outside 1..{self.T}")
-        i = t - 1
-        return SlotRecord(
-            t=t,
-            event_id=int(self.event_ids[i]),
-            action_index=int(self.action_indices[i]),
-            action=ActionVector(float(self.z0[i]), tuple(float(v) for v in self.z[i])),
-            q_before=tuple(float(v) for v in self.q[i]),
-            q_after=tuple(float(v) for v in self.q[i + 1]),
-            drift=float(self.drift[i]),
-        )
-
-    def records(self) -> list[SlotRecord]:
-        return [self.record(t) for t in range(1, self.T + 1)]
-
 
 # ---------------------------------------------------------------------------
 # scalar helpers with a pinned summation order
@@ -214,13 +161,6 @@ def norm_sq(v: Sequence[float]) -> float:
     acc = 0.0
     for x in v:
         acc += x * x
-    return acc
-
-
-def weighted_sum(q: Sequence[float], z: Sequence[float]) -> float:
-    acc = 0.0
-    for a, b in zip(q, z):
-        acc += a * b
     return acc
 
 
@@ -244,13 +184,6 @@ def drift(q_before: Sequence[float], q_after: Sequence[float]) -> float:
     return 0.5 * (norm_sq(qa.tolist()) - norm_sq(qb.tolist()))
 
 
-def drift_upper_bound_check(record: SlotRecord, B: float, tol: float = LAW_TOL) -> bool:
-    """Per-slot assertion that the drift never exceeds B^2/2 plus the
-    queue-weighted increment sum."""
-    rhs = B * B / 2.0 + weighted_sum(record.q_before, record.action.z)
-    return record.drift <= rhs + tol
-
-
 def time_average(trace: PathTrace, which: str, index: int | None = None) -> float:
     """Prefix average over the whole trace.
 
@@ -272,13 +205,94 @@ def time_average(trace: PathTrace, which: str, index: int | None = None) -> floa
     raise ValueError(f"unknown time average {which!r}")
 
 
+# ---------------------------------------------------------------------------
+# the deterministic per-path laws
+#
+# One ordered table serves the lockstep engine (evaluated each slot over the
+# paths of a chunk) and stored traces (evaluated over the slots of one path).
+# A law holds where lhs <= rhs + tol.  Both sides read one namespace:
+#   norm_before, norm_after  queue norm at the start and the end of the slot
+#   drift, qz                quadratic drift, and q.z for the chosen increments
+#   dy, dg                   one-step differences of the stopped process and,
+#                            for one constraint, of the truncated process
+#   nJ, tele_gap, tele_avg   telescoping quantities of a path at its horizon
+#   B, c2, V, z_max, C0      constants
+# Failures are reported in table order.
+# ---------------------------------------------------------------------------
+
+class Law(NamedTuple):
+    name: str
+    lhs: Callable[[Any], Any]
+    rhs: Callable[[Any], Any]
+    single: bool = False  # single-constraint problems only
+    final: bool = False   # once per path at the horizon, and only if C0*V >= B
+
+
+LAWS = (
+    Law("queue norm step bound",
+        lambda v: np.abs(v.norm_after - v.norm_before), lambda v: v.B),
+    Law("quadratic drift bound",
+        lambda v: v.drift, lambda v: v.B * v.B / 2.0 + v.qz),
+    Law("stopped process difference bound",
+        lambda v: np.abs(v.dy), lambda v: v.c2),
+    Law("truncated process difference bound",
+        lambda v: np.abs(v.dg), lambda v: 2.0 * v.V * v.z_max + v.C0 * v.V * v.B,
+        single=True),
+    Law("telescoping partial-sum law",
+        lambda v: v.tele_gap, lambda v: 2.5 * v.B * v.B * (v.nJ - 1),
+        single=True, final=True),
+    Law("truncated sum lower bound",
+        lambda v: -v.tele_avg, lambda v: 2.5 * v.B * v.B,
+        single=True, final=True),
+)
+DYNAMICS_LAWS = LAWS[:2]  # the laws that need nothing but B
+
+
+def laws_for(L: int, final: bool) -> tuple[Law, ...]:
+    """The per-slot (``final=False``) or end-of-path laws of an L-constraint
+    problem, in table order."""
+    return tuple(law for law in LAWS if law.final == final and (L == 1 or not law.single))
+
+
+def trace_law_values(trace: PathTrace) -> SimpleNamespace:
+    """Per-slot law inputs of a stored trace.  Squared norms and q.z sum over
+    the constraints left to right from zero, as the lockstep engine does, so
+    the values match the engine's bit for bit."""
+    qb, qa, z = trace.q_before, trace.q_after, trace.z
+    nb2, na2, qz = np.zeros(trace.T), np.zeros(trace.T), np.zeros(trace.T)
+    for l in range(trace.L):
+        nb2 += qb[:, l] * qb[:, l]
+        na2 += qa[:, l] * qa[:, l]
+        qz += qb[:, l] * z[:, l]
+    return SimpleNamespace(nb2=nb2, na2=na2, norm_before=np.sqrt(nb2),
+                           norm_after=np.sqrt(na2), drift=trace.drift, qz=qz)
+
+
+def law_problems(laws: Sequence[Law], v: SimpleNamespace, T: int,
+                 tol: float = LAW_TOL) -> dict[str, list[str]]:
+    """Evaluate ``laws`` over the slots of one path; end-of-path laws count
+    as slot T.  Maps each violated law, in table order, to messages for its
+    first five failing slots."""
+    out: dict[str, list[str]] = {}
+    for law in laws:
+        lhs, rhs = law.lhs(v), law.rhs(v)
+        bad = np.atleast_1d(lhs > rhs + tol)
+        if np.any(bad):
+            lhs, rhs = np.broadcast_arrays(np.atleast_1d(lhs), rhs)
+            out[law.name] = [f"slot {T if law.final else i + 1}: "
+                             f"{float(lhs[i])!r} exceeds {float(rhs[i])!r}"
+                             for i in np.nonzero(bad)[0][:5]]
+    return out
+
+
 def verify_trace_dynamics(trace: PathTrace, B: float, tol: float = LAW_TOL) -> list[str]:
-    """Check the deterministic per-slot laws on a stored trace.
+    """Check the dynamics of a stored trace.
 
     Returns a list of human-readable violation strings, empty when the trace
-    is internally consistent: exact queue update, queue nonnegativity, exact
-    drift values, the drift upper bound, and the step bound
-    ``| ||Q[t+1]|| - ||Q[t]|| | <= B``.
+    is internally consistent: exact queue update, queue nonnegativity and
+    exact stored drift (integrity checks that only a corrupted trace trips),
+    then the laws of the table that need only B: the step bound
+    ``| ||Q[t+1]|| - ||Q[t]|| | <= B`` and the quadratic drift bound.
     """
     problems: list[str] = []
     qb, qa, z = trace.q_before, trace.q_after, trace.z
@@ -291,20 +305,13 @@ def verify_trace_dynamics(trace: PathTrace, B: float, tol: float = LAW_TOL) -> l
         problems.append(f"slot {i + 1}: queue update not exact")
     if np.any(qa < 0.0):
         problems.append("negative queue component")
-    nb = np.sqrt(np.einsum("ij,ij->i", qb, qb))
-    na = np.sqrt(np.einsum("ij,ij->i", qa, qa))
-    step = np.abs(na - nb)
-    bad = np.nonzero(step > B + tol)[0]
-    for i in bad[:5]:
-        problems.append(f"slot {i + 1}: queue norm step {step[i]!r} exceeds B")
-    dr = 0.5 * (na * na - nb * nb)
-    bad = np.nonzero(np.abs(dr - trace.drift) > tol)[0]
+    v = trace_law_values(trace)
+    bad = np.nonzero(np.abs(0.5 * (v.na2 - v.nb2) - trace.drift) > tol)[0]
     for i in bad[:5]:
         problems.append(f"slot {i + 1}: stored drift differs from recomputed value")
-    rhs = B * B / 2.0 + np.einsum("ij,ij->i", qb, z)
-    bad = np.nonzero(trace.drift > rhs + tol)[0]
-    for i in bad[:5]:
-        problems.append(f"slot {i + 1}: drift exceeds quadratic upper bound")
+    v.B = B
+    for name, msgs in law_problems(DYNAMICS_LAWS, v, trace.T, tol).items():
+        problems.extend(f"{name}: {m}" for m in msgs)
     return problems
 
 

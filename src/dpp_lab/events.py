@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,40 +75,6 @@ def u64_across(seeds: np.ndarray, n: int) -> np.ndarray:
 
 def uniform_across(seeds: np.ndarray, n: int) -> np.ndarray:
     return (u64_across(seeds, n) >> np.uint64(11)) * 2.0 ** -53
-
-
-@dataclass
-class EventStream:
-    """Replayable event source for one path.
-
-    ``sample(t)`` is a pure function of (seed, t); the cursor only serves
-    sequential consumption via :meth:`next_id`.
-    """
-
-    spec_digest: str
-    seed: int
-    cursor: int = 1
-    _cum: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def sample(self, t: int) -> int:
-        if t < 1:
-            raise ValueError("slot index starts at 1")
-        u = uniform_at(self.seed, t)
-        return int(min(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1))
-
-    def next_id(self) -> int:
-        out = self.sample(self.cursor)
-        self.cursor += 1
-        return out
-
-
-def event_stream(spec: ProblemSpec, seed: int) -> EventStream:
-    return EventStream(spec_digest=spec.digest, seed=seed,
-                       _cum=cumulative_probabilities(spec))
-
-
-def sample(stream: EventStream, t: int) -> int:
-    return stream.sample(t)
 
 
 def cumulative_probabilities(spec: ProblemSpec) -> np.ndarray:

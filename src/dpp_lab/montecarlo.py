@@ -6,15 +6,22 @@ master seed by a splittable hash, chunks are a fixed size, and chunk results
 merge in submission order, so results are identical for any worker count.
 
 Float evaluation order inside the engine mirrors the scalar path engine in
-:mod:`dpp_lab.controller` operation for operation, which makes the two
-engines agree bit for bit on every per-path quantity.
+:mod:`dpp_lab.controller` operation for operation, and both choose actions
+through :func:`dpp_lab.controller.pick_actions`, which makes the two engines
+agree bit for bit on every per-path quantity.
 
-Deterministic per-path laws are enforced with zero tolerance for statistical
-slack (absolute float tolerance 1e-9): any violation aborts the batch with
-the offending path's seed and slot for replay.  Statistical checks compare
-the Wilson interval of an empirical frequency against the theoretical bound
-and fail only when the interval excludes the bound from above; the strict
-"Wilson upper at most the bound" comparison is also recorded for reporting.
+The deterministic per-path laws of :data:`dpp_lab.core.LAWS` (and, for the
+KeyFeature check, the exact conditional expectations) are enforced on every
+slot with zero tolerance for statistical slack (absolute float tolerance
+1e-9): any violation aborts the batch with the offending path's seed and slot
+for replay.  Identities that no input can break (the minimality of the
+chosen action, the queue update, the stopped process agreeing with the
+unstopped one until the stop) are covered by property tests instead.
+
+Statistical checks compare the Wilson interval of an empirical frequency
+against the theoretical bound and fail only when the interval excludes the
+bound from above; the strict "Wilson upper at most the bound" comparison is
+also recorded for reporting.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +39,8 @@ from .analysis import (BoundConstants, build_processes,
                        constants_for_horizon, convergence_time_multi,
                        convergence_time_single, g_tail_bound,
                        queue_tail_bound, xtail_bound)
-from .core import LAW_TOL, ProblemSpec
+from .controller import pick_actions
+from .core import LAW_TOL, ProblemSpec, laws_for
 from .events import cumulative_probabilities, derive_seed, uniform_across
 from .oracle import SlacknessError, solve_stationary_optimum
 
@@ -161,22 +170,11 @@ class ChunkStats:
 
     @staticmethod
     def concat(parts: list["ChunkStats"]) -> "ChunkStats":
-        def cat(sel):
-            items = [sel(p) for p in parts]
-            return None if items[0] is None else np.concatenate(items)
-        return ChunkStats(
-            avg_obj=cat(lambda p: p.avg_obj),
-            avg_cons=np.concatenate([p.avg_cons for p in parts], axis=0),
-            x_final=cat(lambda p: p.x_final),
-            y_final=cat(lambda p: p.y_final),
-            g_final=cat(lambda p: p.g_final),
-            max_qnorm=cat(lambda p: p.max_qnorm),
-            stopped=cat(lambda p: p.stopped),
-            tele_gap=cat(lambda p: p.tele_gap),
-            tele_bound=cat(lambda p: p.tele_bound),
-            tele_avg=cat(lambda p: p.tele_avg),
-            final_qnorm=cat(lambda p: p.final_qnorm),
-        )
+        out = {}
+        for f in fields(ChunkStats):
+            items = [getattr(p, f.name) for p in parts]
+            out[f.name] = None if items[0] is None else np.concatenate(items)
+        return ChunkStats(**out)
 
 
 def _first_bad(mask: np.ndarray) -> int:
@@ -188,16 +186,17 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
                    chaos: str | None = None, key_feature: bool = False,
                    tol: float = LAW_TOL) -> ChunkStats:
     """Run a chunk of paths in lockstep, enforcing every deterministic
-    per-slot law as it goes.  ``seeds`` must be uint64."""
+    per-path law as it goes.  ``seeds`` must be uint64."""
     tab = _build_tables(spec)
-    N = seeds.shape[0]
+    N, K = seeds.shape[0], tab.vz0.shape[1]
     L, V, B = spec.L, spec.V, spec.B
-    c1, c2 = constants.c1, constants.c2
+    c1 = constants.c1
     cap = constants.C0 * V
-    g_cap = 2.0 * V * spec.z_max + constants.C0 * V * B
-    half_b2 = B * B / 2.0
     single = L == 1
     rows = np.arange(N)
+    slot_laws = laws_for(L, final=False)
+    # the law inputs; the per-slot arrays are rebound on every slot
+    v = SimpleNamespace(B=B, c2=constants.c2, V=V, z_max=spec.z_max, C0=constants.C0)
 
     q = [np.zeros(N) for _ in range(L)]
     nb2 = np.zeros(N)
@@ -218,76 +217,57 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         i = _first_bad(mask)
         raise InvariantViolation(law, path_offset + i, int(seeds[i]), t, detail)
 
+    def enforce(laws, t: int) -> None:
+        for law in laws:
+            lhs, rhs = law.lhs(v), law.rhs(v)
+            bad = lhs > rhs + tol
+            if np.any(bad):
+                i = _first_bad(bad)
+                fail(law.name, bad, t, f"{float(lhs[i])!r} exceeds "
+                                       f"{float(np.broadcast_to(rhs, bad.shape)[i])!r}")
+
     for t in range(1, T + 1):
         u = uniform_across(seeds, t)
         ids = np.minimum(np.searchsorted(tab.cum, u, side="right"),
                          len(tab.cum) - 1)
-        vals = tab.vz0[ids].copy()
+        scores = tab.vz0[ids]
         zsel_cols = []
         for l in range(L):
             zl = tab.z[l][ids]
-            vals += q[l][:, None] * zl
+            scores += q[l][:, None] * zl
             zsel_cols.append(zl)
-        if chaos == "skip-minimization":
-            choose = np.zeros(N, dtype=np.int64)
-        elif chaos == "worst-action":
-            finite = np.where(np.isfinite(vals), vals, -np.inf)
-            choose = np.argmax(finite, axis=1)
-        elif chaos is None:
-            choose = np.argmin(vals, axis=1)
-        else:
-            raise ValueError(f"unknown chaos mode {chaos!r}")
-        chosen_vals = vals[rows, choose]
-        bad = np.min(vals, axis=1) < chosen_vals
-        if chaos is None and np.any(bad):
-            fail("per-slot minimality", bad, t)
+        choose = pick_actions(scores, chaos)
         z0_sel = tab.z0[ids, choose]
         z_sel = [col[rows, choose] for col in zsel_cols]
 
         qnorm = np.sqrt(nb2)
         np.maximum(max_qnorm, qnorm, out=max_qnorm)
         stopped |= qnorm > c1
+        if single:
+            trunc = np.minimum(q[0], cap)
 
         if key_feature:
+            trunc_kf = single and cap >= B
             expect = np.zeros(N)
+            etr = np.zeros(N)
             for w in range(len(tab.probs)):
-                ev_vals = np.broadcast_to(tab.vz0[w], (N, tab.vz0.shape[1])).copy()
+                ev_scores = np.broadcast_to(tab.vz0[w], (N, K)).copy()
                 for l in range(L):
-                    ev_vals += q[l][:, None] * tab.z[l][w][None, :]
-                if chaos == "skip-minimization":
-                    m_w = ev_vals[:, 0]
-                elif chaos == "worst-action":
-                    m_w = np.max(np.where(np.isfinite(ev_vals), ev_vals, -np.inf), axis=1)
-                else:
-                    m_w = np.min(ev_vals, axis=1)
-                expect += tab.probs[w] * (m_w - V * z_opt)
-            bad = expect > tol
-            if np.any(bad):
-                fail("exact conditional expectation", bad, t,
-                     f"value {expect[_first_bad(bad)]!r}")
-            if single and cap >= B:
-                etr = np.zeros(N)
-                w_trunc = np.minimum(q[0], cap)
-                for w in range(len(tab.probs)):
-                    ev_vals = np.broadcast_to(tab.vz0[w], (N, tab.vz0.shape[1])).copy()
-                    ev_vals += q[0][:, None] * tab.z[0][w][None, :]
-                    if chaos == "skip-minimization":
-                        kw = np.zeros(N, dtype=np.int64)
-                    elif chaos == "worst-action":
-                        kw = np.argmax(np.where(np.isfinite(ev_vals), ev_vals, -np.inf), axis=1)
-                    else:
-                        kw = np.argmin(ev_vals, axis=1)
+                    ev_scores += q[l][:, None] * tab.z[l][w][None, :]
+                kw = pick_actions(ev_scores, chaos)
+                expect += tab.probs[w] * (ev_scores[rows, kw] - V * z_opt)
+                if trunc_kf:
                     etr += tab.probs[w] * (V * (tab.z0[w][kw] - z_opt)
-                                           + w_trunc * tab.z[0][w][kw])
-                bad = etr > tol
+                                           + trunc * tab.z[0][w][kw])
+            for law, value in (("exact conditional expectation", expect),
+                               ("exact truncated conditional expectation", etr)):
+                bad = value > tol
                 if np.any(bad):
-                    fail("exact truncated conditional expectation", bad, t,
-                         f"value {etr[_first_bad(bad)]!r}")
+                    fail(law, bad, t, f"value {float(value[_first_bad(bad)])!r}")
 
         dot = np.zeros(N)
         na2 = np.zeros(N)
         if single:
-            trunc = np.minimum(q[0], cap)
             visit = q[0] <= cap
             nJ[visit] = t
             s_at_nJ[visit] = s_trunc[visit]
@@ -295,44 +275,27 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         for l in range(L):
             ql, zl = q[l], z_sel[l]
             dot += ql * zl
-            uq = ql + zl
-            nq = (uq + np.abs(uq)) / 2.0
-            direct = np.maximum(uq, 0.0)
-            if not np.all(nq == direct):
-                fail("exact queue update", nq != direct, t)
-            q[l] = direct
-            na2 += direct * direct
+            nq = np.maximum(ql + zl, 0.0)
+            q[l] = nq
+            na2 += nq * nq
             sum_z[l] += zl
 
-        na = np.sqrt(na2)
-        bad = np.abs(na - qnorm) > B + tol
-        if np.any(bad):
-            fail("queue norm step bound", bad, t)
-        dr = 0.5 * (na2 - nb2)
-        bad = dr > half_b2 + dot + tol
-        if np.any(bad):
-            fail("quadratic drift bound", bad, t)
-
-        dx = V * (z0_sel - z_opt) + dot
-        x_val += dx
-        dy = np.where(stopped, 0.0, dx)
-        bad = np.abs(dy) > c2 + tol
-        if np.any(bad):
-            fail("stopped process difference bound", bad, t)
-        y_val += dy
+        penalty = V * (z0_sel - z_opt)
+        dx = penalty + dot
+        v.norm_before, v.norm_after = qnorm, np.sqrt(na2)
+        v.drift, v.qz = 0.5 * (na2 - nb2), dot
+        v.dy = np.where(stopped, 0.0, dx)
         if single:
-            dg = V * (z0_sel - z_opt) + trunc * z_sel[0]
-            bad = np.abs(dg) > g_cap + tol
-            if np.any(bad):
-                fail("truncated process difference bound", bad, t)
-            g_val += dg
-            s_trunc += trunc * z_sel[0]
+            tz = trunc * z_sel[0]
+            v.dg = penalty + tz
+        enforce(slot_laws, t)
+        x_val += dx
+        y_val += v.dy
+        if single:
+            g_val += v.dg
+            s_trunc += tz
         sum_z0 += z0_sel
         nb2 = na2
-
-    diverged = (x_val != y_val) & ~stopped
-    if np.any(diverged):
-        fail("stopping-time divergence law", diverged, T)
 
     tele_gap = tele_bound = tele_avg = g_out = None
     if single:
@@ -341,15 +304,12 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         s_at_nJ[visit] = s_trunc[visit]
         q1_at_nJ[visit] = q[0][visit]
         tele_gap = np.abs(s_at_nJ - 0.5 * q1_at_nJ * q1_at_nJ)
-        tele_bound = 2.5 * B * B * (nJ - 1)
         tele_avg = s_trunc / T
+        vars(v).update(nJ=nJ, tele_gap=tele_gap, tele_avg=tele_avg)
+        final_laws = laws_for(1, final=True)
+        tele_bound = final_laws[0].rhs(v)  # the telescoping partial-sum law
         if cap >= B:  # the telescoping laws assume the cap clears one step
-            bad = tele_gap > tele_bound + tol
-            if np.any(bad):
-                fail("telescoping partial-sum law", bad, T)
-            bad = tele_avg < -2.5 * B * B - tol
-            if np.any(bad):
-                fail("truncated sum lower bound", bad, T)
+            enforce(final_laws, T)
         g_out = g_val
 
     return ChunkStats(

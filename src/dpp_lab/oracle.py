@@ -213,18 +213,31 @@ def simplex_grid(n_actions: int, resolution: int) -> np.ndarray:
     order of ``itertools.combinations`` over stars-and-bars positions.  The
     counts are built one column at a time: each row whose last column still
     holds ``left`` units splits into ``left + 1`` rows that place 0..left
-    units in the new column and leave the rest in the last one.
+    units in the new column and leave the rest in the last one.  The last
+    split writes its counts straight into the float output, which is then
+    divided by ``resolution`` in place, so the output and one column of
+    temporaries are all that is ever held at full size.
     """
     _check_grid_args(n_actions, resolution)
     cols = [np.array([resolution], dtype=np.int64)]
-    for _ in range(n_actions - 1):
+    for _ in range(n_actions - 2):
         reps = cols[-1] + 1
         placed = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
         cols = [np.repeat(c, reps) for c in cols]
         cols[-1:] = [placed, cols[-1] - placed]
-    out = np.empty((cols[0].shape[0], n_actions))
-    for j, c in enumerate(cols):
-        out[:, j] = c / float(resolution)
+    out = np.empty((simplex_grid_size(n_actions, resolution), n_actions))
+    if n_actions == 1:
+        out[:, 0] = cols[0]
+    else:
+        reps = cols[-1] + 1
+        for j, c in enumerate(cols[:-1]):
+            out[:, j] = np.repeat(c, reps)
+        placed = out[:, -2]
+        placed[:] = np.arange(out.shape[0])
+        placed -= np.repeat(np.cumsum(reps) - reps, reps)
+        out[:, -1] = np.repeat(cols[-1], reps)
+        out[:, -1] -= placed
+    out /= float(resolution)
     return out
 
 

@@ -1,6 +1,8 @@
-"""Shared generators for randomized oracle cross-checks, and the reference
-grid oracle they are checked against."""
+"""Shared generators for randomized oracle cross-checks, the reference grid
+oracle they are checked against, and unvalidated spec copies for negative
+controls."""
 
+import copy
 import itertools
 import math
 
@@ -50,6 +52,16 @@ def random_small_instance(rng: np.random.Generator, L: int | None = None,
                        B=math.sqrt(float(L)), V=1.0)
     assert grid_points_budget(spec, 200) <= GRID_BUDGET
     return spec
+
+
+def unchecked_spec(spec: ProblemSpec, **changes) -> ProblemSpec:
+    """A copy of ``spec`` with fields overwritten without validation, e.g. a
+    declared B or z_max that understates the true bound."""
+    out = copy.copy(spec)
+    for name, value in changes.items():
+        object.__setattr__(out, name, value)
+    out.__dict__.pop("digest", None)
+    return out
 
 
 # ---------------------------------------------------------------------------

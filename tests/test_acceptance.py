@@ -1,9 +1,9 @@
 """Acceptance suite: the binding exit criteria, one test per criterion.
 
 The heavyweight batches (ten thousand paths at ten thousand slots) are
-session fixtures shared between criteria; every deterministic per-slot law
-is enforced inside the engine, so a fixture that materializes at all is
-already a zero-violation certificate for its batch.
+session fixtures shared between criteria; every law of the law table is
+enforced inside the engine, so a fixture that materializes at all is already
+a zero-violation certificate for its batch.
 """
 
 import json
@@ -125,10 +125,11 @@ def test_criterion_2_exact_key_feature(sv_solution):
 @register_criterion(3, "deterministic per-path laws over 1e4 paths x 1e4 slots")
 def test_criterion_3_per_path_laws(big_benchmark_batch, big_single_queue_batch,
                                    sq_spec):
-    # the fixtures exist, so the engine verified every slot of every path:
-    # exact queue update, quadratic drift bound, norm step bound, stopped and
-    # truncated difference bounds, telescoping partial sums, and the
-    # full-horizon truncated-sum floor
+    # the fixtures exist, so the engine verified the law table on every path:
+    # norm step bound, quadratic drift bound, and stopped and truncated
+    # difference bounds on every slot, then the telescoping partial-sum law
+    # and the full-horizon truncated-sum floor (the exact queue update is an
+    # IEEE identity, property-tested in test_core)
     for summary, label in ((big_benchmark_batch, "benchmark"),
                            (big_single_queue_batch, "single queue")):
         assert summary.invariant_violations == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpp_lab import (azuma_bound, build_processes, chained_deviation_check,
-                     check_telescoping, compute_constants,
+                     check_trace_laws, compute_constants,
                      constants_for_horizon, convergence_time_multi,
                      convergence_time_single, default_truncation_level,
                      g_tail_bound, queue_tail_bound,
                      queue_tail_vacuity_crossover, run_path, xtail_bound)
 from dpp_lab.analysis import (ConsistencyError, deviation_over_horizon,
-                              calibrated_deviation_level, verify_difference_bounds,
-                              verify_stopping_consistency)
+                              calibrated_deviation_level)
 from dpp_lab.core import build_trace_from_z
 from dpp_lab.oracle import SlacknessError
 
@@ -223,12 +223,11 @@ def test_build_processes_stopping(sv_spec, sv_solution):
     # brute-force the frozen sequence
     for t in range(tr.T + 1):
         assert proc.y[t] == proc.x[min(t, proc.tau - 1)]
-    assert verify_stopping_consistency(proc, tr, tight) == []
-    assert verify_difference_bounds(proc, tight) == [] or True  # c1 too small here
+    assert check_trace_laws(tr, sv_solution.z_opt, tight).violated == ()
     loose = constants_for_horizon(sv_spec, 2.0 / 30.0, tr.T, 0.05)
     proc2 = build_processes(tr, sv_solution.z_opt, loose)
     assert proc2.tau is None
-    assert verify_difference_bounds(proc2, loose) == []
+    assert check_trace_laws(tr, sv_solution.z_opt, loose).violated == ()
 
 
 def test_truncated_and_stopped_processes_coincide_without_excursions(sq_spec, sq_solution):
@@ -249,17 +248,21 @@ def test_difference_bounds_flag_crafted_jump():
     tr = build_trace_from_z("", [5.0, 0.0], [[0.0], [0.0]])
     tiny = compute_constants((1e-3, 1.0, 1.0), xi=0.9, c1=1e-3)
     assert tiny.c2 < 1.0
-    proc = build_processes(tr, z_opt=0.0, constants=tiny)
-    assert verify_difference_bounds(proc, tiny)
+    rep = check_trace_laws(tr, z_opt=0.0, constants=tiny)
+    assert rep.violated == ("stopped process difference bound",
+                            "truncated process difference bound")
+    assert rep.problems["stopped process difference bound"] == [
+        f"slot 1: 5.0 exceeds {tiny.c2!r}"]
+    assert rep.nJ is None  # C0*V < B: the telescoping laws do not apply
 
 
 def test_telescoping_trivial_paths():
     c = compute_constants((1.0, 1.0, 1.0), xi=1.0, c1=1.0)
     assert c.C0 == pytest.approx(4.75)
     flat = build_trace_from_z("", [0.0] * 6, [[0.0]] * 6)
-    rep = check_telescoping(flat, c)
-    assert rep.passed and rep.nJ == 7 and rep.lhs_gap == 0.0
-    assert rep.avg_truncated_sum == 0.0
+    rep = check_trace_laws(flat, 0.0, c)
+    assert rep.violated == () and rep.nJ == 7 and rep.tele_gap == 0.0
+    assert rep.tele_avg == 0.0
 
 
 def test_telescoping_with_active_truncation():
@@ -270,8 +273,8 @@ def test_telescoping_with_active_truncation():
     downs = [[-1.0]] * 8
     tr = build_trace_from_z("", [0.0] * 16, ups + downs)
     assert np.max(tr.q[:, 0]) == 8.0 > c.C0
-    rep = check_telescoping(tr, c)
-    assert rep.passed
+    rep = check_trace_laws(tr, 0.0, c)
+    assert rep.violated == ()
     # last visit to [0, 4.75]: queue returns below the cap on the way down
     q = tr.q[:, 0]
     expected_nJ = int(np.nonzero(q <= c.C0)[0][-1]) + 1
@@ -280,8 +283,8 @@ def test_telescoping_with_active_truncation():
     cap = c.C0 * 1.0
     terms = np.minimum(q[:-1], cap) * tr.z[:, 0]
     gap = abs(float(np.sum(terms[:rep.nJ - 1])) - 0.5 * float(q[rep.nJ - 1]) ** 2)
-    assert rep.lhs_gap == pytest.approx(gap, abs=1e-12)
-    assert rep.lhs_gap <= rep.bound + 1e-9
+    assert rep.tele_gap == pytest.approx(gap, abs=1e-12)
+    assert rep.tele_gap <= 2.5 * (rep.nJ - 1) + 1e-9
 
 
 def test_telescoping_randomized_paths(sq_spec, sq_solution):
@@ -289,9 +292,9 @@ def test_telescoping_randomized_paths(sq_spec, sq_solution):
     c = constants_for_horizon(sq_spec, xi, 2000, 0.05)
     for seed in range(30):
         tr = run_path(sq_spec, seed=seed, T=2000)
-        rep = check_telescoping(tr, c)
-        assert rep.passed
-        assert rep.avg_truncated_sum >= rep.avg_lower_bound - 1e-9
+        rep = check_trace_laws(tr, sq_solution.z_opt, c)
+        assert rep.violated == ()
+        assert rep.tele_avg >= -2.5 * sq_spec.B ** 2 - 1e-9
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=60))
@@ -301,15 +304,29 @@ def test_telescoping_laws_hold_for_any_bounded_increments(z_seq):
     # queue recursion itself, not about any particular decision rule
     c = compute_constants((1.0, 1.0, 1.0), xi=1.0, c1=100.0)
     tr = build_trace_from_z("", [0.0] * len(z_seq), [[z] for z in z_seq])
-    rep = check_telescoping(tr, c)
-    assert rep.passed
+    rep = check_trace_laws(tr, 0.0, c)
+    assert rep.violated == () and rep.tele_gap is not None
 
 
-def test_telescoping_rejects_multi_constraint(sv_spec, sv_solution):
+def test_trace_laws_skip_single_constraint_laws_on_multi_constraint(sv_spec, sv_solution):
     tr = run_path(sv_spec, seed=1, T=50)
     c = constants_for_horizon(sv_spec, 2.0 / 30.0, 50, 0.05)
-    with pytest.raises(ValueError):
-        check_telescoping(tr, c)
+    rep = check_trace_laws(tr, sv_solution.z_opt, c)
+    assert rep.violated == ()
+    assert rep.nJ is None and rep.tele_gap is None and rep.tele_avg is None
+
+
+def test_understated_B_trips_the_telescoping_laws():
+    # the queue alternates 0, 1, 0, ...: the truncated sum falls by 1 every
+    # second slot, more than the 2.5*B^2 per slot allowed at B = 1/4
+    c = compute_constants((1.0, 1.0, 1.0), xi=1.0, c1=100.0)
+    tr = build_trace_from_z("", [0.0] * 40, [[1.0], [-1.0]] * 20)
+    assert check_trace_laws(tr, 0.0, c).violated == ()
+    rep = check_trace_laws(tr, 0.0, dataclasses.replace(c, B=0.25))
+    assert rep.violated == ("queue norm step bound", "quadratic drift bound",
+                            "telescoping partial-sum law", "truncated sum lower bound")
+    assert (rep.nJ, rep.tele_gap, rep.tele_avg) == (41, 20.0, -0.5)
+    assert rep.problems["telescoping partial-sum law"] == ["slot 40: 20.0 exceeds 6.25"]
 
 
 def test_rho_out_of_range_is_impossible_by_construction():

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -115,6 +116,9 @@ def test_verify_chaos_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "replay" in err and "seed=" in err
+    # the violating value prints as a plain float under numpy 2
+    assert "np.float64" not in err
+    assert re.search(r"at slot \d+: value -?\d+\.\d+(e-?\d+)?\n", err)
 
 
 def test_verify_underpowered_statistics_exit_3(tmp_path):

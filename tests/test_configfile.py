@@ -45,6 +45,14 @@ def test_parse_builtin_config():
     assert spec.V == 10.0 and spec.L == 3
 
 
+def test_tie_break_key_accepts_only_lowest_index():
+    base = parse_config_text(INLINE).build_spec()
+    spec = parse_config_text(INLINE + "problem.tie_break = LowestIndex\n").build_spec()
+    assert spec == base and spec.digest == base.digest
+    with pytest.raises(ConfigError, match="tie_break"):
+        parse_config_text(INLINE + "problem.tie_break = HighestIndex\n").build_spec()
+
+
 def test_parse_inline_problem():
     cfg = parse_config_text(INLINE)
     spec = cfg.build_spec()

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dpp_lab import (ActionVector, EventOutcome, ProblemSpec,
+from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, drift,
                      exact_conditional_dpp_expectation,
-                     exact_conditional_truncated_expectation, run_path,
-                     select_action, step)
+                     exact_conditional_truncated_expectation, pick_actions,
+                     queue_update, run_path, select_action)
 from dpp_lab.analysis import constants_for_horizon
-from dpp_lab.controller import action_score, new_state, verify_minimality
+from dpp_lab.controller import action_score
 from dpp_lab.core import verify_trace_dynamics
 from dpp_lab.events import sample_block
 
@@ -46,47 +48,66 @@ def test_select_action_single_action_event():
 
 
 def test_step_benchmark_zero_queue(sv_spec):
-    state = new_state(sv_spec)
+    # one slot of the rule from empty queues
     ev = _event_by_bits(sv_spec, (1, 1, 0))
-    rec = step(state, ev.id)
-    assert rec.action_index == 0            # tie broken low
-    assert rec.action.z == (0.0, 0.0, 0.0)  # a - (1,1,0) = 0
-    assert rec.q_after == (0.0, 0.0, 0.0)
-    assert rec.drift == 0.0
+    k, _ = select_action([0.0, 0.0, 0.0], ev, sv_spec.V)
+    assert k == 0                              # tie broken low
+    assert ev.actions[k].z == (0.0, 0.0, 0.0)  # a - (1,1,0) = 0
+    q_after = queue_update([0.0, 0.0, 0.0], ev.actions[k].z)
+    assert q_after.tolist() == [0.0, 0.0, 0.0]
+    assert drift([0.0, 0.0, 0.0], q_after) == 0.0
 
 
 def test_step_single_action_drain():
     a = ActionVector(0.0, (-1.0,))
     spec = ProblemSpec(events=(EventOutcome(0, 1.0, (a,)),),
                        L=1, z_max=1.0, B=1.0, V=1.0)
-    state = new_state(spec)
-    rec = step(state, 0)
-    assert rec.q_after == (0.0,)
-
-
-def test_step_rejects_unknown_event(sv_spec):
-    state = new_state(sv_spec)
-    with pytest.raises(ValueError):
-        step(state, 99)
-
-
-def test_step_determinism(sv_spec):
-    r1 = step(new_state(sv_spec), 3)
-    r2 = step(new_state(sv_spec), 3)
-    assert r1 == r2
+    tr = run_path(spec, seed=0, T=1)
+    assert tr.q[1].tolist() == [0.0]
 
 
 def test_run_path_matches_step_loop(sv_spec):
+    # every slot of the trace against the scalar references: the decision,
+    # the queue update and the drift
     T = 400
     tr = run_path(sv_spec, seed=17, T=T)
-    state = new_state(sv_spec)
-    ids = sample_block(sv_spec, 17, T).tolist()
-    for t in range(1, T + 1):
-        rec = step(state, ids[t - 1], t)
-        assert rec.event_id == int(tr.event_ids[t - 1])
-        assert rec.action_index == int(tr.action_indices[t - 1])
-        assert rec.q_after == tuple(tr.q[t].tolist())
-        assert rec.drift == float(tr.drift[t - 1])
+    ids = sample_block(sv_spec, 17, T)
+    assert np.array_equal(tr.event_ids, ids)
+    for i in range(T):
+        event = sv_spec.events[int(ids[i])]
+        q = tr.q[i].tolist()
+        k, _ = select_action(q, event, sv_spec.V)
+        a = event.actions[k]
+        assert int(tr.action_indices[i]) == k
+        assert tr.z0[i] == a.z0 and tuple(tr.z[i].tolist()) == a.z
+        q_after = queue_update(q, a.z)
+        assert tr.q[i + 1].tolist() == q_after.tolist()
+        assert tr.drift[i] == drift(q, q_after)
+
+
+scores_st = st.lists(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.5]),
+                              min_size=3, max_size=3), min_size=1, max_size=6)
+
+
+@given(scores_st, st.integers(min_value=0, max_value=2))
+def test_pick_actions_rules(rows, pad):
+    # per-slot minimality is an identity of the chooser: the chosen score is
+    # the row minimum, at its lowest index; +inf padding never wins
+    scores = np.array(rows)
+    scores[:, 3 - pad:] = np.inf
+    for row, k in zip(scores.tolist(), pick_actions(scores).tolist()):
+        assert row[k] == min(row) and row.index(min(row)) == k
+    assert pick_actions(scores, "skip-minimization").tolist() == [0] * len(rows)
+    for row, k in zip(scores.tolist(), pick_actions(scores, "worst-action").tolist()):
+        finite = [v for v in row if v != np.inf]
+        assert row[k] == max(finite) and row.index(max(finite)) == k
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=3, max_size=3))
+def test_pick_actions_matches_select_action(sv_spec, q):
+    for e in sv_spec.events:
+        scores = np.array([[action_score(q, a, sv_spec.V) for a in e.actions]])
+        assert int(pick_actions(scores)[0]) == select_action(q, e, sv_spec.V)[0]
 
 
 def test_run_path_rejects_empty_horizon(sv_spec):
@@ -109,11 +130,23 @@ def test_queue_sum_grows_with_v():
     assert time_average(t_hi, "queue_sum") > time_average(t_lo, "queue_sum")
 
 
+def _slots_not_minimal(spec, trace):
+    """Slots whose recorded action scores strictly above the minimizer."""
+    bad = []
+    for i in range(trace.T):
+        event = spec.events[int(trace.event_ids[i])]
+        q = trace.q_before[i].tolist()
+        chosen = action_score(q, event.actions[int(trace.action_indices[i])], spec.V)
+        if select_action(q, event, spec.V)[1] < chosen:
+            bad.append(i + 1)
+    return bad
+
+
 def test_minimality_clean_and_chaos_flagged(sv_spec):
     good = run_path(sv_spec, seed=4, T=300)
-    assert verify_minimality(sv_spec, good) == []
+    assert _slots_not_minimal(sv_spec, good) == []
     bad = run_path(sv_spec, seed=4, T=300, chaos="worst-action")
-    assert verify_minimality(sv_spec, bad)
+    assert _slots_not_minimal(sv_spec, bad)
     # chaos still produces dynamics-consistent traces
     assert verify_trace_dynamics(bad, sv_spec.B) == []
 
@@ -125,8 +158,7 @@ def test_chaos_mode_validation(sv_spec):
 
 def test_exact_conditional_expectation_on_visited_states(sv_spec, sv_solution):
     tr = run_path(sv_spec, seed=21, T=500)
-    for t in range(1, tr.T + 1):
-        q = tr.record(t).q_before
+    for q in tr.q_before.tolist():
         val = exact_conditional_dpp_expectation(sv_spec, q, sv_solution.z_opt)
         assert val <= 1e-9
 
@@ -136,8 +168,7 @@ def test_truncated_conditional_expectation_on_visited_states(sq_spec, sq_solutio
     assert sq_spec.V >= sq_spec.B / consts.C0
     cap = consts.C0 * sq_spec.V
     tr = run_path(sq_spec, seed=22, T=500)
-    for t in range(1, tr.T + 1):
-        q1 = tr.record(t).q_before[0]
+    for q1 in tr.q_before[:, 0].tolist():
         val = exact_conditional_truncated_expectation(sq_spec, q1,
                                                       sq_solution.z_opt, cap)
         assert val <= 1e-9

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, drift,
-                     drift_upper_bound_check, queue_update, read_trace_csv,
-                     run_path, time_average, write_trace_csv)
-from dpp_lab.core import (build_trace_from_z, norm_sq, trace_csv_header,
-                          verify_trace_dynamics, weighted_sum)
+from dpp_lab import (LAWS, ActionVector, EventOutcome, ProblemSpec, drift,
+                     queue_update, read_trace_csv, run_path, time_average,
+                     write_trace_csv)
+from dpp_lab.core import (DYNAMICS_LAWS, build_trace_from_z, law_problems,
+                          norm_sq, trace_csv_header, trace_law_values,
+                          verify_trace_dynamics)
 
 
 def test_queue_update_clamps_at_zero():
@@ -52,6 +53,9 @@ def test_queue_update_matches_componentwise_max(pairs):
     out = queue_update(q, z)
     assert all(v >= 0.0 for v in out)
     assert out.tolist() == [max(a + b, 0.0) for a, b in zip(q, z)]
+    # the exact queue update is an IEEE identity: max(u, 0) == (u + |u|)/2
+    u = np.asarray(q) + np.asarray(z)
+    assert np.array_equal(np.maximum(u, 0.0), (u + np.abs(u)) / 2.0)
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=5),
@@ -62,27 +66,50 @@ def test_drift_antisymmetry(a, b):
     assert drift(a, b) == pytest.approx(-drift(b, a), abs=1e-9)
 
 
-def _slot(trace, t):
-    return trace.record(t)
+def test_law_table_names_and_order():
+    assert [law.name for law in LAWS] == [
+        "queue norm step bound", "quadratic drift bound",
+        "stopped process difference bound", "truncated process difference bound",
+        "telescoping partial-sum law", "truncated sum lower bound"]
+    assert [law.single for law in LAWS] == [False, False, False, True, True, True]
+    assert [law.final for law in LAWS] == [False, False, False, False, True, True]
+    assert DYNAMICS_LAWS == LAWS[:2]
 
 
-def test_drift_upper_bound_examples(sv_spec):
+def test_drift_upper_bound_examples():
+    drift_law = (LAWS[1],)
     tr = build_trace_from_z("", [0.0], [[1.0]])
-    rec = tr.record(1)
-    assert rec.drift == 0.5
-    assert drift_upper_bound_check(rec, B=1.0)
+    assert tr.drift[0] == 0.5
+    v = trace_law_values(tr)
+    v.B = 1.0
+    assert law_problems(drift_law, v, tr.T) == {}
 
     tr = build_trace_from_z("", [0.0, 0.0, 0.0, 0.0],
                             [[3.0], [-1.0], [0.0], [0.0]])
-    rec = tr.record(2)  # q_before=(3), z=(-1): drift=-2.5 <= 1.5-3
-    assert rec.drift == -2.5
-    assert drift_upper_bound_check(rec, B=math.sqrt(3.0))
+    assert tr.drift[1] == -2.5  # q_before=(3), z=(-1): drift=-2.5 <= 4.5-3
+    v = trace_law_values(tr)
+    v.B = 3.0
+    assert law_problems(drift_law, v, tr.T) == {}
+    v.B = 0.5  # an understated B: 4.5 > 0.125 + 0 and -2.5 > 0.125 - 3
+    assert law_problems(drift_law, v, tr.T) == {
+        "quadratic drift bound": ["slot 1: 4.5 exceeds 0.125",
+                                  "slot 2: -2.5 exceeds -2.875"]}
 
 
 def test_drift_upper_bound_holds_on_simulated_path(sv_spec):
+    # the table's drift-law inputs against the scalar references, slot by slot
     tr = run_path(sv_spec, seed=5, T=2000)
-    for t in range(1, tr.T + 1):
-        assert drift_upper_bound_check(tr.record(t), B=sv_spec.B)
+    v = trace_law_values(tr)
+    v.B = sv_spec.B
+    lhs, rhs = LAWS[1].lhs(v), LAWS[1].rhs(v)
+    for i in range(tr.T):
+        qb, z = tr.q_before[i].tolist(), tr.z[i].tolist()
+        qz = 0.0
+        for a, b in zip(qb, z):
+            qz += a * b
+        assert lhs[i] == drift(qb, tr.q_after[i].tolist())
+        assert rhs[i] == sv_spec.B * sv_spec.B / 2.0 + qz
+        assert lhs[i] <= rhs[i] + 1e-9
 
 
 def test_trace_dynamics_clean_on_real_path(sv_spec):
@@ -101,6 +128,11 @@ def test_trace_dynamics_flags_corruption(sv_spec):
     tr2 = run_path(sv_spec, seed=9, T=200)
     tr2.drift[10] += 1.0
     assert verify_trace_dynamics(tr2, sv_spec.B)
+    # an understated B trips the two table laws verify_trace_dynamics runs
+    tr3 = run_path(sv_spec, seed=9, T=200)
+    problems = verify_trace_dynamics(tr3, 0.5)
+    assert any(p.startswith("queue norm step bound: ") for p in problems)
+    assert any(p.startswith("quadratic drift bound: ") for p in problems)
 
 
 @given(st.lists(st.tuples(st.floats(min_value=-0.7, max_value=0.7),
@@ -179,17 +211,6 @@ def test_extreme_seeds_replay(sv_spec):
         assert np.array_equal(a.q, b.q)
 
 
-def test_record_accessors(sv_spec):
-    tr = run_path(sv_spec, seed=3, T=50)
-    rec = tr.record(1)
-    assert rec.t == 1 and rec.q_before == (0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        tr.record(0)
-    with pytest.raises(ValueError):
-        tr.record(51)
-    assert len(tr.records()) == 50
-
-
 def test_spec_validation_rejects_bad_instances():
     a = ActionVector(1.0, (0.5,))
     ev = EventOutcome(id=0, probability=1.0, actions=(a,))
@@ -215,6 +236,13 @@ def test_digest_distinguishes_specs(sv_spec):
     assert sv_spec.with_v(10.0).digest == sv_spec.digest
 
 
+def test_digest_pins(sv_spec, sq_spec):
+    # the digest hashes the literal "tie=lowest-index;", so stored digests
+    # stay valid
+    assert sv_spec.digest == "17a5d0d5ba23b750c3d4c92ec1cf4083bbf2b9d38f1458a2c3b5f552bd943537"
+    assert sq_spec.digest == "179ff16602e4aec9a1692347c690fdcf840c7d49a579f0737b63426542be5a85"
+
+
 def test_norm_helpers_fixed_order():
     # left-to-right accumulation, the contract the two engines share
     v = [1e16, 1.0, -1e16]
@@ -222,4 +250,3 @@ def test_norm_helpers_fixed_order():
     for x in v:
         acc += x * x
     assert norm_sq(v) == acc
-    assert weighted_sum([1.0, 2.0], [3.0, 4.0]) == 11.0

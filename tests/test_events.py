@@ -8,10 +8,9 @@ from scipy import stats as scipy_stats
 
 from dpp_lab import (ActionVector, EventOutcome, ProblemSpec,
                      build_server_scheduling_spec, build_single_queue_spec,
-                     builtin_spec, derive_seed, event_stream, sample,
-                     sample_block)
-from dpp_lab.events import (mix64, u64_at, u64_block, uniform_across,
-                            uniform_at)
+                     builtin_spec, derive_seed, sample_block)
+from dpp_lab.events import (cumulative_probabilities, mix64, u64_at, u64_block,
+                            uniform_across, uniform_at)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -48,15 +47,14 @@ def test_uniform_across_matches_per_path():
 
 
 def test_sample_is_pure_in_seed_and_slot(sv_spec):
-    stream = event_stream(sv_spec, seed=123)
-    first = sample(stream, 7)
-    for _ in range(5):
-        assert sample(stream, 7) == first
-    # cursor-based consumption agrees with direct indexing
-    s2 = event_stream(sv_spec, seed=123)
-    seq = [s2.next_id() for _ in range(20)]
-    assert seq == [stream.sample(t) for t in range(1, 21)]
-    assert seq == sample_block(sv_spec, 123, 20).tolist()
+    full = sample_block(sv_spec, 123, 20)
+    assert np.array_equal(sample_block(sv_spec, 123, 20), full)
+    # a shorter horizon draws the same prefix: slot t depends on (seed, t) only
+    assert np.array_equal(sample_block(sv_spec, 123, 7), full[:7])
+    cum = cumulative_probabilities(sv_spec)
+    for t in range(1, 21):
+        u = uniform_at(123, t)
+        assert full[t - 1] == min(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
 def test_single_event_support_always_sampled():
@@ -68,8 +66,9 @@ def test_single_event_support_always_sampled():
 
 def test_two_event_determinism():
     spec = build_single_queue_spec(arrival_mean=0.5, V=1.0)
-    s = event_stream(spec, seed=31)
-    assert all(s.sample(7) == s.sample(7) for _ in range(3))
+    ids = sample_block(spec, 31, 200)
+    assert np.array_equal(sample_block(spec, 31, 200), ids)
+    assert set(ids.tolist()) == {0, 1}
 
 
 def _arrival_bits(eid: int) -> tuple[int, int, int]:

@@ -2,12 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from helpers import unchecked_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpp_lab import (BatchConfig, InvariantViolation, build_processes,
-                     empirical_tail, run_batch, run_path, wilson_interval)
-from dpp_lab.analysis import constants_for_horizon, calibrated_deviation_level
+                     check_trace_laws, empirical_tail, run_batch, run_path,
+                     wilson_interval)
+from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
+                              constants_for_horizon)
 from dpp_lab.events import derive_seed
-from dpp_lab.montecarlo import simulate_paths
+from dpp_lab.montecarlo import simulate_chunk, simulate_paths
 from dpp_lab.oracle import exact_conditional_dpp_expectation
 from dpp_lab.schema import load_schema, validate
 
@@ -137,7 +142,7 @@ def test_chaos_raises_with_replay_information(sv_spec, sv_solution):
     assert v.path_seed == derive_seed(3, v.path_index)
     # replay the offending slot in isolation and confirm the violation
     tr = run_path(sv_spec, v.path_seed, v.slot, chaos="skip-minimization")
-    q = tr.record(v.slot).q_before
+    q = tr.q_before[v.slot - 1].tolist()
     val = 0.0
     for e in sv_spec.events:
         a = e.actions[0]  # the chaotic rule always picks index 0
@@ -148,6 +153,96 @@ def test_chaos_raises_with_replay_information(sv_spec, sv_solution):
     assert val > 1e-9
     # the honest rule at the same queue state stays nonpositive
     assert exact_conditional_dpp_expectation(sv_spec, q, sv_solution.z_opt) <= 1e-9
+
+
+def test_violation_message_prints_plain_floats(sv_spec):
+    cfg = BatchConfig(spec=sv_spec, num_paths=16, T=400, master_seed=3,
+                      checks=("KeyFeature",), chaos="skip-minimization")
+    with pytest.raises(InvariantViolation) as err:
+        run_batch(cfg)
+    msg = str(err.value)
+    assert "np.float64" not in msg
+    assert msg.endswith(f": {err.value.detail}")
+    value = float(err.value.detail.removeprefix("value "))
+    assert err.value.detail == f"value {value!r}" and value > 1e-9
+
+
+def _engine_violation(spec, consts, z_opt, *, key_feature=False):
+    seeds = np.asarray([derive_seed(5, i) for i in range(64)], dtype=np.uint64)
+    with pytest.raises(InvariantViolation) as err:
+        simulate_chunk(spec, seeds, 0, 300, z_opt, consts, key_feature=key_feature)
+    assert err.value.path_seed == int(seeds[err.value.path_index])
+    return err.value
+
+
+@pytest.mark.parametrize("factor,law,path,slot", [
+    (0.5, "queue norm step bound", 1, 1),
+    (0.75, "quadratic drift bound", 7, 2),
+])
+def test_understated_B_trips_the_engine(sv_spec, sv_solution, factor, law, path, slot):
+    consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2.0, 300, 0.05)
+    err = _engine_violation(unchecked_spec(sv_spec, B=sv_spec.B * factor), consts,
+                            sv_solution.z_opt)
+    assert (err.law, err.path_index, err.slot) == (law, path, slot)
+    assert "np.float64" not in str(err) and " exceeds " in err.detail
+
+
+def test_understated_z_max_trips_the_stopped_difference_bound(sv_spec, sv_solution):
+    # c2 = 2*V*z_max + B*c1 is far below |dY| = V*|z0 - z_opt| on slot 1
+    spec = unchecked_spec(sv_spec, z_max=sv_spec.z_max / 100.0)
+    consts = compute_constants(spec, sv_solution.xi_star / 2.0, c1=0.01)
+    err = _engine_violation(spec, consts, sv_solution.z_opt)
+    assert (err.law, err.path_index, err.slot) == ("stopped process difference bound", 0, 1)
+
+
+def test_understated_z_max_trips_the_truncated_difference_bound(sq_spec, sq_solution):
+    # 2*V*z_max + C0*V*B drops below |dG| = V*|z0 - z_opt| = 5 on slot 1
+    spec = unchecked_spec(sq_spec, z_max=sq_spec.z_max / 1000.0)
+    consts = constants_for_horizon(spec, sq_solution.xi_star / 2.0, 300, 0.05)
+    err = _engine_violation(spec, consts, sq_solution.z_opt)
+    assert (err.law, err.path_index, err.slot) == ("truncated process difference bound", 0, 1)
+
+
+def test_understated_z_max_trips_the_truncated_key_feature(sq_spec, sq_solution):
+    # the truncation cap C0*V computed from a wrong z_max is too low for the
+    # truncated drift argument, while every difference bound still holds
+    spec = unchecked_spec(sq_spec, z_max=sq_spec.z_max / 100.0)
+    consts = constants_for_horizon(spec, sq_solution.xi_star / 2.0, 300, 0.05)
+    err = _engine_violation(spec, consts, sq_solution.z_opt, key_feature=True)
+    assert (err.law, err.path_index, err.slot) == (
+        "exact truncated conditional expectation", 13, 15)
+
+
+@pytest.mark.parametrize("chaos", [None, "skip-minimization"])
+def test_trace_checker_matches_engine_telescoping(sq_spec, sq_solution, chaos):
+    # skip-minimization never serves, so the queue climbs past the cap C0*V
+    # and nJ falls before the horizon; the laws hold for any decision rule
+    T, N = 600, 12
+    consts = constants_for_horizon(sq_spec, sq_solution.xi_star / 2.0, T, 0.05)
+    stats = simulate_paths(sq_spec, 9, N, T, sq_solution.z_opt, consts, chaos=chaos)
+    cap = consts.C0 * sq_spec.V
+    nJs = []
+    for i in range(N):
+        tr = run_path(sq_spec, derive_seed(9, i), T, chaos=chaos)
+        rep = check_trace_laws(tr, sq_solution.z_opt, consts)
+        assert rep.violated == ()
+        assert rep.tele_gap == stats.tele_gap[i]
+        assert rep.tele_avg == stats.tele_avg[i]
+        assert 2.5 * sq_spec.B * sq_spec.B * (rep.nJ - 1) == stats.tele_bound[i]
+        nJs.append(rep.nJ)
+        assert np.any(tr.q[:, 0] > cap) == (chaos is not None)
+    assert (min(nJs) < T + 1) == (chaos is not None)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1),
+       st.floats(min_value=0.5, max_value=30.0))
+@settings(max_examples=25, deadline=None)
+def test_stopped_process_differs_only_after_a_stop(sv_spec, sv_solution, seed, c1):
+    # the stopping-time divergence law is an identity of how Y is built
+    consts = compute_constants(sv_spec, sv_solution.xi_star / 2.0, c1)
+    stats = simulate_paths(sv_spec, seed, 16, 200, sv_solution.z_opt, consts)
+    assert np.all((stats.x_final == stats.y_final) | stats.stopped)
+    assert np.all(stats.stopped == (stats.max_qnorm > c1))
 
 
 def test_ragged_action_sets_run_clean():

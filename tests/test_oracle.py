@@ -125,13 +125,25 @@ def test_simplex_grid_shape_and_content():
 
 
 @pytest.mark.parametrize("n_actions,resolution",
-                         [(n, r) for n in range(1, 6) for r in (1, 2, 3, 10)]
+                         [(n, r) for n in range(1, 6) for r in (1, 2, 3, 10, 50)]
                          + [(n, 200) for n in range(1, 5)])
 def test_simplex_grid_matches_reference(n_actions, resolution):
     g = simplex_grid(n_actions, resolution)
     ref = reference_simplex_grid(n_actions, resolution)
     assert g.dtype == ref.dtype and g.shape == ref.shape
     assert g.tobytes() == ref.tobytes()
+
+
+def test_simplex_grid_memory_stays_near_its_output():
+    # the last split writes into the output and divides in place, so the
+    # peak is the output plus about one column of temporaries
+    tracemalloc.start()
+    try:
+        g = simplex_grid(4, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * g.nbytes, (peak, g.nbytes)
 
 
 def test_grid_rejects_invalid_arguments(sq_spec):
