@@ -17,8 +17,7 @@ from .core import (LAWS, ActionVector, EventOutcome, PathTrace, ProblemSpec,
 from .events import (build_server_scheduling_spec, build_single_queue_spec,
                      builtin_spec, derive_seed, sample_block)
 from .montecarlo import (BatchConfig, BatchSummary, CheckResult,
-                         InvariantViolation, TailEstimate, empirical_tail,
-                         run_batch, wilson_interval)
+                         InvariantViolation, run_batch, wilson_interval)
 from .oracle import (SlacknessError, StationarySolution,
                      exact_conditional_dpp_expectation,
                      exact_conditional_truncated_expectation,

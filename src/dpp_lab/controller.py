@@ -6,8 +6,10 @@ distribution live in :mod:`dpp_lab.oracle`.
 
 Float evaluation order is pinned: an action's score is ``V*z0`` followed by
 ``+= q[l]*z[l]`` for l ascending.  The vectorized batch engine replays the
-same order so the two engines agree bit for bit, and both pick actions from
-their scores through :func:`pick_actions`.
+same order, over one (event, action, path) score tensor per slot, so the two
+engines agree bit for bit, and both pick actions from their scores through
+:func:`pick_actions`: the scalar engine from the realized event's row, the
+batch engine for every event at once along the tensor's action axis.
 """
 
 from __future__ import annotations
@@ -42,17 +44,27 @@ def select_action(q, event: EventOutcome, V: float) -> tuple[int, float]:
 
 
 def pick_actions(scores: np.ndarray, chaos: str | None = None) -> np.ndarray:
-    """Row-wise action index from an (N, K) score array: the lowest-index
-    minimizer, or under ``chaos`` index 0 (``skip-minimization``) or the
-    lowest-index finite maximizer (``worst-action``).  Padding entries must
-    be +inf so they never win either rule."""
-    if chaos is None:
-        return np.argmin(scores, axis=1)
+    """Action index along axis 1 of a score array, one per row of an (N, K)
+    array or per (event, path) of a (W, K, N) one: the lowest-index
+    minimizer (exact ties go to the lowest index, as in
+    :func:`select_action`), or under ``chaos`` index 0
+    (``skip-minimization``) or the lowest-index finite maximizer
+    (``worst-action``).  Padding entries must be +inf so they never win."""
+    s = np.moveaxis(scores, 1, 0)
     if chaos == "skip-minimization":
-        return np.zeros(scores.shape[0], dtype=np.int64)
-    if chaos == "worst-action":
-        return np.argmax(np.where(np.isfinite(scores), scores, -np.inf), axis=1)
-    raise ValueError(f"unknown chaos mode {chaos!r}; choices: {CHAOS_MODES}")
+        return np.zeros(s.shape[1:], dtype=np.int64)
+    if chaos == "worst-action":  # the largest finite score, negated, is least
+        s = np.where(np.isfinite(s), -s, np.inf)
+    elif chaos is not None:
+        raise ValueError(f"unknown chaos mode {chaos!r}; choices: {CHAOS_MODES}")
+    low = np.minimum.reduce(s, axis=0)
+    # the pick is the number of leading actions scored above the minimum
+    above = s[0] != low
+    pick = above.astype(np.int64)
+    for k in range(1, s.shape[0] - 1):
+        above &= s[k] != low
+        pick += above
+    return pick
 
 
 def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> PathTrace:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -360,6 +360,10 @@ def read_trace_csv(path: str, spec_digest: str = "", seed: int = 0) -> PathTrace
         L = (ncol - 5) // 2
         if trace_csv_header(L) != header:
             raise ValueError(f"unrecognized trace header {header!r}")
+        start = f.tell()
+        if not f.readline().strip():
+            raise ValueError("trace has no slots")
+        f.seek(start)
         raw = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2)
     T = raw.shape[0]
     z = raw[:, 4:4 + L]
@@ -377,22 +381,3 @@ def read_trace_csv(path: str, spec_digest: str = "", seed: int = 0) -> PathTrace
         q=q,
         drift=raw[:, -1].copy(),
     )
-
-
-def build_trace_from_z(spec_digest: str, z0: Iterable[float], z_rows: Iterable[Sequence[float]],
-                       seed: int = 0) -> PathTrace:
-    """Assemble a dynamics-consistent trace directly from an increment
-    sequence.  Used by tests and tooling; event and action columns are
-    filled with zeros."""
-    z_arr = np.asarray(list(z_rows), dtype=np.float64)
-    z0_arr = np.asarray(list(z0), dtype=np.float64)
-    if z_arr.ndim == 1:
-        z_arr = z_arr.reshape(0, 1)
-    T, L = z_arr.shape
-    q = np.zeros((T + 1, L), dtype=np.float64)
-    dr = np.zeros(T, dtype=np.float64)
-    for i in range(T):
-        q[i + 1] = np.maximum(q[i] + z_arr[i], 0.0)
-        dr[i] = 0.5 * (norm_sq(q[i + 1].tolist()) - norm_sq(q[i].tolist()))
-    return PathTrace(spec_digest, seed, np.zeros(T, dtype=np.int64),
-                     np.zeros(T, dtype=np.int64), z0_arr, z_arr, q, dr)

@@ -5,10 +5,15 @@ vectorized over the paths of the chunk.  Per-path seeds derive from the
 master seed by a splittable hash, chunks are a fixed size, and chunk results
 merge in submission order, so results are identical for any worker count.
 
-Float evaluation order inside the engine mirrors the scalar path engine in
-:mod:`dpp_lab.controller` operation for operation, and both choose actions
-through :func:`dpp_lab.controller.pick_actions`, which makes the two engines
-agree bit for bit on every per-path quantity.
+Each slot scores every (event, action) pair of every path once, into one
+(event, action, path) tensor with the paths contiguous, and picks each
+event's action from it.  The realized event's pick is the decision; with
+the KeyFeature check on, the probability-weighted picks of all events give
+both exact conditional expectations, so nothing is scored twice.  Float
+evaluation order mirrors the scalar path engine in :mod:`dpp_lab.controller`
+operation for operation, and both choose actions through
+:func:`dpp_lab.controller.pick_actions`, which makes the two engines agree
+bit for bit on every per-path quantity.
 
 The deterministic per-path laws of :data:`dpp_lab.core.LAWS` (and, for the
 KeyFeature check, the exact conditional expectations) are enforced on every
@@ -34,11 +39,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .analysis import (BoundConstants, build_processes,
-                       calibrated_deviation_level, compute_constants,
-                       constants_for_horizon, convergence_time_multi,
-                       convergence_time_single, g_tail_bound,
-                       queue_tail_bound, xtail_bound)
+from .analysis import (BoundConstants, calibrated_deviation_level,
+                       compute_constants, constants_for_horizon,
+                       convergence_time_multi, convergence_time_single,
+                       g_tail_bound, queue_tail_bound, xtail_bound)
 from .controller import pick_actions
 from .core import LAW_TOL, ProblemSpec, laws_for
 from .events import cumulative_probabilities, derive_seed, uniform_across
@@ -79,79 +83,87 @@ def wilson_interval(k: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    frequency: float
-    wilson_lower: float
-    wilson_upper: float
-    exceed_count: int
-    num_paths: int
-
-
-def empirical_tail(traces, statistic: str, threshold: float, *,
-                   z_opt: float | None = None,
-                   constants: BoundConstants | None = None) -> TailEstimate:
-    """Fraction of traces whose statistic exceeds the threshold, with its
-    95 percent Wilson interval.
-
-    ``statistic``: "XT" (final cumulative deviation process), "GT" (final
-    truncated process, single constraint only), or "QueueNormMax" (largest
-    queue norm over slots 1..T).
-    """
-    traces = list(traces)
-    if len(traces) < 30:
-        raise ValueError("need at least 30 traces for a tail estimate")
-    values = []
-    for tr in traces:
-        if statistic == "QueueNormMax":
-            qb = tr.q_before
-            values.append(float(np.max(np.sqrt(np.einsum("ij,ij->i", qb, qb)))))
-        elif statistic in ("XT", "GT"):
-            if z_opt is None or constants is None:
-                raise ValueError(f"{statistic} needs z_opt and constants")
-            proc = build_processes(tr, z_opt, constants)
-            if statistic == "XT":
-                values.append(float(proc.x[-1]))
-            else:
-                if proc.g is None:
-                    raise ValueError("GT is defined only for single-constraint traces")
-                values.append(float(proc.g[-1]))
-        else:
-            raise ValueError(f"unknown statistic {statistic!r}")
-    k = sum(1 for v in values if v > threshold)
-    n = len(values)
-    lo, hi = wilson_interval(k, n)
-    return TailEstimate(k / n, lo, hi, k, n)
-
-
 # ---------------------------------------------------------------------------
 # lockstep engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Tables:
-    """Padded per-event action tables; padding rows carry +inf cost so they
-    can never win the minimization."""
+class _ScoreTensor:
+    """Every (event, action) score of every path of a chunk, shape (W, K, N)
+    with the paths contiguous, rebuilt each slot in buffers allocated once,
+    and the action each event would get from it.  Padding entries (events
+    with fewer than K actions) carry +inf cost so they never win."""
 
-    cum: np.ndarray           # (W,) cumulative probabilities
-    probs: np.ndarray         # (W,)
-    z0: np.ndarray            # (W, K)
-    vz0: np.ndarray           # (W, K) = V * z0
-    z: list[np.ndarray]       # per constraint: (W, K)
+    def __init__(self, spec: ProblemSpec, N: int):
+        W, K, L = len(spec.events), spec.max_actions, spec.L
+        table = np.zeros((1 + L, W, K))
+        table[0] = np.inf
+        for i, e in enumerate(spec.events):
+            for k, a in enumerate(e.actions):
+                table[:, i, k] = (a.z0, *a.z)
+        self.probs = np.asarray([e.probability for e in spec.events])[:, None]
+        self.V = spec.V
+        self.vz0 = (spec.V * table[0])[:, :, None]
+        self.z = [table[1 + l][:, :, None] for l in range(L)]
+        # z0 and every z_l of each (event, action) at event*K + action
+        self.flat = table.reshape(1 + L, W * K)
+        self.scores = np.empty((W, K, N))
+        # scratch shared by the products of choose() and the per-event
+        # terms of expectations(), which never run at the same time
+        scratch = np.empty(max(K, 2) * W * N)
+        self._tmp = scratch[:W * K * N].reshape(W, K, N)
+        self._vals = scratch[:2 * W * N].reshape(2, W, N)
+        self._rows = np.arange(N)
+        self._first = np.arange(W)[:, None] * K  # index of each event's action 0
+        self._pos = self._first * N + self._rows  # ... in the raveled tensor
+        self._idx = np.empty((W, N), dtype=np.int64)
+        self._decision = np.empty((1 + L, N))
 
+    def choose(self, q: list[np.ndarray], chaos: str | None) -> None:
+        """Score every action against the queues ``q`` in the pinned float
+        order of :func:`dpp_lab.controller.action_score` (``V*z0``, then
+        ``+= q[l]*z[l]`` for l ascending) and pick each event's action
+        through :func:`dpp_lab.controller.pick_actions`."""
+        np.copyto(self.scores, self.vz0)
+        for zl, ql in zip(self.z, q):
+            np.multiply(zl, ql, out=self._tmp)
+            self.scores += self._tmp
+        self.picks = pick_actions(self.scores, chaos)  # each event's action
 
-def _build_tables(spec: ProblemSpec) -> _Tables:
-    W, K, L = len(spec.events), spec.max_actions, spec.L
-    z0 = np.full((W, K), np.inf)
-    z = [np.zeros((W, K)) for _ in range(L)]
-    for i, e in enumerate(spec.events):
-        for k, a in enumerate(e.actions):
-            z0[i, k] = a.z0
-            for l in range(L):
-                z[l][i, k] = a.z[l]
-    vz0 = spec.V * z0
-    probs = np.asarray([e.probability for e in spec.events])
-    return _Tables(cum=cumulative_probabilities(spec), probs=probs, z0=z0, vz0=vz0, z=z)
+    def realized(self, ids: np.ndarray) -> np.ndarray:
+        """z0 and every z_l, shape (1+L, N), of the action chosen for each
+        path's realized event ``ids``: the decision.  The array is reused by
+        the next call."""
+        K = self.scores.shape[1]
+        # indices are in range by construction; "clip" skips take's buffering
+        return np.take(self.flat, ids * K + self.picks[ids, self._rows], axis=1,
+                       out=self._decision, mode="clip")
+
+    def expectations(self, z_opt: float,
+                     trunc: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+        """The exact one-step conditional expectation of the drift-plus-penalty
+        expression at the queues of the last :meth:`choose`: each event's
+        chosen score less ``V*z_opt``; and, when ``trunc`` (the truncated
+        queue of a one-constraint problem) is given, its truncated
+        counterpart ``V*(z0 - z_opt) + trunc*z_1`` from the same choices.
+        Both are weighted by the event probabilities and summed from zero
+        in event order, as :mod:`dpp_lab.oracle` sums them."""
+        V, idx, terms, extra = self.V, self._idx, self._vals[0], self._vals[1]
+        np.multiply(self.picks, self.scores.shape[2], out=idx)
+        idx += self._pos
+        np.take(self.scores.reshape(-1), idx, out=terms, mode="clip")
+        terms -= V * z_opt
+        terms *= self.probs
+        expect = np.add.reduce(terms, axis=0, initial=0.0)
+        if trunc is None:
+            return expect, None
+        np.add(self.picks, self._first, out=idx)
+        np.take(self.flat[:2], idx, axis=1, out=self._vals, mode="clip")  # z0, z_1
+        terms -= z_opt
+        terms *= V
+        extra *= trunc
+        terms += extra
+        terms *= self.probs
+        return expect, np.add.reduce(terms, axis=0, initial=0.0)
 
 
 @dataclass
@@ -187,13 +199,14 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
                    tol: float = LAW_TOL) -> ChunkStats:
     """Run a chunk of paths in lockstep, enforcing every deterministic
     per-path law as it goes.  ``seeds`` must be uint64."""
-    tab = _build_tables(spec)
-    N, K = seeds.shape[0], tab.vz0.shape[1]
+    N = seeds.shape[0]
+    cum = cumulative_probabilities(spec)
+    tensor = _ScoreTensor(spec, N)
     L, V, B = spec.L, spec.V, spec.B
     c1 = constants.c1
     cap = constants.C0 * V
     single = L == 1
-    rows = np.arange(N)
+    trunc_kf = key_feature and single and cap >= B
     slot_laws = laws_for(L, final=False)
     # the law inputs; the per-slot arrays are rebound on every slot
     v = SimpleNamespace(B=B, c2=constants.c2, V=V, z_max=spec.z_max, C0=constants.C0)
@@ -228,17 +241,9 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
 
     for t in range(1, T + 1):
         u = uniform_across(seeds, t)
-        ids = np.minimum(np.searchsorted(tab.cum, u, side="right"),
-                         len(tab.cum) - 1)
-        scores = tab.vz0[ids]
-        zsel_cols = []
-        for l in range(L):
-            zl = tab.z[l][ids]
-            scores += q[l][:, None] * zl
-            zsel_cols.append(zl)
-        choose = pick_actions(scores, chaos)
-        z0_sel = tab.z0[ids, choose]
-        z_sel = [col[rows, choose] for col in zsel_cols]
+        ids = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        tensor.choose(q, chaos)
+        z0_sel, *z_sel = tensor.realized(ids)
 
         qnorm = np.sqrt(nb2)
         np.maximum(max_qnorm, qnorm, out=max_qnorm)
@@ -247,21 +252,10 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
             trunc = np.minimum(q[0], cap)
 
         if key_feature:
-            trunc_kf = single and cap >= B
-            expect = np.zeros(N)
-            etr = np.zeros(N)
-            for w in range(len(tab.probs)):
-                ev_scores = np.broadcast_to(tab.vz0[w], (N, K)).copy()
-                for l in range(L):
-                    ev_scores += q[l][:, None] * tab.z[l][w][None, :]
-                kw = pick_actions(ev_scores, chaos)
-                expect += tab.probs[w] * (ev_scores[rows, kw] - V * z_opt)
-                if trunc_kf:
-                    etr += tab.probs[w] * (V * (tab.z0[w][kw] - z_opt)
-                                           + trunc * tab.z[0][w][kw])
+            expect, etr = tensor.expectations(z_opt, trunc if trunc_kf else None)
             for law, value in (("exact conditional expectation", expect),
                                ("exact truncated conditional expectation", etr)):
-                bad = value > tol
+                bad = value is not None and value > tol
                 if np.any(bad):
                     fail(law, bad, t, f"value {float(value[_first_bad(bad)])!r}")
 

@@ -1,14 +1,18 @@
 """Shared generators for randomized oracle cross-checks, the reference grid
-oracle they are checked against, and unvalidated spec copies for negative
-controls."""
+oracle and the reference KeyFeature loop they are checked against,
+unvalidated spec copies for negative controls, and trace and tail helpers
+that only tests use."""
 
 import copy
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from dpp_lab import ActionVector, EventOutcome, ProblemSpec
+from dpp_lab import (ActionVector, EventOutcome, PathTrace, ProblemSpec,
+                     build_processes, pick_actions, wilson_interval)
+from dpp_lab.core import norm_sq
 from dpp_lab.oracle import grid_points_budget
 
 # event/action shapes whose joint 1/200 grid stays exhaustively enumerable
@@ -124,3 +128,111 @@ def reference_grid_max_slackness(spec: ProblemSpec, resolution: int) -> float:
         slack = np.min(-acc[:, 1:], axis=1)
         best = max(best, float(np.max(slack)))
     return best
+
+
+def ragged_spec() -> ProblemSpec:
+    """One constraint, two events with one and three actions, so the padded
+    (event, action) tables have a padding entry."""
+    events = (
+        EventOutcome(0, 0.25, (ActionVector(0.2, (-0.5,)),)),
+        EventOutcome(1, 0.75, (ActionVector(0.0, (0.9,)),
+                               ActionVector(0.6, (-1.0,)),
+                               ActionVector(1.0, (0.0,)))),
+    )
+    return ProblemSpec(events=events, L=1, z_max=1.0, B=1.0, V=5.0)
+
+
+# ---------------------------------------------------------------------------
+# reference KeyFeature expectations: each event scored and chosen on its own
+# (N, K) row.  The lockstep engine's single score tensor must reproduce them
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_kf_expectations(spec: ProblemSpec, q: list, z_opt: float,
+                              trunc: np.ndarray | None, chaos: str | None = None):
+    """(expect, etr) over the paths whose queues are ``q`` (one (N,) array
+    per constraint); etr is None when ``trunc`` is."""
+    V, K, N = spec.V, spec.max_actions, q[0].shape[0]
+    rows = np.arange(N)
+    expect = np.zeros(N)
+    etr = None if trunc is None else np.zeros(N)
+    for e in spec.events:
+        vz0 = np.full(K, np.inf)
+        z0 = np.full(K, np.inf)
+        z = np.zeros((spec.L, K))
+        for k, a in enumerate(e.actions):
+            vz0[k], z0[k] = V * a.z0, a.z0
+            z[:, k] = a.z
+        ev_scores = np.broadcast_to(vz0, (N, K)).copy()
+        for l in range(spec.L):
+            ev_scores += q[l][:, None] * z[l][None, :]
+        kw = pick_actions(ev_scores, chaos)
+        expect += e.probability * (ev_scores[rows, kw] - V * z_opt)
+        if trunc is not None:
+            etr += e.probability * (V * (z0[kw] - z_opt) + trunc * z[0][kw])
+    return expect, etr
+
+
+# ---------------------------------------------------------------------------
+# traces and tails for tests
+# ---------------------------------------------------------------------------
+
+def build_trace_from_z(spec_digest: str, z0, z_rows, seed: int = 0) -> PathTrace:
+    """Assemble a dynamics-consistent trace directly from an increment
+    sequence; event and action columns are filled with zeros."""
+    z_arr = np.asarray(list(z_rows), dtype=np.float64)
+    z0_arr = np.asarray(list(z0), dtype=np.float64)
+    if z_arr.ndim == 1:
+        z_arr = z_arr.reshape(0, 1)
+    T, L = z_arr.shape
+    q = np.zeros((T + 1, L), dtype=np.float64)
+    dr = np.zeros(T, dtype=np.float64)
+    for i in range(T):
+        q[i + 1] = np.maximum(q[i] + z_arr[i], 0.0)
+        dr[i] = 0.5 * (norm_sq(q[i + 1].tolist()) - norm_sq(q[i].tolist()))
+    return PathTrace(spec_digest, seed, np.zeros(T, dtype=np.int64),
+                     np.zeros(T, dtype=np.int64), z0_arr, z_arr, q, dr)
+
+
+@dataclass(frozen=True)
+class TailEstimate:
+    frequency: float
+    wilson_lower: float
+    wilson_upper: float
+    exceed_count: int
+    num_paths: int
+
+
+def empirical_tail(traces, statistic: str, threshold: float, *,
+                   z_opt: float | None = None, constants=None) -> TailEstimate:
+    """Fraction of traces whose statistic exceeds the threshold, with its
+    95 percent Wilson interval.
+
+    ``statistic``: "XT" (final cumulative deviation process), "GT" (final
+    truncated process, single constraint only), or "QueueNormMax" (largest
+    queue norm over slots 1..T).
+    """
+    traces = list(traces)
+    if len(traces) < 30:
+        raise ValueError("need at least 30 traces for a tail estimate")
+    values = []
+    for tr in traces:
+        if statistic == "QueueNormMax":
+            qb = tr.q_before
+            values.append(float(np.max(np.sqrt(np.einsum("ij,ij->i", qb, qb)))))
+        elif statistic in ("XT", "GT"):
+            if z_opt is None or constants is None:
+                raise ValueError(f"{statistic} needs z_opt and constants")
+            proc = build_processes(tr, z_opt, constants)
+            if statistic == "XT":
+                values.append(float(proc.x[-1]))
+            else:
+                if proc.g is None:
+                    raise ValueError("GT is defined only for single-constraint traces")
+                values.append(float(proc.g[-1]))
+        else:
+            raise ValueError(f"unknown statistic {statistic!r}")
+    k = sum(1 for v in values if v > threshold)
+    n = len(values)
+    lo, hi = wilson_interval(k, n)
+    return TailEstimate(k / n, lo, hi, k, n)

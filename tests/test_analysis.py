@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import build_trace_from_z
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from dpp_lab import (azuma_bound, build_processes, chained_deviation_check,
                      queue_tail_vacuity_crossover, run_path, xtail_bound)
 from dpp_lab.analysis import (ConsistencyError, deviation_over_horizon,
                               calibrated_deviation_level)
-from dpp_lab.core import build_trace_from_z
 from dpp_lab.oracle import SlacknessError
 
 SV_PARAMS = (2.0, math.sqrt(3.0), 10.0)  # z_max, B, V of the benchmark

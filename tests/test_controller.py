@@ -103,6 +103,19 @@ def test_pick_actions_rules(rows, pad):
         assert row[k] == max(finite) and row.index(max(finite)) == k
 
 
+@given(scores_st, st.integers(min_value=0, max_value=2))
+def test_pick_actions_on_the_score_tensor(rows, pad):
+    # the lockstep engine's (event, action, path) layout gives the row-wise
+    # picks of each event
+    scores = np.array(rows)
+    scores[:, 3 - pad:] = np.inf
+    events = np.stack([scores, scores[::-1]])
+    tensor = np.ascontiguousarray(np.moveaxis(events, 2, 1))
+    for chaos in (None, "skip-minimization", "worst-action"):
+        want = [pick_actions(ev, chaos).tolist() for ev in events]
+        assert pick_actions(tensor, chaos).tolist() == want
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=3, max_size=3))
 def test_pick_actions_matches_select_action(sv_spec, q):
     for e in sv_spec.events:

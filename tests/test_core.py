@@ -1,15 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from helpers import build_trace_from_z
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dpp_lab import (LAWS, ActionVector, EventOutcome, ProblemSpec, drift,
                      queue_update, read_trace_csv, run_path, time_average,
                      write_trace_csv)
-from dpp_lab.core import (DYNAMICS_LAWS, build_trace_from_z, law_problems,
-                          norm_sq, trace_csv_header, trace_law_values,
+from dpp_lab.core import (DYNAMICS_LAWS, law_problems, norm_sq,
+                          trace_csv_header, trace_law_values,
                           verify_trace_dynamics)
 
 
@@ -202,6 +204,15 @@ def test_csv_round_trip_single_constraint(tmp_path, sq_spec):
     back = read_trace_csv(str(path))
     assert np.array_equal(back.q, tr.q)
     assert np.array_equal(back.z, tr.z)
+
+
+def test_read_trace_csv_rejects_a_trace_without_slots(tmp_path, sv_spec):
+    path = tmp_path / "empty.csv"
+    path.write_text(trace_csv_header(sv_spec.L) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # fails before numpy warns
+        with pytest.raises(ValueError, match="^trace has no slots$"):
+            read_trace_csv(str(path))
 
 
 def test_extreme_seeds_replay(sv_spec):

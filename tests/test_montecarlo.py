@@ -2,18 +2,21 @@ import json
 
 import numpy as np
 import pytest
-from helpers import unchecked_spec
+from helpers import (empirical_tail, ragged_spec, reference_kf_expectations,
+                     unchecked_spec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpp_lab import (BatchConfig, InvariantViolation, build_processes,
-                     check_trace_laws, empirical_tail, run_batch, run_path,
+                     builtin_spec, check_trace_laws, run_batch, run_path,
                      wilson_interval)
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
                               constants_for_horizon)
 from dpp_lab.events import derive_seed
-from dpp_lab.montecarlo import simulate_chunk, simulate_paths
-from dpp_lab.oracle import exact_conditional_dpp_expectation
+from dpp_lab.montecarlo import _ScoreTensor, simulate_chunk, simulate_paths
+from dpp_lab.oracle import (exact_conditional_dpp_expectation,
+                            exact_conditional_truncated_expectation,
+                            solve_stationary_optimum)
 from dpp_lab.schema import load_schema, validate
 
 
@@ -97,24 +100,74 @@ def test_single_path_batch_matches_direct_run(sv_spec, sv_solution):
     assert stats.max_qnorm[0] == qn
 
 
-def test_lockstep_matches_scalar_engine_bitwise(sv_spec, sv_solution):
-    # action choices, queue paths, and running sums agree bit for bit
+ENGINE_SPECS = {
+    "server": lambda: builtin_spec("server-scheduling-3x2", 10.0),
+    "single": lambda: builtin_spec("single-queue-serve-idle", 10.0),
+    "ragged": ragged_spec,
+}
+
+
+@pytest.mark.parametrize("key_feature", [False, True])
+@pytest.mark.parametrize("name", ["server", "ragged"])
+def test_lockstep_matches_scalar_engine_bitwise(name, key_feature):
+    # action choices, queue paths, and running sums agree bit for bit, also
+    # when the KeyFeature expectations are read from the same score tensor
+    spec = ENGINE_SPECS[name]()
+    sol = solve_stationary_optimum(spec)
     T, N = 250, 8
-    consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2, T, 0.05)
-    stats = simulate_paths(sv_spec, 21, N, T, sv_solution.z_opt, consts)
+    consts = constants_for_horizon(spec, sol.xi_star / 2, T, 0.05)
+    stats = simulate_paths(spec, 21, N, T, sol.z_opt, consts,
+                           key_feature=key_feature)
     for i in range(N):
-        tr = run_path(sv_spec, derive_seed(21, i), T)
+        tr = run_path(spec, derive_seed(21, i), T)
         s = 0.0
         for v in tr.z0.tolist():
             s += v
         assert stats.avg_obj[i] == s / T
         dots = np.zeros(T)
-        for l in range(sv_spec.L):
+        na2 = 0.0
+        for l in range(spec.L):
             dots += tr.q_before[:, l] * tr.z[:, l]
+            na2 += tr.q[-1, l] * tr.q[-1, l]
         x = 0.0
-        for v in (sv_spec.V * (tr.z0 - sv_solution.z_opt) + dots).tolist():
+        for v in (spec.V * (tr.z0 - sol.z_opt) + dots).tolist():
             x += v
         assert stats.x_final[i] == x
+        assert stats.final_qnorm[i] == np.sqrt(na2)
+
+
+@pytest.mark.parametrize("chaos", [None, "skip-minimization", "worst-action"])
+@pytest.mark.parametrize("name", sorted(ENGINE_SPECS))
+def test_score_tensor_expectations_match_per_event_loop(name, chaos):
+    # random queue states, integer-valued ones too (exact score ties), and
+    # random truncation caps: the tensor gives the reference loop's
+    # expectations bit for bit
+    spec = ENGINE_SPECS[name]()
+    rng = np.random.default_rng(2024)
+    N, z_opt = 500, solve_stationary_optimum(spec).z_opt
+    tensor = _ScoreTensor(spec, N)
+    for draw in range(6):
+        if draw % 2:
+            q = [rng.integers(0, 12, N).astype(float) for _ in range(spec.L)]
+        else:
+            q = [rng.uniform(0.0, 60.0, N) for _ in range(spec.L)]
+        cap = rng.uniform(0.0, 30.0)
+        trunc = np.minimum(q[0], cap) if spec.L == 1 else None
+        tensor.choose(q, chaos)
+        got = tensor.expectations(z_opt, trunc)
+        want = reference_kf_expectations(spec, q, z_opt, trunc, chaos)
+        assert got[0].tobytes() == want[0].tobytes()
+        if trunc is None:
+            assert got[1] is None and want[1] is None
+        else:
+            assert got[1].tobytes() == want[1].tobytes()
+        if chaos is None:  # and the scalar oracles agree on the honest rule
+            for i in range(20):
+                qi = [ql[i] for ql in q]
+                assert got[0][i] == exact_conditional_dpp_expectation(spec, qi, z_opt)
+                if trunc is not None:
+                    assert got[1][i] == exact_conditional_truncated_expectation(
+                        spec, qi[0], z_opt, cap)
 
 
 def test_batch_config_validation(sv_spec, sq_spec):
@@ -247,14 +300,7 @@ def test_stopped_process_differs_only_after_a_stop(sv_spec, sv_solution, seed, c
 
 def test_ragged_action_sets_run_clean():
     # events with different action counts exercise the padded tables
-    from dpp_lab import ActionVector, EventOutcome, ProblemSpec
-    events = (
-        EventOutcome(0, 0.25, (ActionVector(0.2, (-0.5,)),)),
-        EventOutcome(1, 0.75, (ActionVector(0.0, (0.9,)),
-                               ActionVector(0.6, (-1.0,)),
-                               ActionVector(1.0, (0.0,)))),
-    )
-    spec = ProblemSpec(events=events, L=1, z_max=1.0, B=1.0, V=5.0)
+    spec = ragged_spec()
     cfg = BatchConfig(spec=spec, num_paths=50, T=500, master_seed=4,
                       checks=("KeyFeature", "QueueTail", "GTail", "Telescoping"))
     summary = run_batch(cfg)
