@@ -2,13 +2,11 @@
 closed-form tail and convergence bounds, and a seeded Monte Carlo
 verification harness."""
 
-from .analysis import (BoundConstants, ConsistencyError, DerivedProcesses,
-                       LawReport, azuma_bound, build_processes,
+from .analysis import (BoundConstants, ConsistencyError, LawReport, azuma_bound,
                        calibrated_deviation_level, chained_deviation_check,
-                       check_trace_laws, compute_constants,
-                       constants_for_horizon, convergence_time_multi,
-                       convergence_time_single, default_truncation_level,
-                       g_tail_bound, queue_tail_bound,
+                       check_trace_laws, compute_constants, constants_for_horizon,
+                       convergence_time_multi, convergence_time_single,
+                       default_truncation_level, g_tail_bound, queue_tail_bound,
                        queue_tail_vacuity_crossover, xtail_bound)
 from .controller import pick_actions, run_path, select_action
 from .core import (LAWS, ActionVector, EventOutcome, PathTrace, ProblemSpec,

@@ -1,5 +1,5 @@
-"""Closed-form constants, tail bounds, convergence times, and the derived
-per-path processes used by the verification harness.
+"""Closed-form constants, tail bounds, convergence times, and the law table
+evaluated over one stored trace.
 
 All logarithms are natural: the exponential-moment machinery behind the
 queue tail bound is base e, and every constant here must stay consistent
@@ -53,17 +53,15 @@ class BoundConstants:
         return asdict(self)
 
 
-def compute_constants(spec_or_params, xi: float, c1: float) -> BoundConstants:
-    """Evaluate every constant from (z_max, B, V) and the slackness margin xi.
+def compute_constants(spec, xi: float, c1: float) -> BoundConstants:
+    """Evaluate every constant from the ``z_max``, ``B`` and ``V`` of ``spec``
+    (a ProblemSpec or any object with those attributes) and the slackness
+    margin xi.
 
-    ``spec_or_params`` is either a ProblemSpec or a (z_max, B, V) triple.
     Fails closed: any formula leaving its valid range raises instead of
     returning nonsense.
     """
-    if hasattr(spec_or_params, "z_max"):
-        z_max, B, V = spec_or_params.z_max, spec_or_params.B, spec_or_params.V
-    else:
-        z_max, B, V = spec_or_params
+    z_max, B, V = spec.z_max, spec.B, spec.V
     if not 0.0 < xi <= B:
         raise SlacknessError(f"xi must lie in (0, B]; got {xi!r} with B={B!r}")
     if not c1 > 0.0:
@@ -98,75 +96,41 @@ def compute_constants(spec_or_params, xi: float, c1: float) -> BoundConstants:
                           xi=xi, B=B, z_max=z_max, V=V)
 
 
-def default_truncation_level(spec_or_params, xi: float, T: int, delta: float) -> float:
+def default_truncation_level(spec, xi: float, T: int, delta: float) -> float:
     """The truncation level that splits the failure budget evenly between the
     concentration term and the queue excursion term: (1/r) * ln(2 D T / delta)."""
-    probe = compute_constants(spec_or_params, xi, 1.0)
+    probe = compute_constants(spec, xi, 1.0)
     return math.log(2.0 * probe.D * T / delta) / probe.r
 
 
-def constants_for_horizon(spec_or_params, xi: float, T: int, delta: float) -> BoundConstants:
+def constants_for_horizon(spec, xi: float, T: int, delta: float) -> BoundConstants:
     """Constants with c1 at its default calibration for horizon T and budget delta."""
-    c1 = default_truncation_level(spec_or_params, xi, T, delta)
-    return compute_constants(spec_or_params, xi, c1)
+    c1 = default_truncation_level(spec, xi, T, delta)
+    return compute_constants(spec, xi, c1)
 
 
 # ---------------------------------------------------------------------------
-# derived per-path processes
+# the law table over a stored trace
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DerivedProcesses:
-    """Per-path processes materialized from a trace.
-
-    x[t] accumulates V*(z0 - z_opt) plus the queue-weighted increments; it is
-    a supermartingale under a correct controller.  tau is the first slot (if
-    any, within 1..T) whose starting queue norm exceeds c1; y freezes x at
-    tau-1.  For single-constraint traces, g replaces the queue weight by its
-    value clipped at C0*V, and visit_slots lists every slot t in 1..T+1 whose
-    queue value sits inside [0, C0*V] (consecutive slots both count).
-    """
-
-    x: np.ndarray                 # (T+1,)
-    tau: int | None
-    y: np.ndarray                 # (T+1,)
-    g: np.ndarray | None          # (T+1,) when L == 1
-    visit_slots: np.ndarray | None
-
-
-def build_processes(trace: PathTrace, z_opt: float, constants: BoundConstants) -> DerivedProcesses:
-    L = trace.L
-    V = constants.V
-    v = trace_law_values(trace)
-    x = np.concatenate(([0.0], np.cumsum(V * (trace.z0 - z_opt) + v.qz)))
-    exceed = np.nonzero(v.norm_before > constants.c1)[0]
-    tau = int(exceed[0]) + 1 if exceed.size else None
-    y = x.copy()
-    if tau is not None:
-        y[tau:] = x[tau - 1]
-    g = None
-    visits = None
-    if L == 1:
-        cap = constants.C0 * V
-        q1 = trace.q[:, 0]
-        dg = V * (trace.z0 - z_opt) + np.minimum(q1[:-1], cap) * trace.z[:, 0]
-        g = np.concatenate(([0.0], np.cumsum(dg)))
-        visits = np.nonzero(q1 <= cap)[0] + 1  # slot numbers 1..T+1
-    return DerivedProcesses(x=x, tau=tau, y=y, g=g, visit_slots=visits)
-
 
 @dataclass(frozen=True)
 class LawReport:
     """The law table evaluated over the slots of one stored trace.
 
     ``problems`` maps every violated law, in table order, to messages for
-    its first five failing slots.  ``nJ`` (the last slot in 1..T+1 whose
-    queue value lies in [0, C0*V]), ``tele_gap`` and ``tele_avg`` are the
-    telescoping quantities, computed in the lockstep engine's float order;
-    they are None unless the trace has one constraint and C0*V >= B.
+    its first five failing slots.  ``x_final``, ``y_final`` and ``g_final``
+    are X, the stopped process Y and (one constraint only, else None) the
+    truncated process G at the horizon.  ``nJ`` (the last slot in 1..T+1
+    whose queue value lies in [0, C0*V]), ``tele_gap`` and ``tele_avg`` are
+    the telescoping quantities; they are None unless the trace has one
+    constraint and C0*V >= B.  Every value is computed in the lockstep
+    engine's float order, so it equals the engine's bit for bit.
     """
 
     problems: dict[str, list[str]]
+    x_final: float
+    y_final: float
+    g_final: float | None = None
     nJ: int | None = None
     tele_gap: float | None = None
     tele_avg: float | None = None
@@ -176,6 +140,12 @@ class LawReport:
         return tuple(self.problems)
 
 
+def _partial_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of the first 0, 1, ..., len(a) entries of ``a``, added left to
+    right from zero as the engine accumulates them."""
+    return np.cumsum(np.concatenate(([0.0], a)))
+
+
 def check_trace_laws(trace: PathTrace, z_opt: float, constants: BoundConstants,
                      tol: float = LAW_TOL) -> LawReport:
     """Evaluate every law of :data:`dpp_lab.core.LAWS` that applies to the
@@ -183,25 +153,27 @@ def check_trace_laws(trace: PathTrace, z_opt: float, constants: BoundConstants,
 
     dX is V*(z0 - z_opt) + q.z; the stopped process stops changing from the
     first slot whose starting queue norm exceeds c1.  With one constraint, dG
-    clips the queue weight at C0*V, and the truncated partial sums run left
-    to right from zero, as in the engine.
+    clips the queue weight at C0*V.
     """
     V = constants.V
     v = trace_law_values(trace)
     vars(v).update(B=constants.B, c2=constants.c2, V=V, z_max=constants.z_max,
                    C0=constants.C0)
     penalty = V * (trace.z0 - z_opt)
+    dx = penalty + v.qz
     stopped = np.logical_or.accumulate(v.norm_before > constants.c1)
-    v.dy = np.where(stopped, 0.0, penalty + v.qz)
+    v.dy = np.where(stopped, 0.0, dx)
     laws = laws_for(trace.L, final=False)
-    tele: dict = {}
+    out: dict = {"x_final": float(_partial_sums(dx)[-1]),
+                 "y_final": float(_partial_sums(v.dy)[-1])}
     if trace.L == 1:
         cap = constants.C0 * V
         q1 = trace.q[:, 0]
         terms = np.minimum(q1[:-1], cap) * trace.z[:, 0]
         v.dg = penalty + terms
+        out["g_final"] = float(_partial_sums(v.dg)[-1])
         if cap >= constants.B:  # the telescoping laws assume the cap clears one step
-            partial = np.cumsum(np.concatenate(([0.0], terms)))  # before slots 1..T+1
+            partial = _partial_sums(terms)  # before slots 1..T+1
             visits = np.nonzero(q1 <= cap)[0]
             nJ = int(visits[-1]) + 1 if visits.size else 1
             q_nJ = float(q1[nJ - 1])
@@ -209,8 +181,9 @@ def check_trace_laws(trace: PathTrace, z_opt: float, constants: BoundConstants,
                     "tele_gap": abs(float(partial[nJ - 1]) - 0.5 * q_nJ * q_nJ),
                     "tele_avg": float(partial[-1]) / trace.T}
             vars(v).update(tele)
+            out.update(tele)
             laws += laws_for(1, final=True)
-    return LawReport(law_problems(laws, v, trace.T, tol), **tele)
+    return LawReport(law_problems(laws, v, trace.T, tol), **out)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ EXIT_STATISTICAL = 3
 def _write_json(path: str, payload: dict, schema_name: str | None = None) -> None:
     if schema_name is not None:
         schema.validate(payload, schema.load_schema(schema_name))
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _default_checks(spec: ProblemSpec) -> tuple[str, ...]:
@@ -246,8 +246,8 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
             delta = args.delta if args.delta is not None else cfg.delta
-            if epsilon <= 0 or not 0 < delta < 1:
-                raise ConfigError("need epsilon > 0 and delta in (0, 1)")
+            if not 0 < epsilon < math.inf or not 0 < delta < 1:
+                raise ConfigError("need finite epsilon > 0 and delta in (0, 1)")
             return cmd_bounds(cfg, epsilon, delta, out_dir)
         if args.command == "verify":
             if args.paths is not None:
@@ -255,8 +255,8 @@ def main(argv=None) -> int:
                     raise ConfigError("--paths must be at least 1")
                 cfg.num_paths = args.paths
             if args.epsilon is not None:
-                if args.epsilon <= 0:
-                    raise ConfigError("--epsilon must be positive")
+                if not 0 < args.epsilon < math.inf:
+                    raise ConfigError("--epsilon must be positive and finite")
                 cfg.epsilon = args.epsilon
             if args.delta is not None:
                 if not 0 < args.delta < 1:
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as e:
+    except (ValueError, analysis.ConsistencyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -21,6 +21,7 @@ with a top-level ``V``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -130,18 +131,19 @@ def _as_int(line_no: int, key: str, raw: str) -> int:
         raise ConfigError(f"line {line_no}: {key} needs an integer, got {raw!r}") from None
 
 
-def _as_float(line_no: int, key: str, raw: str) -> float:
+def _as_float(line_no: int, key: str, raw: str, what: str = "a finite number") -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} needs a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: {key} needs {what}, got {raw!r}")
+    return value
 
 
 def _as_float_list(line_no: int, key: str, raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"line {line_no}: {key} needs comma-separated numbers") from None
+    return tuple(_as_float(line_no, key, tok, "comma-separated finite numbers")
+                 for tok in raw.split(","))
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -226,6 +228,8 @@ def parse_config_text(text: str) -> RunConfig:
             cfg.checks = names
         elif key == "batch.queue_tail_levels":
             cfg.queue_tail_levels = _as_float_list(line_no, key, raw)
+            if min(cfg.queue_tail_levels) <= 0:
+                raise ConfigError(f"line {line_no}: batch.queue_tail_levels must be positive")
         elif key == "sweep.V_list":
             cfg.sweep_v = _as_float_list(line_no, key, raw)
             if not cfg.sweep_v:

@@ -2,8 +2,9 @@
 
 Paths run in lockstep inside fixed-size chunks: one numpy step per slot,
 vectorized over the paths of the chunk.  Per-path seeds derive from the
-master seed by a splittable hash, chunks are a fixed size, and chunk results
-merge in submission order, so results are identical for any worker count.
+master seed by a splittable hash and no path depends on another, so batch
+statistics are invariant to chunking.  A batch runs its fixed-size chunks
+in order and stops at the first chunk that violates a law.
 
 Each slot scores every (event, action) pair of every path once, into one
 (event, action, path) tensor with the paths contiguous, and picks each
@@ -32,13 +33,12 @@ also recorded for reporting.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
 
+# compute_constants is not called here; perfbench's tracer wraps it by name
 from .analysis import (BoundConstants, calibrated_deviation_level,
                        compute_constants, constants_for_horizon,
                        convergence_time_multi, convergence_time_single,
@@ -321,40 +321,18 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DPP_LAB_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"DPP_LAB_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def simulate_paths(spec: ProblemSpec, master_seed: int, num_paths: int, T: int,
                    z_opt: float, constants: BoundConstants, *,
                    chaos: str | None = None, key_feature: bool = False,
                    seed_offset: int = 0) -> ChunkStats:
-    """All paths of a batch, chunked; results identical for any worker count."""
+    """All paths of a batch, run in chunks of :data:`CHUNK` paths in order."""
     all_seeds = np.asarray(
         [derive_seed(master_seed, seed_offset + i) for i in range(num_paths)],
         dtype=np.uint64)
-    jobs = []
-    for lo in range(0, num_paths, CHUNK):
-        hi = min(lo + CHUNK, num_paths)
-        jobs.append((all_seeds[lo:hi], lo))
-    workers = _worker_count()
-    if workers == 1 or len(jobs) == 1:
-        parts = [simulate_chunk(spec, s, off, T, z_opt, constants, chaos=chaos,
-                                key_feature=key_feature) for s, off in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(simulate_chunk, spec, s, off, T, z_opt, constants,
-                                   chaos=chaos, key_feature=key_feature)
-                       for s, off in jobs]
-            parts = [f.result() for f in futures]
-    return ChunkStats.concat(parts)
+    return ChunkStats.concat([
+        simulate_chunk(spec, all_seeds[lo:lo + CHUNK], lo, T, z_opt, constants,
+                       chaos=chaos, key_feature=key_feature)
+        for lo in range(0, num_paths, CHUNK)])
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +349,6 @@ class BatchConfig:
     delta: float = 0.05
     checks: tuple[str, ...] = ()
     chaos: str | None = None
-    c1_override: float | None = None
     queue_tail_levels: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -520,10 +497,7 @@ def run_batch(config: BatchConfig) -> BatchSummary:
     if sol.xi_star is None or sol.xi_star <= 0.0:
         raise SlacknessError(f"maximal slackness {sol.xi_star!r} is not positive")
     xi = sol.xi_star / 2.0  # strict margin convention: half the maximal slackness
-    if config.c1_override is not None:
-        constants = compute_constants(spec, xi, config.c1_override)
-    else:
-        constants = constants_for_horizon(spec, xi, config.T, config.delta)
+    constants = constants_for_horizon(spec, xi, config.T, config.delta)
 
     key_feature = "KeyFeature" in config.checks
     stats = simulate_paths(spec, config.master_seed, config.num_paths, config.T,

@@ -1,17 +1,18 @@
 """Shared generators for randomized oracle cross-checks, the reference grid
 oracle and the reference KeyFeature loop they are checked against,
-unvalidated spec copies for negative controls, and trace and tail helpers
-that only tests use."""
+unvalidated spec copies for negative controls, bare constants parameters,
+and trace and tail helpers that only tests use."""
 
 import copy
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from dpp_lab import (ActionVector, EventOutcome, PathTrace, ProblemSpec,
-                     build_processes, pick_actions, wilson_interval)
+                     check_trace_laws, pick_actions, wilson_interval)
 from dpp_lab.core import norm_sq
 from dpp_lab.oracle import grid_points_budget
 
@@ -56,6 +57,12 @@ def random_small_instance(rng: np.random.Generator, L: int | None = None,
                        B=math.sqrt(float(L)), V=1.0)
     assert grid_points_budget(spec, 200) <= GRID_BUDGET
     return spec
+
+
+def bound_params(z_max: float, B: float, V: float) -> SimpleNamespace:
+    """The three problem parameters the constants of
+    :func:`dpp_lab.compute_constants` depend on, without a whole spec."""
+    return SimpleNamespace(z_max=z_max, B=B, V=V)
 
 
 def unchecked_spec(spec: ProblemSpec, **changes) -> ProblemSpec:
@@ -223,13 +230,13 @@ def empirical_tail(traces, statistic: str, threshold: float, *,
         elif statistic in ("XT", "GT"):
             if z_opt is None or constants is None:
                 raise ValueError(f"{statistic} needs z_opt and constants")
-            proc = build_processes(tr, z_opt, constants)
+            rep = check_trace_laws(tr, z_opt, constants)
             if statistic == "XT":
-                values.append(float(proc.x[-1]))
+                values.append(rep.x_final)
             else:
-                if proc.g is None:
+                if rep.g_final is None:
                     raise ValueError("GT is defined only for single-constraint traces")
-                values.append(float(proc.g[-1]))
+                values.append(rep.g_final)
         else:
             raise ValueError(f"unknown statistic {statistic!r}")
     k = sum(1 for v in values if v > threshold)

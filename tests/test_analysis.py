@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import build_trace_from_z
+from helpers import bound_params, build_trace_from_z
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpp_lab import (azuma_bound, build_processes, chained_deviation_check,
+from dpp_lab import (azuma_bound, chained_deviation_check,
                      check_trace_laws, compute_constants,
                      constants_for_horizon, convergence_time_multi,
                      convergence_time_single, default_truncation_level,
@@ -17,7 +17,7 @@ from dpp_lab.analysis import (ConsistencyError, deviation_over_horizon,
                               calibrated_deviation_level)
 from dpp_lab.oracle import SlacknessError
 
-SV_PARAMS = (2.0, math.sqrt(3.0), 10.0)  # z_max, B, V of the benchmark
+SV_PARAMS = bound_params(2.0, math.sqrt(3.0), 10.0)  # z_max, B, V of the benchmark
 
 
 def test_constants_benchmark_values():
@@ -45,7 +45,7 @@ def test_constants_generic_drift_identity():
     for _ in range(100):
         B = float(rng.uniform(0.1, 5.0))
         xi = float(rng.uniform(0.01, 1.0)) * B
-        c = compute_constants((1.0, B, 1.0), xi=xi, c1=1.0)
+        c = compute_constants(bound_params(1.0, B, 1.0), xi=xi, c1=1.0)
         beta, gamma = xi / 2.0, B
         r_generic = beta / (gamma * gamma + gamma * beta / 3.0)
         assert c.r == pytest.approx(r_generic, rel=1e-12)
@@ -109,7 +109,7 @@ def test_moment_ceiling_at_least_one_across_sweep():
         V = float(rng.uniform(0.5, 100.0))
         xi = float(rng.uniform(0.05, 1.0)) * B
         try:
-            c = compute_constants((z_max, B, V), xi=xi, c1=1.0)
+            c = compute_constants(bound_params(z_max, B, V), xi=xi, c1=1.0)
         except ConsistencyError:
             continue  # representable-range guard; parameters too extreme
         assert c.D >= 1.0
@@ -119,7 +119,7 @@ def test_moment_ceiling_at_least_one_across_sweep():
 
 def test_constants_fail_closed_past_float_range():
     with pytest.raises(ConsistencyError):
-        compute_constants((5.0, 0.1, 1000.0), xi=0.005, c1=1.0)
+        compute_constants(bound_params(5.0, 0.1, 1000.0), xi=0.005, c1=1.0)
 
 
 def test_xtail_bound_calibrated_to_delta():
@@ -163,7 +163,7 @@ def test_convergence_time_multi_values():
 
 
 def test_convergence_time_single_values():
-    c = compute_constants((1.0, 1.0, 10.0), xi=0.25, c1=1.0)
+    c = compute_constants(bound_params(1.0, 1.0, 10.0), xi=0.25, c1=1.0)
     assert convergence_time_single(0.1, 0.05, c) == 898
     assert convergence_time_single(0.1, 1.0 / math.e, c) == 100
     for eps in (0.1, 0.05):
@@ -185,7 +185,7 @@ def test_chained_deviation_inequality_grid():
 
 
 def test_g_tail_threshold_algebra():
-    c = compute_constants((1.0, 1.0, 10.0), xi=0.25, c1=1.0)
+    c = compute_constants(bound_params(1.0, 1.0, 10.0), xi=0.25, c1=1.0)
     lam = g_tail_bound(c, 400, 1.0 / math.e)
     assert lam == pytest.approx(2.0 * c.C2 * c.V * 20.0, rel=1e-12)
     assert g_tail_bound(c, 1600, 1.0 / math.e) == pytest.approx(2.0 * lam, rel=1e-12)
@@ -195,39 +195,43 @@ def test_g_tail_threshold_algebra():
         g_tail_bound(c, 10, 1.5)
 
 
-def test_build_processes_flat_trace():
+def test_trace_laws_flat_trace():
     tr = build_trace_from_z("", [1.1] * 8, [[0.0]] * 8)
-    c = compute_constants((2.0, 1.0, 5.0), xi=0.5, c1=10.0)
-    proc = build_processes(tr, z_opt=1.1, constants=c)
-    assert np.all(proc.x == 0.0)
-    assert proc.tau is None
-    assert np.array_equal(proc.y, proc.x)
+    c = compute_constants(bound_params(2.0, 1.0, 5.0), xi=0.5, c1=10.0)
+    rep = check_trace_laws(tr, z_opt=1.1, constants=c)
+    assert rep.violated == ()
+    assert rep.x_final == rep.y_final == rep.g_final == 0.0
 
 
-def test_build_processes_single_slot():
+def test_trace_laws_single_slot():
     tr = build_trace_from_z("", [0.9], [[0.4]])
-    c = compute_constants((2.0, 1.0, 5.0), xi=0.5, c1=10.0)
-    proc = build_processes(tr, z_opt=0.5, constants=c)
-    assert proc.x[0] == 0.0
-    assert proc.x[1] == pytest.approx(5.0 * (0.9 - 0.5), rel=1e-12)  # queue empty
+    c = compute_constants(bound_params(2.0, 1.0, 5.0), xi=0.5, c1=10.0)
+    rep = check_trace_laws(tr, z_opt=0.5, constants=c)
+    assert rep.x_final == rep.y_final == rep.g_final == 5.0 * (0.9 - 0.5)  # queue empty
 
 
-def test_build_processes_stopping(sv_spec, sv_solution):
+def test_trace_laws_stopping(sv_spec, sv_solution):
     tr = run_path(sv_spec, seed=6, T=2000)
     tight = compute_constants(sv_spec, xi=2.0 / 30.0, c1=5.0)  # force an early stop
-    proc = build_processes(tr, sv_solution.z_opt, tight)
-    assert proc.tau is not None
     qn = np.sqrt(np.einsum("ij,ij->i", tr.q_before, tr.q_before))
-    assert qn[proc.tau - 1] > 5.0
-    assert np.all(qn[:proc.tau - 1] <= 5.0)
-    # brute-force the frozen sequence
-    for t in range(tr.T + 1):
-        assert proc.y[t] == proc.x[min(t, proc.tau - 1)]
-    assert check_trace_laws(tr, sv_solution.z_opt, tight).violated == ()
+    tau = int(np.nonzero(qn > 5.0)[0][0]) + 1  # first slot starting above c1
+    # brute-force X and the process Y frozen before slot tau, summed left to right
+    qz = np.zeros(tr.T)
+    for l in range(sv_spec.L):
+        qz += tr.q_before[:, l] * tr.z[:, l]
+    x = y = 0.0
+    for t, dx in enumerate((sv_spec.V * (tr.z0 - sv_solution.z_opt) + qz).tolist(), 1):
+        x += dx
+        y += dx if t < tau else 0.0
+    rep = check_trace_laws(tr, sv_solution.z_opt, tight)
+    assert rep.violated == ()
+    assert (rep.x_final, rep.y_final) == (x, y) and x != y
     loose = constants_for_horizon(sv_spec, 2.0 / 30.0, tr.T, 0.05)
-    proc2 = build_processes(tr, sv_solution.z_opt, loose)
-    assert proc2.tau is None
-    assert check_trace_laws(tr, sv_solution.z_opt, loose).violated == ()
+    assert np.all(qn <= loose.c1)
+    rep = check_trace_laws(tr, sv_solution.z_opt, loose)
+    assert rep.violated == ()
+    assert rep.y_final == rep.x_final == x
+    assert rep.g_final is None
 
 
 def test_truncated_and_stopped_processes_coincide_without_excursions(sq_spec, sq_solution):
@@ -236,17 +240,16 @@ def test_truncated_and_stopped_processes_coincide_without_excursions(sq_spec, sq
     base = compute_constants(sq_spec, xi=xi, c1=1.0)
     c = compute_constants(sq_spec, xi=xi, c1=base.C0 * sq_spec.V)
     assert np.max(tr.q[:, 0]) <= c.C0 * sq_spec.V  # no excursion on this path
-    proc = build_processes(tr, sq_solution.z_opt, c)
-    assert proc.tau is None
-    assert np.array_equal(proc.y, proc.x)
-    assert np.array_equal(proc.g, proc.x)
-    assert proc.visit_slots is not None and len(proc.visit_slots) == tr.T + 1
+    rep = check_trace_laws(tr, sq_solution.z_opt, c)
+    assert rep.y_final == rep.x_final
+    assert rep.g_final == rep.x_final
+    assert rep.nJ == tr.T + 1  # every slot's queue lies in [0, C0*V]
 
 
 def test_difference_bounds_flag_crafted_jump():
     # a trace whose costs overrun the declared z_max breaks the c2 law
     tr = build_trace_from_z("", [5.0, 0.0], [[0.0], [0.0]])
-    tiny = compute_constants((1e-3, 1.0, 1.0), xi=0.9, c1=1e-3)
+    tiny = compute_constants(bound_params(1e-3, 1.0, 1.0), xi=0.9, c1=1e-3)
     assert tiny.c2 < 1.0
     rep = check_trace_laws(tr, z_opt=0.0, constants=tiny)
     assert rep.violated == ("stopped process difference bound",
@@ -257,7 +260,7 @@ def test_difference_bounds_flag_crafted_jump():
 
 
 def test_telescoping_trivial_paths():
-    c = compute_constants((1.0, 1.0, 1.0), xi=1.0, c1=1.0)
+    c = compute_constants(bound_params(1.0, 1.0, 1.0), xi=1.0, c1=1.0)
     assert c.C0 == pytest.approx(4.75)
     flat = build_trace_from_z("", [0.0] * 6, [[0.0]] * 6)
     rep = check_trace_laws(flat, 0.0, c)
@@ -268,7 +271,7 @@ def test_telescoping_trivial_paths():
 def test_telescoping_with_active_truncation():
     # drive the queue above C0*V = 4.75 and back down; the laws hold for any
     # increment sequence bounded by B once the cap clears one step
-    c = compute_constants((1.0, 1.0, 1.0), xi=1.0, c1=100.0)
+    c = compute_constants(bound_params(1.0, 1.0, 1.0), xi=1.0, c1=100.0)
     ups = [[1.0]] * 8
     downs = [[-1.0]] * 8
     tr = build_trace_from_z("", [0.0] * 16, ups + downs)
@@ -302,7 +305,7 @@ def test_telescoping_randomized_paths(sq_spec, sq_solution):
 def test_telescoping_laws_hold_for_any_bounded_increments(z_seq):
     # the partial-sum and floor laws are deterministic statements about the
     # queue recursion itself, not about any particular decision rule
-    c = compute_constants((1.0, 1.0, 1.0), xi=1.0, c1=100.0)
+    c = compute_constants(bound_params(1.0, 1.0, 1.0), xi=1.0, c1=100.0)
     tr = build_trace_from_z("", [0.0] * len(z_seq), [[z] for z in z_seq])
     rep = check_trace_laws(tr, 0.0, c)
     assert rep.violated == () and rep.tele_gap is not None
@@ -319,7 +322,7 @@ def test_trace_laws_skip_single_constraint_laws_on_multi_constraint(sv_spec, sv_
 def test_understated_B_trips_the_telescoping_laws():
     # the queue alternates 0, 1, 0, ...: the truncated sum falls by 1 every
     # second slot, more than the 2.5*B^2 per slot allowed at B = 1/4
-    c = compute_constants((1.0, 1.0, 1.0), xi=1.0, c1=100.0)
+    c = compute_constants(bound_params(1.0, 1.0, 1.0), xi=1.0, c1=100.0)
     tr = build_trace_from_z("", [0.0] * 40, [[1.0], [-1.0]] * 20)
     assert check_trace_laws(tr, 0.0, c).violated == ()
     rep = check_trace_laws(tr, 0.0, dataclasses.replace(c, B=0.25))
@@ -332,4 +335,4 @@ def test_understated_B_trips_the_telescoping_laws():
 def test_rho_out_of_range_is_impossible_by_construction():
     # xi <= B keeps r*xi/4 inside (0, 1); the guard still exists for bad input
     with pytest.raises((ConsistencyError, SlacknessError)):
-        compute_constants((1.0, 1.0, 1.0), xi=5.0, c1=1.0)
+        compute_constants(bound_params(1.0, 1.0, 1.0), xi=5.0, c1=1.0)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dpp_lab.cli import main
+from dpp_lab.cli import _write_json, main
 from dpp_lab.schema import load_schema, validate
 
 SIM_CFG = """
@@ -192,13 +192,35 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--paths", "0"]) == 1
 
 
-@pytest.mark.parametrize("threads", ["abc", "0"])
-def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setenv("DPP_LAB_THREADS", threads)
-    cfg = _write(tmp_path, SQ_CFG)
-    assert main(["verify", "--config", cfg]) == 1
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_constants_past_float_range_exit_1(tmp_path, capsys, command):
+    cfg = _write(tmp_path, SIM_CFG.replace("V = 10.0", "V = 1000"))
+    assert main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "DPP_LAB_THREADS" in err and repr(threads) in err
+    assert err.startswith("error: moment ceiling") and "float64 range" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_non_finite_epsilon_exits_1(tmp_path, capsys, command, value):
+    cfg = _write(tmp_path, SQ_CFG)
+    assert main([command, "--config", cfg, "--epsilon", value]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_queue_tail_level_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path, SQ_CFG + "batch.queue_tail_levels = 5.0, nan\n")
+    assert main(["verify", "--config", cfg]) == 1
+    assert "line 10" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        _write_json(str(path), {"epsilon": float("nan")})
+    assert not path.exists()
 
 
 def test_cli_runs_as_module(tmp_path):

@@ -97,6 +97,28 @@ def test_bad_values_rejected():
         assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("line", [
+    "batch.queue_tail_levels = nan",
+    "batch.queue_tail_levels = 5.0, inf",
+    "problem.z_max = inf",
+    "V = -inf",
+    "batch.epsilon = nan",
+    "problem.events.0.actions.0 = 0.0, nan",
+])
+def test_non_finite_numbers_rejected(line):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("seed = 1\n" + line + "\n")
+    assert str(err.value).startswith("line 2: ") and "finite" in str(err.value)
+
+
+def test_queue_tail_levels_must_be_positive():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("seed = 1\nbatch.queue_tail_levels = 10, -5\n")
+    assert str(err.value) == "line 2: batch.queue_tail_levels must be positive"
+    cfg = parse_config_text("batch.queue_tail_levels = 10, 2.5\n")
+    assert cfg.queue_tail_levels == (10.0, 2.5)
+
+
 def test_builtin_and_inline_conflict():
     with pytest.raises(ConfigError):
         parse_config_text("problem = server-scheduling-3x2\nproblem.L = 1\n")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ from helpers import (empirical_tail, ragged_spec, reference_kf_expectations,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpp_lab import (BatchConfig, InvariantViolation, build_processes,
-                     builtin_spec, check_trace_laws, run_batch, run_path,
-                     wilson_interval)
+from dpp_lab import (BatchConfig, InvariantViolation, builtin_spec,
+                     check_trace_laws, run_batch, run_path, wilson_interval)
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
                               constants_for_horizon)
 from dpp_lab.events import derive_seed
-from dpp_lab.montecarlo import _ScoreTensor, simulate_chunk, simulate_paths
+from dpp_lab.montecarlo import (CHUNK, ChunkStats, _ScoreTensor, simulate_chunk,
+                                simulate_paths)
 from dpp_lab.oracle import (exact_conditional_dpp_expectation,
                             exact_conditional_truncated_expectation,
                             solve_stationary_optimum)
@@ -73,14 +74,52 @@ def test_batch_reproducibility(sq_spec):
     assert a == b
 
 
-def test_batch_worker_count_invariance(sq_spec, monkeypatch):
-    cfg = BatchConfig(spec=sq_spec, num_paths=3 * 4096 + 17, T=60, master_seed=8,
-                      checks=("QueueTail",))
-    monkeypatch.setenv("DPP_LAB_THREADS", "1")
-    a = run_batch(cfg).to_json_dict()
-    monkeypatch.setenv("DPP_LAB_THREADS", "4")
-    b = run_batch(cfg).to_json_dict()
-    assert a == b
+ENGINE_SPECS = {
+    "server": lambda: builtin_spec("server-scheduling-3x2", 10.0),
+    "single": lambda: builtin_spec("single-queue-serve-idle", 10.0),
+    "ragged": ragged_spec,
+}
+
+
+def _split_run(spec, master_seed, cuts, T, z_opt, consts):
+    """simulate_paths' paths run as simulate_chunk pieces cut at ``cuts``."""
+    seeds = np.asarray([derive_seed(master_seed, i) for i in range(cuts[-1])],
+                       dtype=np.uint64)
+    return ChunkStats.concat([simulate_chunk(spec, seeds[lo:hi], lo, T, z_opt, consts)
+                              for lo, hi in zip(cuts, cuts[1:])])
+
+
+CUTS = (0, 1000, 7000, 2 * CHUNK + 17)  # a split other than simulate_paths' own
+
+
+@pytest.mark.parametrize("name", ["server", "single"])
+def test_batch_is_invariant_to_chunking(name):
+    spec = ENGINE_SPECS[name]()
+    sol = solve_stationary_optimum(spec)
+    T = 52
+    consts = constants_for_horizon(spec, sol.xi_star / 2, T, 0.05)
+    whole = simulate_paths(spec, 1, CUTS[-1], T, sol.z_opt, consts)
+    split = _split_run(spec, 1, CUTS, T, sol.z_opt, consts)
+    for f in fields(ChunkStats):
+        a, b = getattr(whole, f.name), getattr(split, f.name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), f.name
+
+
+def test_violation_path_index_is_invariant_to_chunking(sv_spec, sv_solution):
+    # a B understated by 0.1% trips on one rare path of the second chunk of
+    # 4096 and the third piece of CUTS: both runs name the same global path
+    T = 52
+    consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2, T, 0.05)
+    spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.999)
+    found = []
+    for run in (lambda: simulate_paths(spec, 1, CUTS[-1], T, sv_solution.z_opt, consts),
+                lambda: _split_run(spec, 1, CUTS, T, sv_solution.z_opt, consts)):
+        with pytest.raises(InvariantViolation) as err:
+            run()
+        e = err.value
+        found.append((e.law, e.path_index, e.path_seed, e.slot, e.detail))
+    assert found[0] == found[1]
+    assert found[0][:4] == ("quadratic drift bound", 7121, derive_seed(1, 7121), 51)
 
 
 def test_single_path_batch_matches_direct_run(sv_spec, sv_solution):
@@ -93,18 +132,11 @@ def test_single_path_batch_matches_direct_run(sv_spec, sv_solution):
     from dpp_lab.core import time_average
     med = [row for row in summary.objective_quantiles if row[0] == 0.5][0][1]
     assert med == pytest.approx(time_average(tr, "objective"), rel=1e-12)
-    proc = build_processes(tr, sv_solution.z_opt, consts)
+    rep = check_trace_laws(tr, sv_solution.z_opt, consts)
     stats = simulate_paths(sv_spec, 13, 1, T, sv_solution.z_opt, consts)
-    assert stats.x_final[0] == pytest.approx(proc.x[-1], rel=1e-9, abs=1e-9)
+    assert stats.x_final[0] == rep.x_final
     qn = float(np.max(np.sqrt(np.einsum("ij,ij->i", tr.q_before, tr.q_before))))
     assert stats.max_qnorm[0] == qn
-
-
-ENGINE_SPECS = {
-    "server": lambda: builtin_spec("server-scheduling-3x2", 10.0),
-    "single": lambda: builtin_spec("single-queue-serve-idle", 10.0),
-    "ragged": ragged_spec,
-}
 
 
 @pytest.mark.parametrize("key_feature", [False, True])
@@ -285,6 +317,31 @@ def test_trace_checker_matches_engine_telescoping(sq_spec, sq_solution, chaos):
         nJs.append(rep.nJ)
         assert np.any(tr.q[:, 0] > cap) == (chaos is not None)
     assert (min(nJs) < T + 1) == (chaos is not None)
+
+
+@pytest.mark.parametrize("c1", [None, 3.0])
+@pytest.mark.parametrize("name", ["server", "single"])
+def test_trace_checker_matches_engine_finals(name, c1):
+    # X, Y and G at the horizon, from a stored trace, equal the engine's bit
+    # for bit; at c1 = 3 every path stops, so Y differs from X
+    spec = ENGINE_SPECS[name]()
+    sol = solve_stationary_optimum(spec)
+    T, N = 400, 16
+    xi = sol.xi_star / 2.0
+    consts = (constants_for_horizon(spec, xi, T, 0.05) if c1 is None
+              else compute_constants(spec, xi, c1))
+    stats = simulate_paths(spec, 17, N, T, sol.z_opt, consts)
+    assert np.all(stats.stopped) == (c1 is not None)
+    for i in range(N):
+        rep = check_trace_laws(run_path(spec, derive_seed(17, i), T), sol.z_opt, consts)
+        assert rep.violated == ()
+        assert rep.x_final == stats.x_final[i]
+        assert rep.y_final == stats.y_final[i]
+        if spec.L == 1:
+            assert rep.g_final == stats.g_final[i]
+        else:
+            assert rep.g_final is None and stats.g_final is None
+    assert np.any(stats.x_final != stats.y_final) == (c1 is not None)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1),
