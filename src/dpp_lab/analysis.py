@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import LAW_TOL, PathTrace, law_problems, laws_for, trace_law_values
+from .core import PathTrace, law_problems, laws_for, trace_law_values
 from .oracle import SlacknessError
 
 
@@ -146,8 +146,7 @@ def _partial_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(([0.0], a)))
 
 
-def check_trace_laws(trace: PathTrace, z_opt: float, constants: BoundConstants,
-                     tol: float = LAW_TOL) -> LawReport:
+def check_trace_laws(trace: PathTrace, z_opt: float, constants: BoundConstants) -> LawReport:
     """Evaluate every law of :data:`dpp_lab.core.LAWS` that applies to the
     trace, reporting all violations rather than stopping at the first.
 
@@ -183,7 +182,7 @@ def check_trace_laws(trace: PathTrace, z_opt: float, constants: BoundConstants,
             vars(v).update(tele)
             out.update(tele)
             laws += laws_for(1, final=True)
-    return LawReport(law_problems(laws, v, trace.T, tol), **out)
+    return LawReport(law_problems(laws, v, trace.T), **out)
 
 
 # ---------------------------------------------------------------------------

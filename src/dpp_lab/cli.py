@@ -84,10 +84,7 @@ def cmd_bounds(cfg: RunConfig, epsilon: float, delta: float, out_dir: str) -> in
         print("error: problem instance is infeasible", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if sol.xi_star is None or sol.xi_star <= 0.0:
-            raise SlacknessError(f"maximal slackness {sol.xi_star!r} is not positive")
-        xi = sol.xi_star / 2.0
-        constants = analysis.constants_for_horizon(spec, xi, cfg.T, delta)
+        constants = analysis.constants_for_horizon(spec, sol.xi, cfg.T, delta)
     except SlacknessError as e:
         print(f"error: {e}", file=sys.stderr)
         print("stationary optimum certificate: "

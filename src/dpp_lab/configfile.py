@@ -34,15 +34,7 @@ class ConfigError(Exception):
     """Bad run configuration; message carries the line number when known."""
 
 
-_SIMPLE_KEYS = {
-    "problem", "V", "T", "seed", "output",
-    "problem.L", "problem.z_max", "problem.B", "problem.V", "problem.tie_break",
-    "batch.num_paths", "batch.T", "batch.epsilon", "batch.delta",
-    "batch.checks", "batch.queue_tail_levels",
-    "sweep.V_list", "sweep.checkpoints",
-}
-_EVENT_PROB = re.compile(r"^problem\.events\.(\d+)\.probability$")
-_EVENT_ACTION = re.compile(r"^problem\.events\.(\d+)\.actions\.(\d+)$")
+_EVENT_KEY = re.compile(r"^problem\.events\.(\d+)\.(probability|actions\.(\d+))$")
 
 
 @dataclass
@@ -117,7 +109,7 @@ class RunConfig:
             raise ConfigError(f"inline problem rejected: {e}") from None
 
 
-def _parse_scalar(line_no: int, key: str, raw: str):
+def _as_text(line_no: int, key: str, raw: str) -> str:
     raw = raw.strip()
     if not raw:
         raise ConfigError(f"line {line_no}: empty value for {key}")
@@ -146,6 +138,43 @@ def _as_float_list(line_no: int, key: str, raw: str) -> tuple[float, ...]:
                  for tok in raw.split(","))
 
 
+def _as_checks(line_no: int, key: str, raw: str) -> tuple[str, ...]:
+    names = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    for name in names:
+        if name not in ALL_CHECKS:
+            raise ConfigError(f"line {line_no}: unknown check {name!r}; "
+                              f"choices: {ALL_CHECKS}")
+    return names
+
+
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_AT_LEAST_1 = (lambda x: x >= 1, "must be at least 1")
+
+# key: (RunConfig field, or None for the field of the inline problem named
+# after "problem.", parser, (predicate, requirement) or None)
+_KEYS = {
+    "problem": ("problem_name", _as_text, None),
+    "V": ("V", _as_float, _POSITIVE),
+    "T": ("T", _as_int, _AT_LEAST_1),
+    "seed": ("seed", _as_int, (lambda x: 0 <= x < (1 << 64), "must fit in 64 unsigned bits")),
+    "output": ("output", _as_text, None),
+    "problem.L": (None, _as_int, None),
+    "problem.z_max": (None, _as_float, None),
+    "problem.B": (None, _as_float, None),
+    "problem.V": (None, _as_float, None),
+    "problem.tie_break": (None, _as_text, None),
+    "batch.num_paths": ("num_paths", _as_int, _AT_LEAST_1),
+    "batch.T": ("batch_T", _as_int, _AT_LEAST_1),
+    "batch.epsilon": ("epsilon", _as_float, _POSITIVE),
+    "batch.delta": ("delta", _as_float, (lambda x: 0 < x < 1, "must lie in (0, 1)")),
+    "batch.checks": ("checks", _as_checks, None),
+    "batch.queue_tail_levels": ("queue_tail_levels", _as_float_list,
+                                (lambda x: min(x) > 0, "must be positive")),
+    "sweep.V_list": ("sweep_v", _as_float_list, None),
+    "sweep.checkpoints": ("sweep_checkpoints", _as_int, _AT_LEAST_1),
+}
+
+
 def parse_config_text(text: str) -> RunConfig:
     cfg = RunConfig()
     seen: dict[str, int] = {}
@@ -157,87 +186,30 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: expected `key = value`, got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        raw = _parse_scalar(line_no, key, raw)
+        raw = _as_text(line_no, key, raw)
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate key {key} (first on line {seen[key]})")
         seen[key] = line_no
 
-        m = _EVENT_PROB.match(key)
+        m = _EVENT_KEY.match(key)
         if m:
-            eid = int(m.group(1))
-            cfg.inline.setdefault("events", {}).setdefault(eid, {})["probability"] = \
-                _as_float(line_no, key, raw)
+            node = cfg.inline.setdefault("events", {}).setdefault(int(m.group(1)), {})
+            if m.group(3) is None:
+                node["probability"] = _as_float(line_no, key, raw)
+            else:
+                row = _as_float_list(line_no, key, raw)
+                node.setdefault("actions", {})[int(m.group(3))] = list(row)
             continue
-        m = _EVENT_ACTION.match(key)
-        if m:
-            eid, k = int(m.group(1)), int(m.group(2))
-            cfg.inline.setdefault("events", {}).setdefault(eid, {}) \
-                .setdefault("actions", {})[k] = list(_as_float_list(line_no, key, raw))
-            continue
-        if key not in _SIMPLE_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-
-        if key == "problem":
-            cfg.problem_name = raw
-        elif key == "V":
-            cfg.V = _as_float(line_no, key, raw)
-            if cfg.V <= 0:
-                raise ConfigError(f"line {line_no}: V must be positive")
-        elif key == "T":
-            cfg.T = _as_int(line_no, key, raw)
-            if cfg.T < 1:
-                raise ConfigError(f"line {line_no}: T must be at least 1")
-        elif key == "seed":
-            cfg.seed = _as_int(line_no, key, raw)
-            if not 0 <= cfg.seed < (1 << 64):
-                raise ConfigError(f"line {line_no}: seed must fit in 64 unsigned bits")
-        elif key == "output":
-            cfg.output = raw
-        elif key == "problem.L":
-            cfg.inline["L"] = _as_int(line_no, key, raw)
-        elif key == "problem.z_max":
-            cfg.inline["z_max"] = _as_float(line_no, key, raw)
-        elif key == "problem.B":
-            cfg.inline["B"] = _as_float(line_no, key, raw)
-        elif key == "problem.V":
-            cfg.inline["V"] = _as_float(line_no, key, raw)
-        elif key == "problem.tie_break":
-            cfg.inline["tie_break"] = raw
-        elif key == "batch.num_paths":
-            cfg.num_paths = _as_int(line_no, key, raw)
-            if cfg.num_paths < 1:
-                raise ConfigError(f"line {line_no}: batch.num_paths must be at least 1")
-        elif key == "batch.T":
-            cfg.batch_T = _as_int(line_no, key, raw)
-            if cfg.batch_T < 1:
-                raise ConfigError(f"line {line_no}: batch.T must be at least 1")
-        elif key == "batch.epsilon":
-            cfg.epsilon = _as_float(line_no, key, raw)
-            if cfg.epsilon <= 0:
-                raise ConfigError(f"line {line_no}: batch.epsilon must be positive")
-        elif key == "batch.delta":
-            cfg.delta = _as_float(line_no, key, raw)
-            if not 0 < cfg.delta < 1:
-                raise ConfigError(f"line {line_no}: batch.delta must lie in (0, 1)")
-        elif key == "batch.checks":
-            names = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-            for name in names:
-                if name not in ALL_CHECKS:
-                    raise ConfigError(f"line {line_no}: unknown check {name!r}; "
-                                      f"choices: {ALL_CHECKS}")
-            cfg.checks = names
-        elif key == "batch.queue_tail_levels":
-            cfg.queue_tail_levels = _as_float_list(line_no, key, raw)
-            if min(cfg.queue_tail_levels) <= 0:
-                raise ConfigError(f"line {line_no}: batch.queue_tail_levels must be positive")
-        elif key == "sweep.V_list":
-            cfg.sweep_v = _as_float_list(line_no, key, raw)
-            if not cfg.sweep_v:
-                raise ConfigError(f"line {line_no}: sweep.V_list must be nonempty")
-        elif key == "sweep.checkpoints":
-            cfg.sweep_checkpoints = _as_int(line_no, key, raw)
-            if cfg.sweep_checkpoints < 1:
-                raise ConfigError(f"line {line_no}: sweep.checkpoints must be at least 1")
+        target, parse, requirement = _KEYS[key]
+        value = parse(line_no, key, raw)
+        if requirement is not None and not requirement[0](value):
+            raise ConfigError(f"line {line_no}: {key} {requirement[1]}")
+        if target is None:
+            cfg.inline[key.removeprefix("problem.")] = value
+        else:
+            setattr(cfg, target, value)
     if cfg.problem_name is not None and cfg.inline:
         raise ConfigError("give either a builtin `problem` or an inline problem.* tree, not both")
     return cfg

@@ -1,10 +1,10 @@
 """Domain types, the exact queue/drift dynamics, and the table of
 deterministic per-path laws shared by the rest of the package.
 
-Everything here is 64-bit floating point.  Per-slot law assertions use an
-absolute tolerance of 1e-9 unless a caller overrides it; the queue update and
-the drift definition themselves are checked exactly (they are identities, not
-inequalities).
+Everything here is 64-bit floating point.  Per-slot law assertions, and the
+stored drift against its recomputed value, use an absolute tolerance of
+:data:`LAW_TOL` (1e-9); the queue update is an identity and is checked
+exactly.
 """
 
 from __future__ import annotations
@@ -187,9 +187,8 @@ def drift(q_before: Sequence[float], q_after: Sequence[float]) -> float:
 def time_average(trace: PathTrace, which: str, index: int | None = None) -> float:
     """Prefix average over the whole trace.
 
-    ``which`` is one of ``"objective"`` (mean of z0), ``"constraint"`` (mean of
-    z_index, 1-based), or ``"queue_sum"`` (mean over slots of the sum of the
-    queue vector at the start of each slot).
+    ``which`` is ``"objective"`` (mean of z0) or ``"constraint"`` (mean of
+    z_index, 1-based).
     """
     T = trace.T
     if T < 1:
@@ -200,8 +199,6 @@ def time_average(trace: PathTrace, which: str, index: int | None = None) -> floa
         if index is None or not 1 <= index <= trace.L:
             raise ValueError(f"constraint index must be in 1..{trace.L}")
         return float(np.sum(trace.z[:, index - 1]) / T)
-    if which == "queue_sum":
-        return float(np.sum(trace.q_before) / T)
     raise ValueError(f"unknown time average {which!r}")
 
 
@@ -210,7 +207,7 @@ def time_average(trace: PathTrace, which: str, index: int | None = None) -> floa
 #
 # One ordered table serves the lockstep engine (evaluated each slot over the
 # paths of a chunk) and stored traces (evaluated over the slots of one path).
-# A law holds where lhs <= rhs + tol.  Both sides read one namespace:
+# A law holds where lhs <= rhs + LAW_TOL.  Both sides read one namespace:
 #   norm_before, norm_after  queue norm at the start and the end of the slot
 #   drift, qz                quadratic drift, and q.z for the chosen increments
 #   dy, dg                   one-step differences of the stopped process and,
@@ -268,15 +265,14 @@ def trace_law_values(trace: PathTrace) -> SimpleNamespace:
                            norm_after=np.sqrt(na2), drift=trace.drift, qz=qz)
 
 
-def law_problems(laws: Sequence[Law], v: SimpleNamespace, T: int,
-                 tol: float = LAW_TOL) -> dict[str, list[str]]:
+def law_problems(laws: Sequence[Law], v: SimpleNamespace, T: int) -> dict[str, list[str]]:
     """Evaluate ``laws`` over the slots of one path; end-of-path laws count
     as slot T.  Maps each violated law, in table order, to messages for its
     first five failing slots."""
     out: dict[str, list[str]] = {}
     for law in laws:
         lhs, rhs = law.lhs(v), law.rhs(v)
-        bad = np.atleast_1d(lhs > rhs + tol)
+        bad = np.atleast_1d(lhs > rhs + LAW_TOL)
         if np.any(bad):
             lhs, rhs = np.broadcast_arrays(np.atleast_1d(lhs), rhs)
             out[law.name] = [f"slot {T if law.final else i + 1}: "
@@ -285,7 +281,7 @@ def law_problems(laws: Sequence[Law], v: SimpleNamespace, T: int,
     return out
 
 
-def verify_trace_dynamics(trace: PathTrace, B: float, tol: float = LAW_TOL) -> list[str]:
+def verify_trace_dynamics(trace: PathTrace, B: float) -> list[str]:
     """Check the dynamics of a stored trace.
 
     Returns a list of human-readable violation strings, empty when the trace
@@ -306,11 +302,11 @@ def verify_trace_dynamics(trace: PathTrace, B: float, tol: float = LAW_TOL) -> l
     if np.any(qa < 0.0):
         problems.append("negative queue component")
     v = trace_law_values(trace)
-    bad = np.nonzero(np.abs(0.5 * (v.na2 - v.nb2) - trace.drift) > tol)[0]
+    bad = np.nonzero(np.abs(0.5 * (v.na2 - v.nb2) - trace.drift) > LAW_TOL)[0]
     for i in bad[:5]:
         problems.append(f"slot {i + 1}: stored drift differs from recomputed value")
     v.B = B
-    for name, msgs in law_problems(DYNAMICS_LAWS, v, trace.T, tol).items():
+    for name, msgs in law_problems(DYNAMICS_LAWS, v, trace.T).items():
         problems.extend(f"{name}: {m}" for m in msgs)
     return problems
 

@@ -4,7 +4,7 @@ Paths run in lockstep inside fixed-size chunks: one numpy step per slot,
 vectorized over the paths of the chunk.  Per-path seeds derive from the
 master seed by a splittable hash and no path depends on another, so batch
 statistics are invariant to chunking.  A batch runs its fixed-size chunks
-in order and stops at the first chunk that violates a law.
+in order.
 
 Each slot scores every (event, action) pair of every path once, into one
 (event, action, path) tensor with the paths contiguous, and picks each
@@ -20,7 +20,10 @@ The deterministic per-path laws of :data:`dpp_lab.core.LAWS` (and, for the
 KeyFeature check, the exact conditional expectations) are enforced on every
 slot with zero tolerance for statistical slack (absolute float tolerance
 1e-9): any violation aborts the batch with the offending path's seed and slot
-for replay.  Identities that no input can break (the minimality of the
+for replay.  The batch reports its earliest violation, whatever the chunk
+size: the smallest slot, then the engine's check order at that slot (the
+KeyFeature laws, then the per-slot laws and the end-of-path laws in table
+order), then the lowest path index.  Identities that no input can break (the minimality of the
 chosen action, the queue update, the stopped process agreeing with the
 unstopped one until the stop) are covered by property tests instead.
 
@@ -33,7 +36,7 @@ also recorded for reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,7 +47,7 @@ from .analysis import (BoundConstants, calibrated_deviation_level,
                        convergence_time_multi, convergence_time_single,
                        g_tail_bound, queue_tail_bound, xtail_bound)
 from .controller import pick_actions
-from .core import LAW_TOL, ProblemSpec, laws_for
+from .core import LAW_TOL, LAWS, ProblemSpec, laws_for
 from .events import cumulative_probabilities, derive_seed, uniform_across
 from .oracle import SlacknessError, solve_stationary_optimum
 
@@ -54,6 +57,10 @@ CHUNK = 4096
 ALL_CHECKS = ("KeyFeature", "QueueTail", "XTail", "GTail", "Telescoping",
               "Theorem2", "Theorem3")
 _SINGLE_ONLY = {"GTail", "Telescoping", "Theorem3"}
+_KF_LAWS = ("exact conditional expectation",
+            "exact truncated conditional expectation")
+# the order in which the engine checks the laws of one slot
+_LAW_ORDER = _KF_LAWS + tuple(law.name for law in LAWS)
 
 
 class InvariantViolation(Exception):
@@ -195,8 +202,7 @@ def _first_bad(mask: np.ndarray) -> int:
 
 def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: int,
                    z_opt: float, constants: BoundConstants, *,
-                   chaos: str | None = None, key_feature: bool = False,
-                   tol: float = LAW_TOL) -> ChunkStats:
+                   chaos: str | None = None, key_feature: bool = False) -> ChunkStats:
     """Run a chunk of paths in lockstep, enforcing every deterministic
     per-path law as it goes.  ``seeds`` must be uint64."""
     N = seeds.shape[0]
@@ -233,7 +239,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     def enforce(laws, t: int) -> None:
         for law in laws:
             lhs, rhs = law.lhs(v), law.rhs(v)
-            bad = lhs > rhs + tol
+            bad = lhs > rhs + LAW_TOL
             if np.any(bad):
                 i = _first_bad(bad)
                 fail(law.name, bad, t, f"{float(lhs[i])!r} exceeds "
@@ -253,9 +259,8 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
 
         if key_feature:
             expect, etr = tensor.expectations(z_opt, trunc if trunc_kf else None)
-            for law, value in (("exact conditional expectation", expect),
-                               ("exact truncated conditional expectation", etr)):
-                bad = value is not None and value > tol
+            for law, value in zip(_KF_LAWS, (expect, etr)):
+                bad = value is not None and value > LAW_TOL
                 if np.any(bad):
                     fail(law, bad, t, f"value {float(value[_first_bad(bad)])!r}")
 
@@ -325,14 +330,23 @@ def simulate_paths(spec: ProblemSpec, master_seed: int, num_paths: int, T: int,
                    z_opt: float, constants: BoundConstants, *,
                    chaos: str | None = None, key_feature: bool = False,
                    seed_offset: int = 0) -> ChunkStats:
-    """All paths of a batch, run in chunks of :data:`CHUNK` paths in order."""
+    """All paths of a batch, run in chunks of :data:`CHUNK` paths in order.
+    A chunk stops at its own first violation, and a later chunk may fail at
+    an earlier slot, so all chunks run before the earliest is raised."""
     all_seeds = np.asarray(
         [derive_seed(master_seed, seed_offset + i) for i in range(num_paths)],
         dtype=np.uint64)
-    return ChunkStats.concat([
-        simulate_chunk(spec, all_seeds[lo:lo + CHUNK], lo, T, z_opt, constants,
-                       chaos=chaos, key_feature=key_feature)
-        for lo in range(0, num_paths, CHUNK)])
+    parts, first = [], None
+    for lo in range(0, num_paths, CHUNK):
+        try:
+            parts.append(simulate_chunk(spec, all_seeds[lo:lo + CHUNK], lo, T, z_opt,
+                                        constants, chaos=chaos, key_feature=key_feature))
+        except InvariantViolation as e:
+            # keep only the earliest, freeing the other chunks; a tie keeps the lower path
+            first = min((first or e, e), key=lambda v: (v.slot, _LAW_ORDER.index(v.law)))
+    if first is not None:
+        raise first
+    return ChunkStats.concat(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +390,9 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "theoretical_bound": self.theoretical_bound,
-            "empirical_frequency": self.empirical_frequency,
-            "wilson_lower": self.wilson_lower,
-            "wilson_upper": self.wilson_upper,
-            "num_paths": self.num_paths,
-            "pass": self.passed,
-            "strict_upper_ok": self.strict_upper_ok,
-            "details": self.details,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 @dataclass(frozen=True)
@@ -405,31 +411,24 @@ class BatchSummary:
     objective_quantiles: list[list[float]]
     constraint_violation_quantiles: list[list[float]]
     invariant_violations: int
-    fitted_M: dict[str, float]
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks.values())
 
+    @property
+    def fitted_M(self) -> dict[str, float]:
+        """The approximation constant each theorem check fitted."""
+        return {name: c.details["fitted_M"] for name, c in self.checks.items()
+                if "fitted_M" in c.details}
+
     def to_json_dict(self) -> dict:
-        return {
-            "spec_digest": self.spec_digest,
-            "master_seed": self.master_seed,
-            "num_paths": self.num_paths,
-            "T": self.T,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "z_opt": self.z_opt,
-            "xi_star": self.xi_star,
-            "xi": self.xi,
-            "constants": self.constants.to_json_dict(),
-            "checks": {k: v.to_json_dict() for k, v in self.checks.items()},
-            "objective_quantiles": self.objective_quantiles,
-            "constraint_violation_quantiles": self.constraint_violation_quantiles,
-            "invariant_violations": self.invariant_violations,
-            "fitted_M": self.fitted_M,
-            "all_pass": self.all_passed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["constants"] = self.constants.to_json_dict()
+        out["checks"] = {k: v.to_json_dict() for k, v in self.checks.items()}
+        out["fitted_M"] = self.fitted_M
+        out["all_pass"] = self.all_passed
+        return out
 
 
 _QUANTS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -455,35 +454,50 @@ def _tail_check(name: str, values: np.ndarray, threshold: float, bound: float,
     )
 
 
-def _fit_then_validate(spec: ProblemSpec, master_seed: int, *, z_opt: float,
-                       xi: float, epsilon: float, delta: float, horizon: int,
-                       cal_paths: int, val_paths: int, cal_offset: int,
-                       val_offset: int, name: str) -> tuple[CheckResult, float]:
-    """Fit the hidden approximation constant on a calibration batch, then
-    demand the validation pass fraction clears 1 - 2*delta at Wilson-lower
-    confidence."""
-    v_spec = spec.with_v(1.0 / epsilon)
+def _online_check(name: str, n: int, **details) -> CheckResult:
+    """A check the engine enforced on every slot of every path: reaching the
+    report means no path violated it."""
+    return CheckResult(
+        name=name, theoretical_bound=0.0, empirical_frequency=0.0,
+        wilson_lower=0.0, wilson_upper=wilson_interval(0, n)[1], num_paths=n,
+        passed=True, details=details)
+
+
+def _fit_then_validate(config: BatchConfig, name: str, k: int, z_opt: float,
+                       xi: float) -> CheckResult:
+    """Fit the hidden approximation constant on a calibration batch (path
+    offset ``k << 32``), then demand the validation pass fraction (offset
+    ``(k + 1) << 32``) clears 1 - 2*delta at Wilson-lower confidence."""
+    epsilon, delta = config.epsilon, config.delta
+    v_spec = config.spec.with_v(1.0 / epsilon)
+    if name == "Theorem2":
+        horizon = convergence_time_multi(epsilon, delta)
+    else:
+        probe = constants_for_horizon(v_spec, xi, config.T, delta)
+        horizon = convergence_time_single(epsilon, delta, probe)
+    cal_paths = max(1, config.num_paths // 3)
+    val_paths = max(1, config.num_paths - cal_paths)
     consts = constants_for_horizon(v_spec, xi, horizon, delta)
-    cal = simulate_paths(v_spec, master_seed, cal_paths, horizon, z_opt, consts,
-                         seed_offset=cal_offset)
+    cal = simulate_paths(v_spec, config.master_seed, cal_paths, horizon, z_opt, consts,
+                         seed_offset=k << 32)
     margins = np.maximum(cal.avg_obj - z_opt, np.max(cal.avg_cons, axis=1)) / epsilon
     M = float(np.quantile(margins, 0.95))
     if M <= 0.0:
         M = 1e-9  # the guarantee needs a positive constant; calibration beat it
-    val = simulate_paths(v_spec, master_seed, val_paths, horizon, z_opt, consts,
-                         seed_offset=val_offset)
+    val = simulate_paths(v_spec, config.master_seed, val_paths, horizon, z_opt, consts,
+                         seed_offset=(k + 1) << 32)
     ok = ((val.avg_obj <= z_opt + M * epsilon)
           & np.all(val.avg_cons <= M * epsilon, axis=1))
-    k = int(np.count_nonzero(ok))
-    lo, hi = wilson_interval(k, val_paths)
+    n_ok = int(np.count_nonzero(ok))
+    lo, hi = wilson_interval(n_ok, val_paths)
     target = 1.0 - 2.0 * delta
     return CheckResult(
-        name=name, theoretical_bound=float(target), empirical_frequency=k / val_paths,
+        name=name, theoretical_bound=float(target), empirical_frequency=n_ok / val_paths,
         wilson_lower=lo, wilson_upper=hi, num_paths=val_paths,
         passed=bool(lo >= target),
         details={"fitted_M": M, "horizon": horizon, "V": 1.0 / epsilon,
                  "calibration_paths": cal_paths},
-    ), M
+    )
 
 
 def run_batch(config: BatchConfig) -> BatchSummary:
@@ -494,9 +508,7 @@ def run_batch(config: BatchConfig) -> BatchSummary:
     sol = solve_stationary_optimum(spec)
     if sol.z_opt is None:
         raise SlacknessError("instance is infeasible; no stationary policy meets the constraints")
-    if sol.xi_star is None or sol.xi_star <= 0.0:
-        raise SlacknessError(f"maximal slackness {sol.xi_star!r} is not positive")
-    xi = sol.xi_star / 2.0  # strict margin convention: half the maximal slackness
+    xi = sol.xi
     constants = constants_for_horizon(spec, xi, config.T, config.delta)
 
     key_feature = "KeyFeature" in config.checks
@@ -505,33 +517,18 @@ def run_batch(config: BatchConfig) -> BatchSummary:
                            key_feature=key_feature)
 
     checks: dict[str, CheckResult] = {}
-    fitted: dict[str, float] = {}
-    n = config.num_paths
 
     if key_feature:
-        checks["KeyFeature"] = CheckResult(
-            name="KeyFeature", theoretical_bound=0.0, empirical_frequency=0.0,
-            wilson_lower=0.0, wilson_upper=wilson_interval(0, n)[1], num_paths=n,
-            passed=True, details={"tolerance": LAW_TOL})
+        checks["KeyFeature"] = _online_check("KeyFeature", config.num_paths, tolerance=LAW_TOL)
     if "QueueTail" in config.checks:
         levels = config.queue_tail_levels or (constants.c1,)
-        level_rows = []
-        all_pass = True
-        strict_all = True
-        for c1 in levels:
-            bound = queue_tail_bound(constants, c1)
-            res = _tail_check("QueueTail", stats.max_qnorm, c1, bound)
-            level_rows.append({"c1": float(c1), **res.to_json_dict()})
-            all_pass &= res.passed
-            if res.strict_upper_ok is False:
-                strict_all = False
-        base = level_rows[0]
-        checks["QueueTail"] = CheckResult(
-            name="QueueTail", theoretical_bound=base["theoretical_bound"],
-            empirical_frequency=base["empirical_frequency"],
-            wilson_lower=base["wilson_lower"], wilson_upper=base["wilson_upper"],
-            num_paths=n, passed=bool(all_pass), strict_upper_ok=strict_all,
-            details={"levels": level_rows,
+        results = [_tail_check("QueueTail", stats.max_qnorm, c1,
+                               queue_tail_bound(constants, c1)) for c1 in levels]
+        checks["QueueTail"] = replace(
+            results[0], passed=all(r.passed for r in results),
+            strict_upper_ok=all(r.strict_upper_ok is not False for r in results),
+            details={"levels": [{"c1": float(c1), **r.to_json_dict()}
+                                for c1, r in zip(levels, results)],
                      "statistic": "max queue norm over slots 1..T"})
     if "XTail" in config.checks:
         lam = calibrated_deviation_level(constants, config.T, config.delta)
@@ -543,37 +540,14 @@ def run_batch(config: BatchConfig) -> BatchSummary:
         checks["GTail"] = _tail_check("GTail", stats.g_final, lam, config.delta,
                                       details={"lambda": lam})
     if "Telescoping" in config.checks:
-        checks["Telescoping"] = CheckResult(
-            name="Telescoping", theoretical_bound=0.0, empirical_frequency=0.0,
-            wilson_lower=0.0, wilson_upper=wilson_interval(0, n)[1], num_paths=n,
-            passed=True,
-            details={"max_gap_to_bound": float(np.max(stats.tele_gap - stats.tele_bound)),
-                     "min_avg_truncated_sum": float(np.min(stats.tele_avg)),
-                     "lower_bound": -2.5 * spec.B ** 2})
-    if "Theorem2" in config.checks:
-        cal = max(1, config.num_paths // 3)
-        val = max(1, config.num_paths - cal)
-        horizon = convergence_time_multi(config.epsilon, config.delta)
-        res, M = _fit_then_validate(
-            spec, config.master_seed, z_opt=sol.z_opt, xi=xi,
-            epsilon=config.epsilon, delta=config.delta, horizon=horizon,
-            cal_paths=cal, val_paths=val, cal_offset=1 << 32, val_offset=2 << 32,
-            name="Theorem2")
-        checks["Theorem2"] = res
-        fitted["Theorem2"] = M
-    if "Theorem3" in config.checks:
-        cal = max(1, config.num_paths // 3)
-        val = max(1, config.num_paths - cal)
-        v_spec = spec.with_v(1.0 / config.epsilon)
-        probe = constants_for_horizon(v_spec, xi, config.T, config.delta)
-        horizon = convergence_time_single(config.epsilon, config.delta, probe)
-        res, M = _fit_then_validate(
-            spec, config.master_seed, z_opt=sol.z_opt, xi=xi,
-            epsilon=config.epsilon, delta=config.delta, horizon=horizon,
-            cal_paths=cal, val_paths=val, cal_offset=3 << 32, val_offset=4 << 32,
-            name="Theorem3")
-        checks["Theorem3"] = res
-        fitted["Theorem3"] = M
+        checks["Telescoping"] = _online_check(
+            "Telescoping", config.num_paths,
+            max_gap_to_bound=float(np.max(stats.tele_gap - stats.tele_bound)),
+            min_avg_truncated_sum=float(np.min(stats.tele_avg)),
+            lower_bound=-2.5 * spec.B ** 2)
+    for k, name in ((1, "Theorem2"), (3, "Theorem3")):
+        if name in config.checks:
+            checks[name] = _fit_then_validate(config, name, k, sol.z_opt, xi)
 
     return BatchSummary(
         spec_digest=spec.digest,
@@ -590,5 +564,4 @@ def run_batch(config: BatchConfig) -> BatchSummary:
         objective_quantiles=_quantile_rows(stats.avg_obj),
         constraint_violation_quantiles=_quantile_rows(np.max(stats.avg_cons, axis=1)),
         invariant_violations=0,
-        fitted_M=fitted,
     )

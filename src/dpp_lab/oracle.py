@@ -60,6 +60,15 @@ class StationarySolution:
             "lp_status": self.lp_status.value,
         }
 
+    @property
+    def xi(self) -> float:
+        """The slackness margin the bound constants use: half the maximal
+        slackness, so that the margin is strict.  Raises
+        :class:`SlacknessError` unless ``xi_star`` is positive."""
+        if self.xi_star is None or self.xi_star <= 0.0:
+            raise SlacknessError(f"maximal slackness {self.xi_star!r} is not positive")
+        return self.xi_star / 2.0
+
     def option_marginals(self, spec: ProblemSpec) -> np.ndarray:
         """Event-averaged probability of each action index (padded by zeros
         for events with fewer actions)."""

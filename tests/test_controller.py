@@ -135,12 +135,12 @@ def test_run_path_first_slot_starts_empty(sv_spec):
 
 
 def test_queue_sum_grows_with_v():
-    from dpp_lab import build_server_scheduling_spec, time_average
+    from dpp_lab import build_server_scheduling_spec
     lo = build_server_scheduling_spec(V=10.0)
     hi = build_server_scheduling_spec(V=100.0)
     t_lo = run_path(lo, seed=99, T=20_000)
     t_hi = run_path(hi, seed=99, T=20_000)
-    assert time_average(t_hi, "queue_sum") > time_average(t_lo, "queue_sum")
+    assert np.sum(t_hi.q_before) > np.sum(t_lo.q_before)
 
 
 def _slots_not_minimal(spec, trace):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpp_lab import (BatchConfig, InvariantViolation, builtin_spec,
-                     check_trace_laws, run_batch, run_path, wilson_interval)
+                     check_trace_laws, montecarlo, run_batch, run_path,
+                     wilson_interval)
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
                               constants_for_horizon)
 from dpp_lab.events import derive_seed
@@ -120,6 +121,38 @@ def test_violation_path_index_is_invariant_to_chunking(sv_spec, sv_solution):
         found.append((e.law, e.path_index, e.path_seed, e.slot, e.detail))
     assert found[0] == found[1]
     assert found[0][:4] == ("quadratic drift bound", 7121, derive_seed(1, 7121), 51)
+
+
+def test_earliest_violation_is_invariant_to_chunk_size(sv_spec, sv_solution, monkeypatch):
+    # with B understated by 1%, paths 0-999 first fail at slot 57 (path 911)
+    # but path 2001 fails at slot 55: every chunk size must report path 2001
+    T = 60
+    consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2, T, 0.05)
+    spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.99)
+    found = set()
+    for chunk in (1000, 2000, 4096, 8192):
+        monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+        with pytest.raises(InvariantViolation) as err:
+            simulate_paths(spec, 8, 8192, T, sv_solution.z_opt, consts)
+        e = err.value
+        found.add((e.law, e.path_index, e.path_seed, e.slot, e.detail))
+    assert len(found) == 1
+    assert next(iter(found))[:4] == ("quadratic drift bound", 2001, derive_seed(8, 2001), 55)
+
+
+def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, monkeypatch):
+    raised = {0: InvariantViolation("quadratic drift bound", 1, 0, 7),
+              2: InvariantViolation("queue norm step bound", 2, 0, 7),
+              4: InvariantViolation("queue norm step bound", 5, 0, 7),
+              6: InvariantViolation("exact conditional expectation", 6, 0, 8)}
+
+    def fail(spec, seeds, path_offset, *args, **kwargs):
+        raise raised[path_offset]
+    monkeypatch.setattr(montecarlo, "CHUNK", 2)
+    monkeypatch.setattr(montecarlo, "simulate_chunk", fail)
+    with pytest.raises(InvariantViolation) as err:
+        simulate_paths(sv_spec, 1, 8, 10, 0.0, None)
+    assert err.value is raised[2]
 
 
 def test_single_path_batch_matches_direct_run(sv_spec, sv_solution):

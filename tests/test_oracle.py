@@ -67,6 +67,17 @@ def test_benchmark_max_slackness(sv_spec, sv_solution):
     assert xi <= sv_spec.B
 
 
+def test_slackness_margin_is_half_the_maximal_slackness(sv_solution):
+    assert sv_solution.xi == sv_solution.xi_star / 2.0
+    # feasible, but only with zero slack: the bound constants are undefined
+    spec = ProblemSpec(events=(EventOutcome(0, 1.0, (ActionVector(0.5, (0.0,)),)),),
+                       L=1, z_max=1.0, B=1.0, V=1.0)
+    sol = solve_stationary_optimum(spec)
+    assert sol.z_opt == 0.5 and sol.xi_star == 0.0
+    with pytest.raises(SlacknessError, match="maximal slackness 0.0 is not positive"):
+        sol.xi
+
+
 def test_overloaded_system_has_no_slackness():
     spec = build_server_scheduling_spec(arrival_means=(0.9, 0.9, 0.9), V=1.0)
     with pytest.raises(SlacknessError):
