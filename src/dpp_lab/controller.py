@@ -14,6 +14,8 @@ batch engine for every event at once along the tensor's action axis.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .core import ActionVector, EventOutcome, PathTrace, ProblemSpec
@@ -80,21 +82,14 @@ def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> 
     ids = sample_block(spec, seed, T)
     id_list = ids.tolist()
     # per event: ([V*z0 ...], [z tuples ...]) with V folded in once
-    tables = []
-    for e in spec.events:
-        tables.append(([V * a.z0 for a in e.actions],
-                       [a.z for a in e.actions],
-                       [a.z0 for a in e.actions]))
+    tables = [([V * a.z0 for a in e.actions], [a.z for a in e.actions])
+              for e in spec.events]
     q = [0.0] * L
-    nb2 = 0.0  # running ||Q[t]||^2
     rng_l = range(L)
-    a_idx: list[int] = []
-    z0_col: list[float] = []
-    z_cols: list[list[float]] = [[] for _ in rng_l]
-    q_cols: list[list[float]] = [[0.0] for _ in rng_l]
-    drifts: list[float] = []
-    for t in range(T):
-        vz0s, zs, z0s = tables[id_list[t]]
+    a_idx = array("q")
+    q_buf = array("d", q)  # row-major (T+1, L): the queues before each slot, then the last
+    for e in id_list:
+        vz0s, zs = tables[e]
         if chaos is None:
             best_k = 0
             best = vz0s[0]
@@ -109,35 +104,36 @@ def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> 
                 if v < best:
                     best, best_k = v, k
         else:
-            scores = [action_score(q, a, V) for a in spec.events[id_list[t]].actions]
+            scores = [action_score(q, a, V) for a in spec.events[e].actions]
             best_k = int(pick_actions(np.array([scores]), chaos)[0])
         zrow = zs[best_k]
-        na2 = 0.0
         for l in rng_l:
             nq = q[l] + zrow[l]
-            if nq < 0.0:
-                nq = 0.0
-            q[l] = nq
-            na2 += nq * nq
-            q_cols[l].append(nq)
-            z_cols[l].append(zrow[l])
-        drifts.append(0.5 * (na2 - nb2))
-        nb2 = na2
+            q[l] = 0.0 if nq < 0.0 else nq
+        q_buf.extend(q)
         a_idx.append(best_k)
-        z0_col.append(z0s[best_k])
-    q_arr = np.empty((T + 1, L), dtype=np.float64)
+    del id_list
+    actions = np.frombuffer(a_idx, dtype=np.int64)
+    qs = np.frombuffer(q_buf, dtype=np.float64).reshape(T + 1, L)
+    # the chosen action's z0 and z, gathered from padded (event, action) tables
+    z0_tab = np.zeros((len(spec.events), spec.max_actions))
+    z_tab = np.zeros((len(spec.events), spec.max_actions, L))
+    for i, event in enumerate(spec.events):
+        for k, a in enumerate(event.actions):
+            z0_tab[i, k] = a.z0
+            z_tab[i, k] = a.z
+    # squared norms summed left to right from zero, then the drift, as
+    # drift() computes it slot by slot
+    n2 = np.zeros(T + 1)
     for l in rng_l:
-        q_arr[:, l] = q_cols[l]
-    z_arr = np.empty((T, L), dtype=np.float64)
-    for l in rng_l:
-        z_arr[:, l] = z_cols[l]
+        n2 += qs[:, l] * qs[:, l]
     return PathTrace(
         spec_digest=spec.digest,
         seed=seed,
         event_ids=ids,
-        action_indices=np.asarray(a_idx, dtype=np.int64),
-        z0=np.asarray(z0_col, dtype=np.float64),
-        z=z_arr,
-        q=q_arr,
-        drift=np.asarray(drifts, dtype=np.float64),
+        action_indices=actions,
+        z0=z0_tab[ids, actions],
+        z=z_tab[ids, actions],
+        q=qs,
+        drift=0.5 * (n2[1:] - n2[:-1]),
     )

@@ -272,7 +272,7 @@ def law_problems(laws: Sequence[Law], v: SimpleNamespace, T: int) -> dict[str, l
     out: dict[str, list[str]] = {}
     for law in laws:
         lhs, rhs = law.lhs(v), law.rhs(v)
-        bad = np.atleast_1d(lhs > rhs + LAW_TOL)
+        bad = ~np.atleast_1d(lhs <= rhs + LAW_TOL)  # NaN counts as a violation
         if np.any(bad):
             lhs, rhs = np.broadcast_arrays(np.atleast_1d(lhs), rhs)
             out[law.name] = [f"slot {T if law.final else i + 1}: "
@@ -302,7 +302,7 @@ def verify_trace_dynamics(trace: PathTrace, B: float) -> list[str]:
     if np.any(qa < 0.0):
         problems.append("negative queue component")
     v = trace_law_values(trace)
-    bad = np.nonzero(np.abs(0.5 * (v.na2 - v.nb2) - trace.drift) > LAW_TOL)[0]
+    bad = np.nonzero(~(np.abs(0.5 * (v.na2 - v.nb2) - trace.drift) <= LAW_TOL))[0]
     for i in bad[:5]:
         problems.append(f"slot {i + 1}: stored drift differs from recomputed value")
     v.B = B
@@ -321,35 +321,48 @@ def trace_csv_header(L: int) -> str:
     return f"t,event_id,action_index,z0,{zcols},{qcols},drift"
 
 
+TRACE_CSV_BLOCK = 65536  # rows rendered and written at a time
+
+
+def _text_rows(values: np.ndarray) -> list[list[str]]:
+    """``repr`` of every entry of a 2-D int64 or float64 array, row by row,
+    with ``repr`` called once per distinct bit pattern.  Keying on bits, not
+    values, keeps 0.0 and -0.0 (equal, but printed differently) apart."""
+    keys = values.view(np.uint64)
+    ordered = np.sort(keys, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    text = np.array([repr(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return text[np.searchsorted(distinct, keys)].tolist()
+
+
 def write_trace_csv(trace: PathTrace, path: str) -> None:
     """One row per slot; queue columns hold the vector at the start of the
-    slot.  Floats use shortest round-trip decimals."""
-    L = trace.L
-    ev = trace.event_ids.tolist()
-    ai = trace.action_indices.tolist()
-    z0 = trace.z0.tolist()
-    z = trace.z.tolist()
-    qb = trace.q_before.tolist()
-    dr = trace.drift.tolist()
+    slot.  Floats use shortest round-trip decimals.  Rows are rendered a
+    block at a time, each distinct number of a block once."""
+    T = trace.T
     with open(path, "w", encoding="utf-8") as f:
-        f.write(trace_csv_header(L) + "\n")
-        out: list[str] = []
-        for i in range(trace.T):
-            row = [str(i + 1), str(ev[i]), str(ai[i]), repr(z0[i])]
-            row.extend(repr(v) for v in z[i])
-            row.extend(repr(v) for v in qb[i])
-            row.append(repr(dr[i]))
-            out.append(",".join(row))
-            if len(out) >= 65536:
-                f.write("\n".join(out) + "\n")
-                out.clear()
-        if out:
-            f.write("\n".join(out) + "\n")
+        f.write(trace_csv_header(trace.L) + "\n")
+        for lo in range(0, T, TRACE_CSV_BLOCK):
+            hi = min(lo + TRACE_CSV_BLOCK, T)
+            cols = [map(str, range(lo + 1, hi + 1))]
+            cols.extend(_text_rows(np.vstack((trace.event_ids[lo:hi],
+                                              trace.action_indices[lo:hi]),
+                                             dtype=np.int64)))
+            # z0, each z_l, each q_l at the start of the slot, drift
+            cols.extend(_text_rows(np.vstack((trace.z0[lo:hi], trace.z[lo:hi].T,
+                                              trace.q[lo:hi].T, trace.drift[lo:hi]),
+                                             dtype=np.float64)))
+            f.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def read_trace_csv(path: str, spec_digest: str = "", seed: int = 0) -> PathTrace:
     """Rebuild a trace from its CSV form.  The final post-update queue vector
-    is reconstructed through the exact queue update."""
+    is reconstructed through the exact queue update.
+
+    Fails closed with a ValueError naming the first bad row: a ``t`` column
+    other than 1..T, an ``event_id`` or ``action_index`` that is not an
+    integer in 0..2**53 (beyond which float parsing cannot tell), or any
+    value that is not finite."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         ncol = len(header.split(","))
@@ -362,6 +375,18 @@ def read_trace_csv(path: str, spec_digest: str = "", seed: int = 0) -> PathTrace
         f.seek(start)
         raw = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2)
     T = raw.shape[0]
+    ids = raw[:, 1:3]
+    rules = (  # (what is wrong, rows where it is), checked in this order per row
+        ("a value is not finite", ~np.all(np.isfinite(raw), axis=1)),
+        ("t is not the row number", raw[:, 0] != np.arange(1, T + 1)),
+        ("event_id or action_index is not an integer in 0..2**53",
+         ~np.all((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids)), axis=1)),
+    )
+    first = [(int(np.argmax(bad)), i) for i, (_, bad) in enumerate(rules) if bad.any()]
+    if first:
+        row, i = min(first)
+        raise ValueError(f"trace row {row + 1} (line {row + 2}): {rules[i][0]}: "
+                         f"{','.join(repr(v) for v in raw[row].tolist())}")
     z = raw[:, 4:4 + L]
     qb = raw[:, 4 + L:4 + 2 * L]
     q = np.empty((T + 1, L), dtype=np.float64)

@@ -1,7 +1,8 @@
 """Shared generators for randomized oracle cross-checks, the reference grid
 oracle and the reference KeyFeature loop they are checked against,
 unvalidated spec copies for negative controls, bare constants parameters,
-and trace and tail helpers that only tests use."""
+the reference trace CSV writer, and trace and tail helpers that only tests
+use."""
 
 import copy
 import itertools
@@ -13,7 +14,7 @@ import numpy as np
 
 from dpp_lab import (ActionVector, EventOutcome, PathTrace, ProblemSpec,
                      check_trace_laws, pick_actions, wilson_interval)
-from dpp_lab.core import norm_sq
+from dpp_lab.core import norm_sq, trace_csv_header
 from dpp_lab.oracle import grid_points_budget
 
 # event/action shapes whose joint 1/200 grid stays exhaustively enumerable
@@ -183,6 +184,32 @@ def reference_kf_expectations(spec: ProblemSpec, q: list, z_opt: float,
 # ---------------------------------------------------------------------------
 # traces and tails for tests
 # ---------------------------------------------------------------------------
+
+def reference_write_trace_csv(trace: PathTrace, path: str) -> None:
+    """The trace CSV writer with one ``repr`` per float, row by row; the
+    package's block writer must reproduce its output byte for byte."""
+    L = trace.L
+    ev = trace.event_ids.tolist()
+    ai = trace.action_indices.tolist()
+    z0 = trace.z0.tolist()
+    z = trace.z.tolist()
+    qb = trace.q_before.tolist()
+    dr = trace.drift.tolist()
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(trace_csv_header(L) + "\n")
+        out: list[str] = []
+        for i in range(trace.T):
+            row = [str(i + 1), str(ev[i]), str(ai[i]), repr(z0[i])]
+            row.extend(repr(v) for v in z[i])
+            row.extend(repr(v) for v in qb[i])
+            row.append(repr(dr[i]))
+            out.append(",".join(row))
+            if len(out) >= 65536:
+                f.write("\n".join(out) + "\n")
+                out.clear()
+        if out:
+            f.write("\n".join(out) + "\n")
+
 
 def build_trace_from_z(spec_digest: str, z0, z_rows, seed: int = 0) -> PathTrace:
     """Assemble a dynamics-consistent trace directly from an increment

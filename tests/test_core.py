@@ -1,16 +1,23 @@
 import math
+import re
+import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import build_trace_from_z
-from hypothesis import given
+from helpers import build_trace_from_z, reference_write_trace_csv
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpp_lab import (LAWS, ActionVector, EventOutcome, ProblemSpec, drift,
-                     queue_update, read_trace_csv, run_path, time_average,
-                     write_trace_csv)
-from dpp_lab.core import (DYNAMICS_LAWS, law_problems, norm_sq,
+from dpp_lab import (LAWS, ActionVector, EventOutcome, PathTrace, ProblemSpec,
+                     build_server_scheduling_spec, build_single_queue_spec,
+                     core, drift, queue_update, read_trace_csv, run_path,
+                     time_average, write_trace_csv)
+from dpp_lab.core import (DYNAMICS_LAWS, law_problems, laws_for, norm_sq,
                           trace_csv_header, trace_law_values,
                           verify_trace_dynamics)
 
@@ -137,6 +144,23 @@ def test_trace_dynamics_flags_corruption(sv_spec):
     assert any(p.startswith("quadratic drift bound: ") for p in problems)
 
 
+def test_trace_dynamics_flags_nan_drift(sv_spec):
+    # a NaN compares false either way, so every check must count it as a
+    # violation rather than as a pass
+    tr = run_path(sv_spec, seed=9, T=200)
+    tr.drift[10] = np.nan
+    problems = verify_trace_dynamics(tr, sv_spec.B)
+    assert "slot 11: stored drift differs from recomputed value" in problems
+    assert any(p.startswith("quadratic drift bound: slot 11: nan exceeds ")
+               for p in problems)
+
+
+def test_law_problems_counts_a_nan_end_of_path_value_as_a_violation():
+    v = SimpleNamespace(tele_gap=math.nan, tele_avg=0.0, B=1.0, nJ=3)
+    assert law_problems(laws_for(1, final=True), v, 10) == {
+        "telescoping partial-sum law": ["slot 10: nan exceeds 5.0"]}
+
+
 @given(st.lists(st.tuples(st.floats(min_value=-0.7, max_value=0.7),
                           st.floats(min_value=-0.7, max_value=0.7)),
                 min_size=1, max_size=50))
@@ -213,6 +237,134 @@ def test_read_trace_csv_rejects_a_trace_without_slots(tmp_path, sv_spec):
         warnings.simplefilter("error")  # fails before numpy warns
         with pytest.raises(ValueError, match="^trace has no slots$"):
             read_trace_csv(str(path))
+
+
+def _rewrite_cell(path: Path, row: int, col: int, value: str) -> None:
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("row,col,value,reason", [
+    (3, 0, "2", "t is not the row number"),
+    (1, 0, "0", "t is not the row number"),
+    (2, 1, "1.5", "event_id or action_index is not an integer in 0..2**53"),
+    (4, 2, "-2", "event_id or action_index is not an integer in 0..2**53"),
+    (5, 6, "nan", "a value is not finite"),
+    (1, 4, "-inf", "a value is not finite"),
+])
+def test_read_trace_csv_rejects_malformed_rows(tmp_path, sq_spec, row, col, value, reason):
+    path = tmp_path / "t.csv"
+    write_trace_csv(run_path(sq_spec, seed=11, T=6), str(path))
+    read_trace_csv(str(path))
+    _rewrite_cell(path, row, col, value)
+    with pytest.raises(ValueError, match=rf"^trace row {row} \(line {row + 1}\): "
+                                         rf"{re.escape(reason)}: "):
+        read_trace_csv(str(path))
+
+
+def test_read_trace_csv_reports_the_first_bad_row(tmp_path):
+    # every rule broken at once: the first row is named, with its first rule
+    path = tmp_path / "t.csv"
+    path.write_text(trace_csv_header(1) + "\n7,1.5,-2,0.0,1.0,0.0,0.5\n"
+                    "7,1,0,0.0,1.0,1.0,nan\n")
+    with pytest.raises(ValueError, match=r"^trace row 1 \(line 2\): t is not the "
+                                         r"row number: 7\.0,1\.5,-2\.0,"):
+        read_trace_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the block writer against the row-by-row reference writer
+# ---------------------------------------------------------------------------
+
+def _assert_writers_agree(trace: PathTrace, directory: str) -> bytes:
+    want, got = Path(directory, "reference.csv"), Path(directory, "block.csv")
+    reference_write_trace_csv(trace, str(want))
+    write_trace_csv(trace, str(got))
+    assert got.read_bytes() == want.read_bytes()
+    return got.read_bytes()
+
+
+@pytest.mark.parametrize("build", [build_server_scheduling_spec, build_single_queue_spec])
+def test_writer_matches_reference_across_blocks(tmp_path, build):
+    T = core.TRACE_CSV_BLOCK + 4464  # one full block and part of the next
+    _assert_writers_agree(run_path(build(V=100.0), seed=2, T=T), str(tmp_path))
+
+
+def test_writer_matches_reference_on_signed_zeros_and_thirds(tmp_path):
+    events = (
+        EventOutcome(0, 0.5, (ActionVector(-0.0, (-0.0, 0.1)),
+                              ActionVector(0.1, (1 / 3, -0.0)),
+                              ActionVector(1 / 3, (-1 / 3, -0.1)))),
+        EventOutcome(1, 0.5, (ActionVector(0.0, (0.1, 1 / 3)),
+                              ActionVector(0.5, (-0.1, -1 / 3)))),
+    )
+    spec = ProblemSpec(events=events, L=2, z_max=1.0, B=1.0, V=3.0)
+    tr = run_path(spec, seed=4, T=3000)
+    assert np.any((tr.z == 0.0) & np.signbit(tr.z))  # -0.0 is in the trace
+    text = _assert_writers_agree(tr, str(tmp_path)).decode()
+    assert ",-0.0," in text and ",0.3333333333333333," in text
+
+
+_doubles = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308]), st.floats())
+
+
+@st.composite
+def _any_trace(draw) -> PathTrace:
+    T, L = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+
+    def floats(*shape):
+        n = int(np.prod(shape))
+        return np.array(draw(st.lists(_doubles, min_size=n, max_size=n)),
+                        dtype=np.float64).reshape(shape)
+
+    def ints():
+        return np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                      min_size=T, max_size=T)), dtype=np.int64)
+
+    return PathTrace("", 0, ints(), ints(), floats(T), floats(T, L),
+                     floats(T + 1, L), floats(T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_trace())
+def test_writer_matches_reference_on_any_trace(trace):
+    # small blocks, so most examples also cross block boundaries
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(core, "TRACE_CSV_BLOCK", 7):
+        _assert_writers_agree(trace, d)
+
+
+# ---------------------------------------------------------------------------
+# memory: run_path's buffers and the writer's per-block working set
+# ---------------------------------------------------------------------------
+
+WRITER_EXTRA_PEAK = 32 << 20  # bytes; the 2e5-slot server trace needs ~18 MB
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_path_memory_and_array_layout(sv_spec):
+    tr, peak = _traced_peak(lambda: run_path(sv_spec, seed=1, T=50_000))
+    arrays = (tr.event_ids, tr.action_indices, tr.z0, tr.z, tr.q, tr.drift)
+    assert peak <= 1.5 * sum(a.nbytes for a in arrays)
+    for a, dtype in zip(arrays, (np.int64,) * 2 + (np.float64,) * 4):
+        assert a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable
+
+
+@pytest.mark.parametrize("T", [50_000, 200_000])
+def test_write_trace_csv_memory_does_not_grow_with_T(tmp_path, sv_spec, T):
+    tr = run_path(sv_spec, seed=1, T=T)
+    _, peak = _traced_peak(lambda: write_trace_csv(tr, str(tmp_path / "t.csv")))
+    assert peak <= WRITER_EXTRA_PEAK
 
 
 def test_extreme_seeds_replay(sv_spec):
