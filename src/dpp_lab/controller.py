@@ -18,7 +18,7 @@ from array import array
 
 import numpy as np
 
-from .core import ActionVector, EventOutcome, PathTrace, ProblemSpec
+from .core import ActionVector, EventOutcome, PathTrace, ProblemSpec, row_norm_sq
 from .events import sample_block
 
 CHAOS_MODES = ("skip-minimization", "worst-action")
@@ -122,11 +122,7 @@ def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> 
         for k, a in enumerate(event.actions):
             z0_tab[i, k] = a.z0
             z_tab[i, k] = a.z
-    # squared norms summed left to right from zero, then the drift, as
-    # drift() computes it slot by slot
-    n2 = np.zeros(T + 1)
-    for l in rng_l:
-        n2 += qs[:, l] * qs[:, l]
+    n2 = row_norm_sq(qs)  # in drift()'s float order
     return PathTrace(
         spec_digest=spec.digest,
         seed=seed,

@@ -164,6 +164,15 @@ def norm_sq(v: Sequence[float]) -> float:
     return acc
 
 
+def row_norm_sq(x: np.ndarray) -> np.ndarray:
+    """Squared euclidean norm of each row of a 2-D array, summed over the
+    columns left to right from zero as :func:`norm_sq` does."""
+    out = np.zeros(x.shape[0])
+    for l in range(x.shape[1]):
+        out += x[:, l] * x[:, l]
+    return out
+
+
 def queue_update(q: Sequence[float], z: Sequence[float]) -> np.ndarray:
     """One virtual-queue step: componentwise max{q + z, 0}."""
     qa = np.asarray(q, dtype=np.float64)
@@ -255,11 +264,10 @@ def trace_law_values(trace: PathTrace) -> SimpleNamespace:
     """Per-slot law inputs of a stored trace.  Squared norms and q.z sum over
     the constraints left to right from zero, as the lockstep engine does, so
     the values match the engine's bit for bit."""
-    qb, qa, z = trace.q_before, trace.q_after, trace.z
-    nb2, na2, qz = np.zeros(trace.T), np.zeros(trace.T), np.zeros(trace.T)
+    qb, z = trace.q_before, trace.z
+    n2 = row_norm_sq(trace.q)
+    nb2, na2, qz = n2[:-1], n2[1:], np.zeros(trace.T)
     for l in range(trace.L):
-        nb2 += qb[:, l] * qb[:, l]
-        na2 += qa[:, l] * qa[:, l]
         qz += qb[:, l] * z[:, l]
     return SimpleNamespace(nb2=nb2, na2=na2, norm_before=np.sqrt(nb2),
                            norm_after=np.sqrt(na2), drift=trace.drift, qz=qz)
@@ -329,10 +337,9 @@ def _text_rows(values: np.ndarray) -> list[list[str]]:
     with ``repr`` called once per distinct bit pattern.  Keying on bits, not
     values, keeps 0.0 and -0.0 (equal, but printed differently) apart."""
     keys = values.view(np.uint64)
-    ordered = np.sort(keys, axis=None)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    distinct, inv = np.unique(keys, return_inverse=True)
     text = np.array([repr(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
-    return text[np.searchsorted(distinct, keys)].tolist()
+    return text[inv.reshape(keys.shape)].tolist()
 
 
 def write_trace_csv(trace: PathTrace, path: str) -> None:
@@ -355,11 +362,19 @@ def write_trace_csv(trace: PathTrace, path: str) -> None:
             f.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
+def _first_true_row(bad: np.ndarray) -> int:
+    """First row of a C-contiguous boolean array that holds a True, or its
+    length if none does; ``argmax`` stops at the first True."""
+    i = int(bad.argmax())
+    return i // (bad.size // len(bad)) if bad.flat[i] else len(bad)
+
+
 def read_trace_csv(path: str, spec_digest: str = "", seed: int = 0) -> PathTrace:
     """Rebuild a trace from its CSV form.  The final post-update queue vector
     is reconstructed through the exact queue update.
 
-    Fails closed with a ValueError naming the first bad row: a ``t`` column
+    Fails closed with a ValueError naming the first bad row (data rows count
+    from 1; numpy skips blank lines, so they are not counted): a ``t`` column
     other than 1..T, an ``event_id`` or ``action_index`` that is not an
     integer in 0..2**53 (beyond which float parsing cannot tell), or any
     value that is not finite."""
@@ -375,18 +390,19 @@ def read_trace_csv(path: str, spec_digest: str = "", seed: int = 0) -> PathTrace
         f.seek(start)
         raw = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2)
     T = raw.shape[0]
-    ids = raw[:, 1:3]
-    rules = (  # (what is wrong, rows where it is), checked in this order per row
-        ("a value is not finite", ~np.all(np.isfinite(raw), axis=1)),
-        ("t is not the row number", raw[:, 0] != np.arange(1, T + 1)),
+    ids = np.ascontiguousarray(raw[:, 1:3])  # event_id, action_index
+    rules = (  # (what is wrong, first row where it is), checked in this order per row
+        ("a value is not finite", _first_true_row(~np.isfinite(raw))),
+        ("t is not the row number", _first_true_row(raw[:, 0] != np.arange(1, T + 1))),
         ("event_id or action_index is not an integer in 0..2**53",
-         ~np.all((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids)), axis=1)),
+         _first_true_row(~((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids))))),
     )
-    first = [(int(np.argmax(bad)), i) for i, (_, bad) in enumerate(rules) if bad.any()]
-    if first:
-        row, i = min(first)
-        raise ValueError(f"trace row {row + 1} (line {row + 2}): {rules[i][0]}: "
+    row, i = min((row, i) for i, (_, row) in enumerate(rules))
+    if row < T:
+        raise ValueError(f"trace row {row + 1}: {rules[i][0]}: "
                          f"{','.join(repr(v) for v in raw[row].tolist())}")
+    event_ids, action_indices = (ids[:, c].astype(np.int64) for c in (0, 1))
+    del ids  # so that the reader's peak stays raw plus the trace
     z = raw[:, 4:4 + L]
     qb = raw[:, 4 + L:4 + 2 * L]
     q = np.empty((T + 1, L), dtype=np.float64)
@@ -395,8 +411,8 @@ def read_trace_csv(path: str, spec_digest: str = "", seed: int = 0) -> PathTrace
     return PathTrace(
         spec_digest=spec_digest,
         seed=seed,
-        event_ids=raw[:, 1].astype(np.int64),
-        action_indices=raw[:, 2].astype(np.int64),
+        event_ids=event_ids,
+        action_indices=action_indices,
         z0=raw[:, 3].copy(),
         z=z.copy(),
         q=q,

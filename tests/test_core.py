@@ -260,8 +260,18 @@ def test_read_trace_csv_rejects_malformed_rows(tmp_path, sq_spec, row, col, valu
     write_trace_csv(run_path(sq_spec, seed=11, T=6), str(path))
     read_trace_csv(str(path))
     _rewrite_cell(path, row, col, value)
-    with pytest.raises(ValueError, match=rf"^trace row {row} \(line {row + 1}\): "
-                                         rf"{re.escape(reason)}: "):
+    with pytest.raises(ValueError, match=rf"^trace row {row}: {re.escape(reason)}: "):
+        read_trace_csv(str(path))
+
+
+def test_read_trace_csv_counts_data_rows_not_lines(tmp_path, sq_spec):
+    # a blank line is skipped, so the bad row after it is still data row 4
+    path = tmp_path / "t.csv"
+    write_trace_csv(run_path(sq_spec, seed=11, T=6), str(path))
+    _rewrite_cell(path, 4, -1, "nan")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
+    with pytest.raises(ValueError, match=r"^trace row 4: a value is not finite: "):
         read_trace_csv(str(path))
 
 
@@ -270,7 +280,7 @@ def test_read_trace_csv_reports_the_first_bad_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(trace_csv_header(1) + "\n7,1.5,-2,0.0,1.0,0.0,0.5\n"
                     "7,1,0,0.0,1.0,1.0,nan\n")
-    with pytest.raises(ValueError, match=r"^trace row 1 \(line 2\): t is not the "
+    with pytest.raises(ValueError, match=r"^trace row 1: t is not the "
                                          r"row number: 7\.0,1\.5,-2\.0,"):
         read_trace_csv(str(path))
 
