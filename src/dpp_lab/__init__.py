@@ -8,7 +8,7 @@ from .analysis import (BoundConstants, ConsistencyError, LawReport, azuma_bound,
                        convergence_time_multi, convergence_time_single,
                        default_truncation_level, g_tail_bound, queue_tail_bound,
                        queue_tail_vacuity_crossover, xtail_bound)
-from .controller import pick_actions, run_path, select_action
+from .controller import pick_actions, run_path
 from .core import (LAWS, ActionVector, EventOutcome, PathTrace, ProblemSpec,
                    drift, queue_update, read_trace_csv, time_average,
                    write_trace_csv)

@@ -72,12 +72,12 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.L < 1:
             raise ValueError("L must be a positive integer")
-        if not (self.z_max > 0 and self.B > 0 and self.V > 0):
-            raise ValueError("z_max, B and V must all be positive")
+        if not all(0 < x < math.inf for x in (self.z_max, self.B, self.V)):
+            raise ValueError("z_max, B and V must all be positive and finite")
         if not self.events:
             raise ValueError("event support must be nonempty")
         total = math.fsum(e.probability for e in self.events)
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"event probabilities sum to {total!r}, not 1")
         for e in self.events:
             for k, a in enumerate(e.actions):
@@ -85,11 +85,11 @@ class ProblemSpec:
                     raise ValueError(
                         f"event {e.id} action {k}: dimension {a.dim} != L+1 = {self.L + 1}"
                     )
-                if abs(a.z0) > self.z_max + PROB_TOL:
+                if not abs(a.z0) <= self.z_max + PROB_TOL:  # NaN fails too
                     raise ValueError(
                         f"event {e.id} action {k}: |z0|={abs(a.z0)!r} exceeds z_max={self.z_max!r}"
                     )
-                if math.sqrt(math.fsum(v * v for v in a.z)) > self.B + PROB_TOL:
+                if not math.sqrt(math.fsum(v * v for v in a.z)) <= self.B + PROB_TOL:
                     raise ValueError(
                         f"event {e.id} action {k}: ||z|| exceeds B={self.B!r}"
                     )
@@ -109,6 +109,20 @@ class ProblemSpec:
     @cached_property
     def max_actions(self) -> int:
         return max(len(e.actions) for e in self.events)
+
+    @cached_property
+    def action_table(self) -> np.ndarray:
+        """Read-only (1+L, W, K) array of every action's z0 and z_1..z_L, for
+        W events of at most K actions.  Padding entries (events with fewer
+        than K actions) have z0 = +inf, so they never win a minimization,
+        and z = 0."""
+        table = np.zeros((1 + self.L, len(self.events), self.max_actions))
+        table[0] = np.inf
+        for i, e in enumerate(self.events):
+            for k, a in enumerate(e.actions):
+                table[:, i, k] = (a.z0, *a.z)
+        table.flags.writeable = False
+        return table
 
     def with_v(self, V: float) -> "ProblemSpec":
         """Same instance under a different trade-off weight."""

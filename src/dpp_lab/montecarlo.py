@@ -6,15 +6,14 @@ master seed by a splittable hash and no path depends on another, so batch
 statistics are invariant to chunking.  A batch runs its fixed-size chunks
 in order.
 
-Each slot scores every (event, action) pair of every path once, into one
-(event, action, path) tensor with the paths contiguous, and picks each
-event's action from it.  The realized event's pick is the decision; with
-the KeyFeature check on, the probability-weighted picks of all events give
-both exact conditional expectations, so nothing is scored twice.  Float
-evaluation order mirrors the scalar path engine in :mod:`dpp_lab.controller`
-operation for operation, and both choose actions through
-:func:`dpp_lab.controller.pick_actions`, which makes the two engines agree
-bit for bit on every per-path quantity.
+Each slot, :class:`dpp_lab.controller.ScoreTensor` scores every (event,
+action) pair of every path once, into one (event, action, path) tensor with
+the paths contiguous, and picks each event's action from it.  The realized
+event's pick is the decision; with the KeyFeature check on, the
+probability-weighted picks of all events give both exact conditional
+expectations, so nothing is scored twice.  The tensor is the scorer of the
+exact oracles too, and its float order is the scalar path engine's, so the
+two engines agree bit for bit on every per-path quantity.
 
 The deterministic per-path laws of :data:`dpp_lab.core.LAWS` (and, for the
 KeyFeature check, the exact conditional expectations) are enforced on every
@@ -46,7 +45,7 @@ from .analysis import (BoundConstants, calibrated_deviation_level,
                        compute_constants, constants_for_horizon,
                        convergence_time_multi, convergence_time_single,
                        g_tail_bound, queue_tail_bound, xtail_bound)
-from .controller import pick_actions
+from .controller import ScoreTensor
 from .core import LAW_TOL, LAWS, ProblemSpec, laws_for
 from .events import cumulative_probabilities, derive_seed, uniform_across
 from .oracle import SlacknessError, solve_stationary_optimum
@@ -94,85 +93,6 @@ def wilson_interval(k: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
 # lockstep engine
 # ---------------------------------------------------------------------------
 
-class _ScoreTensor:
-    """Every (event, action) score of every path of a chunk, shape (W, K, N)
-    with the paths contiguous, rebuilt each slot in buffers allocated once,
-    and the action each event would get from it.  Padding entries (events
-    with fewer than K actions) carry +inf cost so they never win."""
-
-    def __init__(self, spec: ProblemSpec, N: int):
-        W, K, L = len(spec.events), spec.max_actions, spec.L
-        table = np.zeros((1 + L, W, K))
-        table[0] = np.inf
-        for i, e in enumerate(spec.events):
-            for k, a in enumerate(e.actions):
-                table[:, i, k] = (a.z0, *a.z)
-        self.probs = np.asarray([e.probability for e in spec.events])[:, None]
-        self.V = spec.V
-        self.vz0 = (spec.V * table[0])[:, :, None]
-        self.z = [table[1 + l][:, :, None] for l in range(L)]
-        # z0 and every z_l of each (event, action) at event*K + action
-        self.flat = table.reshape(1 + L, W * K)
-        self.scores = np.empty((W, K, N))
-        # scratch shared by the products of choose() and the per-event
-        # terms of expectations(), which never run at the same time
-        scratch = np.empty(max(K, 2) * W * N)
-        self._tmp = scratch[:W * K * N].reshape(W, K, N)
-        self._vals = scratch[:2 * W * N].reshape(2, W, N)
-        self._rows = np.arange(N)
-        self._first = np.arange(W)[:, None] * K  # index of each event's action 0
-        self._pos = self._first * N + self._rows  # ... in the raveled tensor
-        self._idx = np.empty((W, N), dtype=np.int64)
-        self._decision = np.empty((1 + L, N))
-
-    def choose(self, q: list[np.ndarray], chaos: str | None) -> None:
-        """Score every action against the queues ``q`` in the pinned float
-        order of :func:`dpp_lab.controller.action_score` (``V*z0``, then
-        ``+= q[l]*z[l]`` for l ascending) and pick each event's action
-        through :func:`dpp_lab.controller.pick_actions`."""
-        np.copyto(self.scores, self.vz0)
-        for zl, ql in zip(self.z, q):
-            np.multiply(zl, ql, out=self._tmp)
-            self.scores += self._tmp
-        self.picks = pick_actions(self.scores, chaos)  # each event's action
-
-    def realized(self, ids: np.ndarray) -> np.ndarray:
-        """z0 and every z_l, shape (1+L, N), of the action chosen for each
-        path's realized event ``ids``: the decision.  The array is reused by
-        the next call."""
-        K = self.scores.shape[1]
-        # indices are in range by construction; "clip" skips take's buffering
-        return np.take(self.flat, ids * K + self.picks[ids, self._rows], axis=1,
-                       out=self._decision, mode="clip")
-
-    def expectations(self, z_opt: float,
-                     trunc: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-        """The exact one-step conditional expectation of the drift-plus-penalty
-        expression at the queues of the last :meth:`choose`: each event's
-        chosen score less ``V*z_opt``; and, when ``trunc`` (the truncated
-        queue of a one-constraint problem) is given, its truncated
-        counterpart ``V*(z0 - z_opt) + trunc*z_1`` from the same choices.
-        Both are weighted by the event probabilities and summed from zero
-        in event order, as :mod:`dpp_lab.oracle` sums them."""
-        V, idx, terms, extra = self.V, self._idx, self._vals[0], self._vals[1]
-        np.multiply(self.picks, self.scores.shape[2], out=idx)
-        idx += self._pos
-        np.take(self.scores.reshape(-1), idx, out=terms, mode="clip")
-        terms -= V * z_opt
-        terms *= self.probs
-        expect = np.add.reduce(terms, axis=0, initial=0.0)
-        if trunc is None:
-            return expect, None
-        np.add(self.picks, self._first, out=idx)
-        np.take(self.flat[:2], idx, axis=1, out=self._vals, mode="clip")  # z0, z_1
-        terms -= z_opt
-        terms *= V
-        extra *= trunc
-        terms += extra
-        terms *= self.probs
-        return expect, np.add.reduce(terms, axis=0, initial=0.0)
-
-
 @dataclass
 class ChunkStats:
     avg_obj: np.ndarray
@@ -207,7 +127,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     per-path law as it goes.  ``seeds`` must be uint64."""
     N = seeds.shape[0]
     cum = cumulative_probabilities(spec)
-    tensor = _ScoreTensor(spec, N)
+    tensor = ScoreTensor(spec, N)
     L, V, B = spec.L, spec.V, spec.B
     c1 = constants.c1
     cap = constants.C0 * V

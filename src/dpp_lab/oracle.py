@@ -16,7 +16,8 @@ about two chunks of (L+1) floats plus the per-event grids, whatever the size
 of the joint grid.
 
 Also the exact conditional one-step expectations of the controller's rule,
-evaluated by enumerating the event support rather than by sampling.
+evaluated by enumerating the event support rather than by sampling, through
+the lockstep engine's scorer :class:`dpp_lab.controller.ScoreTensor`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import select_action
+from .controller import ScoreTensor
 from .core import ProblemSpec
 from .simplex import LpStatus, solve_lp
 
@@ -81,30 +82,15 @@ class StationarySolution:
         return out
 
 
-def _policy_blocks(spec: ProblemSpec) -> list[tuple[int, int]]:
-    """(start, length) of each event's slice of the policy variable vector."""
-    blocks = []
-    start = 0
-    for e in spec.events:
-        blocks.append((start, len(e.actions)))
-        start += len(e.actions)
-    return blocks
-
-
 def _lp_matrices(spec: ProblemSpec):
-    blocks = _policy_blocks(spec)
-    n = blocks[-1][0] + blocks[-1][1]
-    cost = np.zeros(n)
-    A_ub = np.zeros((spec.L, n))
-    A_eq = np.zeros((len(spec.events), n))
-    for (start, _), e, row in zip(blocks, spec.events, A_eq):
-        for k, a in enumerate(e.actions):
-            j = start + k
-            cost[j] = e.probability * a.z0
-            for l in range(spec.L):
-                A_ub[l, j] = e.probability * a.z[l]
-            row[j] = 1.0
-    return n, cost, A_ub, A_eq
+    """The LP's cost row, constraint rows and per-event sum-to-one rows; the
+    variables are the actions of :attr:`ProblemSpec.action_table` (its
+    finite z0 entries) in event-major order."""
+    table = spec.action_table
+    real = np.isfinite(table[0])
+    weighted = np.asarray([e.probability for e in spec.events])[:, None] * table
+    A_eq = (np.nonzero(real)[0] == np.arange(len(spec.events))[:, None]).astype(float)
+    return A_eq.shape[1], weighted[0][real], weighted[1:, real], A_eq
 
 
 def solve_stationary_optimum(spec: ProblemSpec) -> StationarySolution:
@@ -117,8 +103,7 @@ def solve_stationary_optimum(spec: ProblemSpec) -> StationarySolution:
     if res.status is not LpStatus.OPTIMAL:
         return StationarySolution(None, None, None, LpStatus.INFEASIBLE)
     policy = []
-    for start, length in _policy_blocks(spec):
-        row = res.x[start:start + length]
+    for row in np.split(res.x, np.cumsum([len(e.actions) for e in spec.events])[:-1]):
         s = float(np.sum(row))
         if abs(s - 1.0) > POLICY_TOL:
             raise AssertionError(f"policy block sums to {s!r}")
@@ -163,6 +148,21 @@ def solve_max_slackness(spec: ProblemSpec) -> float:
     return xi
 
 
+def _scored(spec: ProblemSpec, q, z_opt: float) -> ScoreTensor:
+    """A one-state :class:`ScoreTensor` that has scored the queue vector q
+    under the honest rule; bad inputs raise ValueError."""
+    q = [float(v) for v in q]
+    if len(q) != spec.L:
+        raise ValueError("queue dimension does not match spec")
+    if not all(0.0 <= v < math.inf for v in q):
+        raise ValueError(f"queue vector {q!r} must be nonnegative and finite")
+    if not math.isfinite(z_opt):
+        raise ValueError(f"z_opt must be finite, got {z_opt!r}")
+    tensor = ScoreTensor(spec, 1)
+    tensor.choose(q, None)
+    return tensor
+
+
 def exact_conditional_dpp_expectation(spec: ProblemSpec, q, z_opt: float) -> float:
     """Exact expectation, over the event distribution, of
     V*(z0 - z_opt) + sum_l q[l] * z_l at the controller's own choice.
@@ -171,17 +171,7 @@ def exact_conditional_dpp_expectation(spec: ProblemSpec, q, z_opt: float) -> flo
     enumeration.  A correct controller keeps this nonpositive for every
     nonnegative q.
     """
-    q = list(q)
-    if len(q) != spec.L:
-        raise ValueError("queue dimension does not match spec")
-    if any(v < 0.0 for v in q):
-        raise ValueError("queue vector must be nonnegative")
-    V = spec.V
-    acc = 0.0
-    for e in spec.events:
-        _, score = select_action(q, e, V)
-        acc += e.probability * (score - V * z_opt)
-    return acc
+    return float(_scored(spec, q, z_opt).expectations(z_opt, None)[0][0])
 
 
 def exact_conditional_truncated_expectation(spec: ProblemSpec, q1: float,
@@ -191,16 +181,10 @@ def exact_conditional_truncated_expectation(spec: ProblemSpec, q1: float,
     (unclipped) choice."""
     if spec.L != 1:
         raise ValueError("truncated expectation is defined for one constraint")
-    if q1 < 0.0:
-        raise ValueError("queue value must be nonnegative")
-    V = spec.V
-    w = min(q1, cap)
-    acc = 0.0
-    for e in spec.events:
-        k, _ = select_action([q1], e, V)
-        a = e.actions[k]
-        acc += e.probability * (V * (a.z0 - z_opt) + w * a.z[0])
-    return acc
+    if not cap >= 0.0:
+        raise ValueError(f"cap must be nonnegative, got {cap!r}")
+    tensor = _scored(spec, [q1], z_opt)
+    return float(tensor.expectations(z_opt, np.array([min(float(q1), cap)]))[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +250,8 @@ def _event_grid_contributions(spec: ProblemSpec, resolution: int) -> list[np.nda
     """Per event: array (L+1, grid points) of probability-weighted
     contributions (cost first, then each constraint)."""
     out = []
-    for e in spec.events:
-        vals = np.empty((len(e.actions), spec.L + 1))
-        for k, a in enumerate(e.actions):
-            vals[k, 0] = a.z0
-            vals[k, 1:] = a.z
+    for e, rows in zip(spec.events, np.moveaxis(spec.action_table, 0, -1)):
+        vals = np.ascontiguousarray(rows[:len(e.actions)])  # (actions, L+1)
         weighted = e.probability * (simplex_grid(len(e.actions), resolution) @ vals)
         out.append(np.ascontiguousarray(weighted.T))
     return out

@@ -1,13 +1,14 @@
 """Shared generators for randomized oracle cross-checks, the reference grid
-oracle and the reference KeyFeature loop they are checked against,
-unvalidated spec copies for negative controls, bare constants parameters,
-the reference trace CSV writer, and trace and tail helpers that only tests
-use."""
+oracle, the scalar decision rule and the reference KeyFeature loop they are
+checked against, unvalidated spec copies for negative controls, bare
+constants parameters, the reference trace CSV writer, and trace and tail
+helpers that only tests use."""
 
 import copy
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,11 +69,14 @@ def bound_params(z_max: float, B: float, V: float) -> SimpleNamespace:
 
 def unchecked_spec(spec: ProblemSpec, **changes) -> ProblemSpec:
     """A copy of ``spec`` with fields overwritten without validation, e.g. a
-    declared B or z_max that understates the true bound."""
+    declared B or z_max that understates the true bound.  Every cached
+    property of the copy (digest, action_table, ...) is recomputed on use."""
     out = copy.copy(spec)
     for name, value in changes.items():
         object.__setattr__(out, name, value)
-    out.__dict__.pop("digest", None)
+    for name, attr in vars(ProblemSpec).items():
+        if isinstance(attr, cached_property):
+            out.__dict__.pop(name, None)
     return out
 
 
@@ -148,6 +152,54 @@ def ragged_spec() -> ProblemSpec:
                                ActionVector(1.0, (0.0,)))),
     )
     return ProblemSpec(events=events, L=1, z_max=1.0, B=1.0, V=5.0)
+
+
+# ---------------------------------------------------------------------------
+# the scalar decision rule, one action at a time in the pinned float order
+# (V*z0, then += q[l]*z[l] for l ascending).  The package's score tensor and
+# run_path's loop must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+def action_score(q, action: ActionVector, V: float) -> float:
+    """The quantity minimized each slot: V*z0 plus the queue-weighted sum of
+    constraint increments."""
+    acc = V * action.z0
+    for l, zl in enumerate(action.z):
+        acc += q[l] * zl
+    return acc
+
+
+def select_action(q, event: EventOutcome, V: float) -> tuple[int, float]:
+    """Index and score of the minimizing action; exact score ties go to the
+    lowest index."""
+    best_k = 0
+    best = action_score(q, event.actions[0], V)
+    for k in range(1, len(event.actions)):
+        v = action_score(q, event.actions[k], V)
+        if v < best:
+            best, best_k = v, k
+    return best_k, best
+
+
+def reference_dpp_expectation(spec: ProblemSpec, q, z_opt: float) -> float:
+    """The exact conditional expectation, event by event from zero, with
+    each event's action from :func:`select_action`."""
+    acc = 0.0
+    for e in spec.events:
+        _, score = select_action(q, e, spec.V)
+        acc += e.probability * (score - spec.V * z_opt)
+    return acc
+
+
+def reference_truncated_expectation(spec: ProblemSpec, q1: float, z_opt: float,
+                                    cap: float) -> float:
+    """Its truncated single-constraint counterpart."""
+    w = min(q1, cap)
+    acc = 0.0
+    for e in spec.events:
+        a = e.actions[select_action([q1], e, spec.V)[0]]
+        acc += e.probability * (spec.V * (a.z0 - z_opt) + w * a.z[0])
+    return acc
 
 
 # ---------------------------------------------------------------------------

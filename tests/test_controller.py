@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+from helpers import action_score, select_action
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, drift,
                      exact_conditional_dpp_expectation,
                      exact_conditional_truncated_expectation, pick_actions,
-                     queue_update, run_path, select_action)
+                     queue_update, run_path)
 from dpp_lab.analysis import constants_for_horizon
-from dpp_lab.controller import action_score
 from dpp_lab.core import verify_trace_dynamics
 from dpp_lab.events import sample_block
 

@@ -9,7 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import build_trace_from_z, reference_write_trace_csv
+from helpers import (build_trace_from_z, ragged_spec, reference_write_trace_csv,
+                     unchecked_spec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -401,6 +402,30 @@ def test_spec_validation_rejects_bad_instances():
         EventOutcome(id=0, probability=1.0, actions=())
     with pytest.raises(ValueError):  # nonpositive probability
         EventOutcome(id=0, probability=0.0, actions=(a,))
+    nan, inf = math.nan, math.inf
+    for z0, z in ((nan, (0.5,)), (1.0, (nan,))):  # NaN passes no bound check
+        ev_bad = EventOutcome(id=0, probability=1.0, actions=(ActionVector(z0, z),))
+        with pytest.raises(ValueError):
+            ProblemSpec(events=(ev_bad,), L=1, z_max=1.0, B=1.0, V=1.0)
+    for field in ("z_max", "B", "V"):  # each must be finite, not only positive
+        for value in (inf, nan):
+            with pytest.raises(ValueError):
+                ProblemSpec(**{"events": (ev,), "L": 1, "z_max": 1.0, "B": 1.0,
+                               "V": 1.0, field: value})
+    with pytest.raises(ValueError):  # NaN probability
+        EventOutcome(id=0, probability=nan, actions=(a,))
+
+
+def test_action_table_is_padded_and_read_only():
+    spec = ragged_spec()
+    table = spec.action_table
+    assert table.shape == (2, 2, 3) and not table.flags.writeable
+    assert table[:, 0].tolist() == [[0.2, math.inf, math.inf], [-0.5, 0.0, 0.0]]
+    assert table[:, 1].tolist() == [[0.0, 0.6, 1.0], [0.9, -1.0, 0.0]]
+    assert spec.action_table is table  # built once
+    # an unchecked copy rebuilds it from its own events
+    copy = unchecked_spec(spec, events=spec.events[1:])
+    assert copy.action_table.shape == (2, 1, 3)
 
 
 def test_digest_distinguishes_specs(sv_spec):

@@ -3,7 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import (empirical_tail, ragged_spec, reference_kf_expectations,
+from helpers import (empirical_tail, ragged_spec, reference_dpp_expectation,
+                     reference_kf_expectations, reference_truncated_expectation,
                      unchecked_spec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ from dpp_lab import (BatchConfig, InvariantViolation, builtin_spec,
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
                               constants_for_horizon)
 from dpp_lab.events import derive_seed
-from dpp_lab.montecarlo import (CHUNK, ChunkStats, _ScoreTensor, simulate_chunk,
+from dpp_lab.controller import ScoreTensor
+from dpp_lab.montecarlo import (CHUNK, ChunkStats, simulate_chunk,
                                 simulate_paths)
 from dpp_lab.oracle import (exact_conditional_dpp_expectation,
                             exact_conditional_truncated_expectation,
@@ -172,19 +174,23 @@ def test_single_path_batch_matches_direct_run(sv_spec, sv_solution):
     assert stats.max_qnorm[0] == qn
 
 
-@pytest.mark.parametrize("key_feature", [False, True])
-@pytest.mark.parametrize("name", ["server", "ragged"])
-def test_lockstep_matches_scalar_engine_bitwise(name, key_feature):
+@pytest.mark.parametrize("key_feature,chaos", [
+    (False, None), (True, None),
+    (False, "skip-minimization"), (False, "worst-action"),
+], ids=["False", "True", "skip-minimization", "worst-action"])
+@pytest.mark.parametrize("name", sorted(ENGINE_SPECS))
+def test_lockstep_matches_scalar_engine_bitwise(name, key_feature, chaos):
     # action choices, queue paths, and running sums agree bit for bit, also
-    # when the KeyFeature expectations are read from the same score tensor
+    # when the KeyFeature expectations are read from the same score tensor,
+    # and under each chaos rule (which trips KeyFeature, so it runs bare)
     spec = ENGINE_SPECS[name]()
     sol = solve_stationary_optimum(spec)
     T, N = 250, 8
     consts = constants_for_horizon(spec, sol.xi_star / 2, T, 0.05)
     stats = simulate_paths(spec, 21, N, T, sol.z_opt, consts,
-                           key_feature=key_feature)
+                           chaos=chaos, key_feature=key_feature)
     for i in range(N):
-        tr = run_path(spec, derive_seed(21, i), T)
+        tr = run_path(spec, derive_seed(21, i), T, chaos=chaos)
         s = 0.0
         for v in tr.z0.tolist():
             s += v
@@ -206,11 +212,12 @@ def test_lockstep_matches_scalar_engine_bitwise(name, key_feature):
 def test_score_tensor_expectations_match_per_event_loop(name, chaos):
     # random queue states, integer-valued ones too (exact score ties), and
     # random truncation caps: the tensor gives the reference loop's
-    # expectations bit for bit
+    # expectations bit for bit, and so does a 1-state tensor on each state,
+    # so the event sums do not depend on the chunk size
     spec = ENGINE_SPECS[name]()
     rng = np.random.default_rng(2024)
     N, z_opt = 500, solve_stationary_optimum(spec).z_opt
-    tensor = _ScoreTensor(spec, N)
+    tensor, one = ScoreTensor(spec, N), ScoreTensor(spec, 1)
     for draw in range(6):
         if draw % 2:
             q = [rng.integers(0, 12, N).astype(float) for _ in range(spec.L)]
@@ -226,13 +233,23 @@ def test_score_tensor_expectations_match_per_event_loop(name, chaos):
             assert got[1] is None and want[1] is None
         else:
             assert got[1].tobytes() == want[1].tobytes()
-        if chaos is None:  # and the scalar oracles agree on the honest rule
+        for i in range(N):
+            one.choose([ql[i:i + 1] for ql in q], chaos)
+            alone = one.expectations(z_opt, None if trunc is None else trunc[i:i + 1])
+            assert alone[0].tobytes() == got[0][i:i + 1].tobytes()
+            if trunc is not None:
+                assert alone[1].tobytes() == got[1][i:i + 1].tobytes()
+        if chaos is None:  # the oracles and the scalar rule agree on the honest rule
             for i in range(20):
-                qi = [ql[i] for ql in q]
-                assert got[0][i] == exact_conditional_dpp_expectation(spec, qi, z_opt)
+                qi = [float(ql[i]) for ql in q]
+                oracle = exact_conditional_dpp_expectation(spec, qi, z_opt)
+                assert float(got[0][i]).hex() == oracle.hex()
+                assert oracle.hex() == reference_dpp_expectation(spec, qi, z_opt).hex()
                 if trunc is not None:
-                    assert got[1][i] == exact_conditional_truncated_expectation(
-                        spec, qi[0], z_opt, cap)
+                    oracle = exact_conditional_truncated_expectation(spec, qi[0], z_opt, cap)
+                    assert float(got[1][i]).hex() == oracle.hex()
+                    want = reference_truncated_expectation(spec, qi[0], z_opt, cap)
+                    assert oracle.hex() == want.hex()
 
 
 def test_batch_config_validation(sv_spec, sq_spec):

@@ -9,7 +9,8 @@ from helpers import (random_small_instance, reference_grid_chunks,
 
 from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, SlacknessError,
                      build_server_scheduling_spec,
-                     exact_conditional_dpp_expectation, grid_max_slackness,
+                     exact_conditional_dpp_expectation,
+                     exact_conditional_truncated_expectation, grid_max_slackness,
                      grid_stationary_optimum, solve_max_slackness,
                      solve_stationary_optimum)
 from dpp_lab.events import u64_at
@@ -117,11 +118,26 @@ def test_exact_conditional_expectation_random_sweep(sv_spec, sv_solution):
         assert val <= 1e-9
 
 
-def test_exact_conditional_expectation_input_validation(sv_spec):
+def test_exact_conditional_expectation_input_validation(sv_spec, sq_spec):
     with pytest.raises(ValueError):
         exact_conditional_dpp_expectation(sv_spec, [1.0], 1.1)
     with pytest.raises(ValueError):
         exact_conditional_dpp_expectation(sv_spec, [-1.0, 0.0, 0.0], 1.1)
+    # non-finite queues, z_opt and cap fail closed instead of returning nan
+    # or, for a nan cap, silently dropping the truncation
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            exact_conditional_dpp_expectation(sv_spec, [1.0, bad, 0.0], 1.1)
+        with pytest.raises(ValueError):
+            exact_conditional_dpp_expectation(sv_spec, [1.0, 0.0, 0.0], bad)
+        with pytest.raises(ValueError):
+            exact_conditional_truncated_expectation(sq_spec, bad, 0.5, 3.0)
+    with pytest.raises(ValueError):
+        exact_conditional_truncated_expectation(sq_spec, 4.0, 0.5, math.nan)
+    with pytest.raises(ValueError):
+        exact_conditional_truncated_expectation(sq_spec, 4.0, 0.5, -1.0)
+    with pytest.raises(ValueError):
+        exact_conditional_truncated_expectation(sv_spec, 4.0, 0.5, 3.0)
 
 
 def test_simplex_grid_shape_and_content():
