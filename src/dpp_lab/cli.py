@@ -146,7 +146,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str, dump_traces: bool,
         summary = run_batch(batch)
     except InvariantViolation as e:
         print(f"INVARIANT VIOLATION: {e}", file=sys.stderr)
-        print(f"replay: seed={e.path_seed} slot={e.slot} T={batch.T}", file=sys.stderr)
+        # a theorem check runs at its own horizon and V; name V when it differs
+        v_note = "" if e.V == spec.V else f" V={e.V!r}"
+        print(f"replay: seed={e.path_seed} slot={e.slot} T={e.T}{v_note}", file=sys.stderr)
         return EXIT_INVARIANT
     except SlacknessError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -30,19 +30,21 @@ def pick_actions(scores: np.ndarray, chaos: str | None = None) -> np.ndarray:
     minimizer (exact ties go to the lowest index), or under ``chaos`` index 0
     (``skip-minimization``) or the lowest-index finite maximizer
     (``worst-action``).  Padding entries must be +inf so they never win."""
-    s = np.moveaxis(scores, 1, 0)
     if chaos == "skip-minimization":
-        return np.zeros(s.shape[1:], dtype=np.int64)
+        return np.zeros(scores.shape[:1] + scores.shape[2:], dtype=np.int64)
     if chaos == "worst-action":  # the largest finite score, negated, is least
-        s = np.where(np.isfinite(s), -s, np.inf)
+        scores = np.where(np.isfinite(scores), -scores, np.inf)
     elif chaos is not None:
         raise ValueError(f"unknown chaos mode {chaos!r}; choices: {CHAOS_MODES}")
-    low = np.minimum.reduce(s, axis=0)
+    cols = [scores[:, k] for k in range(scores.shape[1])]
+    low = cols[0]
+    for col in cols[1:]:
+        low = np.minimum(low, col)
     # the pick is the number of leading actions scored above the minimum
-    above = s[0] != low
+    above = cols[0] != low
     pick = above.astype(np.int64)
-    for k in range(1, s.shape[0] - 1):
-        above &= s[k] != low
+    for col in cols[1:-1]:
+        above &= col != low
         pick += above
     return pick
 
@@ -72,6 +74,7 @@ class ScoreTensor:
         self._first = np.arange(W)[:, None] * K  # index of each event's action 0
         self._pos = self._first * N + self._rows  # ... in the raveled tensor
         self._idx = np.empty((W, N), dtype=np.int64)
+        self._sel = np.empty(N, dtype=np.int64)
         self._decision = np.empty((len(table), N))
 
     def choose(self, q, chaos: str | None) -> None:
@@ -89,10 +92,15 @@ class ScoreTensor:
         """z0 and every z_l, shape (1+L, N), of the action chosen for each
         state's realized event ``ids``: the decision.  The array is reused by
         the next call."""
-        K = self.scores.shape[1]
+        K, N = self.scores.shape[1:]
+        sel = self._sel
         # indices are in range by construction; "clip" skips take's buffering
-        return np.take(self.flat, ids * K + self.picks[ids, self._rows], axis=1,
-                       out=self._decision, mode="clip")
+        np.multiply(ids, N, out=sel)
+        sel += self._rows
+        chosen = self.picks.ravel().take(sel, mode="clip")
+        np.multiply(ids, K, out=sel)
+        sel += chosen
+        return self.flat.take(sel, axis=1, out=self._decision, mode="clip")
 
     def expectations(self, z_opt: float,
                      trunc: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:

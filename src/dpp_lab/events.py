@@ -19,6 +19,8 @@ from .core import ActionVector, EventOutcome, ProblemSpec
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0x6A09E667F3BCC909  # domain separation for derived stream seeds
+_G, _M1, _M2 = (np.uint64(c) for c in (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_S11, _S27, _S30, _S31 = (np.uint64(c) for c in (11, 27, 30, 31))
 
 
 def mix64(x: int) -> int:
@@ -44,49 +46,69 @@ def derive_seed(master: int, stream_index: int) -> int:
     return u64_at(mix64(master ^ _STREAM_SALT), stream_index)
 
 
+def derive_seeds(master: int, start: int, count: int) -> np.ndarray:
+    """``derive_seed(master, start + i)`` for i in 0..count-1, as one uint64
+    array built in one vectorized call."""
+    return u64_block(mix64(master ^ _STREAM_SALT), start, count)
+
+
 def _mix64_block(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = x ^ (x >> np.uint64(30))
-        x = x * np.uint64(0xBF58476D1CE4E5B9)
-        x = x ^ (x >> np.uint64(27))
-        x = x * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
+    """The splitmix64 finalizer of every entry of the uint64 array ``x``, in
+    place.  uint64 array arithmetic wraps modulo 2**64 without a warning."""
+    tmp = np.empty_like(x)
+    np.right_shift(x, _S30, out=tmp)
+    x ^= tmp
+    x *= _M1
+    np.right_shift(x, _S27, out=tmp)
+    x ^= tmp
+    x *= _M2
+    np.right_shift(x, _S31, out=tmp)
+    x ^= tmp
+    return x
 
 
 def u64_block(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs ``start .. start+count-1`` of the stream, vectorized; matches
     :func:`u64_at` bit for bit."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = np.uint64(seed & _MASK64) + idx * np.uint64(_GOLDEN)
+    state = np.arange(start, start + count, dtype=np.uint64)
+    state *= _G
+    state += np.uint64(seed & _MASK64)
     return _mix64_block(state)
 
 
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    return (u64_block(seed, start, count) >> np.uint64(11)) * 2.0 ** -53
+    return (u64_block(seed, start, count) >> _S11) * 2.0 ** -53
 
 
-def u64_across(seeds: np.ndarray, n: int) -> np.ndarray:
-    """Output n of many streams at once (one per path in a lockstep batch)."""
-    with np.errstate(over="ignore"):
-        state = seeds + np.uint64((n * _GOLDEN) & _MASK64)
-    return _mix64_block(state)
-
-
-def uniform_across(seeds: np.ndarray, n: int) -> np.ndarray:
-    return (u64_across(seeds, n) >> np.uint64(11)) * 2.0 ** -53
+def uniform_across(seeds: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform double of output n of many streams at once (one per path in a
+    lockstep batch), written into the float64 array ``out`` when given."""
+    if out is None:
+        out = np.empty(seeds.shape)
+    bits = out.view(np.uint64)  # the integer steps run in out's own memory
+    np.add(seeds, np.uint64((n * _GOLDEN) & _MASK64), out=bits)
+    _mix64_block(bits)
+    bits >>= _S11
+    np.multiply(bits, 2.0 ** -53, out=out)
+    return out
 
 
 def cumulative_probabilities(spec: ProblemSpec) -> np.ndarray:
     return np.cumsum(np.asarray([e.probability for e in spec.events], dtype=np.float64))
 
 
+def event_ids(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The event id of each uniform in ``u`` under the cumulative
+    probabilities ``cum``: how many of ``cum[:-1]`` lie at or below it.
+    Since ``cum`` never decreases, that is ``searchsorted(cum, u,
+    side="right")`` clamped to the last event, which also catches a ``u``
+    past a ``cum[-1]`` that rounding left just under 1."""
+    return (cum[:-1, None] <= u).sum(axis=0, dtype=np.int64)
+
+
 def sample_block(spec: ProblemSpec, seed: int, T: int) -> np.ndarray:
     """Event ids for slots 1..T in one vectorized call."""
-    cum = cumulative_probabilities(spec)
-    u = uniform_block(seed, 1, T)
-    ids = np.searchsorted(cum, u, side="right")
-    return np.minimum(ids, len(cum) - 1).astype(np.int64)
+    return event_ids(cumulative_probabilities(spec), uniform_block(seed, 1, T))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Paths run in lockstep inside fixed-size chunks: one numpy step per slot,
 vectorized over the paths of the chunk.  Per-path seeds derive from the
 master seed by a splittable hash and no path depends on another, so batch
 statistics are invariant to chunking.  A batch runs its fixed-size chunks
-in order.
+in order.  A theorem check's calibration and validation paths run as one
+batch, so the engine's fixed per-slot cost is paid once per theorem.
 
 Each slot, :class:`dpp_lab.controller.ScoreTensor` scores every (event,
 action) pair of every path once, into one (event, action, path) tensor with
@@ -47,7 +48,7 @@ from .analysis import (BoundConstants, calibrated_deviation_level,
                        g_tail_bound, queue_tail_bound, xtail_bound)
 from .controller import ScoreTensor
 from .core import LAW_TOL, LAWS, ProblemSpec, laws_for
-from .events import cumulative_probabilities, derive_seed, uniform_across
+from .events import cumulative_probabilities, derive_seeds, event_ids, uniform_across
 from .oracle import SlacknessError, solve_stationary_optimum
 
 WILSON_Z = 1.96  # 95 percent score interval
@@ -64,14 +65,19 @@ _LAW_ORDER = _KF_LAWS + tuple(law.name for law in LAWS)
 
 class InvariantViolation(Exception):
     """A deterministic per-path law failed.  Carries everything needed to
-    replay the offending path in isolation."""
+    replay the offending path in isolation: its seed, the slot, and the
+    horizon ``T`` and ``V`` of the run that raised it (a theorem check runs at
+    its own horizon with V = 1/epsilon)."""
 
-    def __init__(self, law: str, path_index: int, path_seed: int, slot: int, detail: str = ""):
+    def __init__(self, law: str, path_index: int, path_seed: int, slot: int, detail: str = "",
+                 *, T: int | None = None, V: float | None = None):
         self.law = law
         self.path_index = path_index
         self.path_seed = path_seed
         self.slot = slot
         self.detail = detail
+        self.T = T
+        self.V = V
         super().__init__(
             f"{law} violated on path {path_index} (seed {path_seed}) at slot {slot}"
             + (f": {detail}" if detail else ""))
@@ -115,6 +121,14 @@ class ChunkStats:
             out[f.name] = None if items[0] is None else np.concatenate(items)
         return ChunkStats(**out)
 
+    def split(self, n: int) -> tuple["ChunkStats", "ChunkStats"]:
+        """The first ``n`` paths and the rest."""
+        parts = [{}, {}]
+        for f in fields(ChunkStats):
+            a = getattr(self, f.name)
+            parts[0][f.name], parts[1][f.name] = (None, None) if a is None else (a[:n], a[n:])
+        return ChunkStats(**parts[0]), ChunkStats(**parts[1])
+
 
 def _first_bad(mask: np.ndarray) -> int:
     return int(np.nonzero(mask)[0][0])
@@ -154,20 +168,21 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
 
     def fail(law: str, mask: np.ndarray, t: int, detail: str = "") -> None:
         i = _first_bad(mask)
-        raise InvariantViolation(law, path_offset + i, int(seeds[i]), t, detail)
+        raise InvariantViolation(law, path_offset + i, int(seeds[i]), t, detail, T=T, V=V)
 
     def enforce(laws, t: int) -> None:
         for law in laws:
             lhs, rhs = law.lhs(v), law.rhs(v)
             bad = lhs > rhs + LAW_TOL
-            if np.any(bad):
+            if bad.any():
                 i = _first_bad(bad)
                 fail(law.name, bad, t, f"{float(lhs[i])!r} exceeds "
                                        f"{float(np.broadcast_to(rhs, bad.shape)[i])!r}")
 
+    u = np.empty(N)
     for t in range(1, T + 1):
-        u = uniform_across(seeds, t)
-        ids = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        # through the module name, which perfbench's tracer patches
+        ids = event_ids(cum, uniform_across(seeds, t, out=u))
         tensor.choose(q, chaos)
         z0_sel, *z_sel = tensor.realized(ids)
 
@@ -180,17 +195,18 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         if key_feature:
             expect, etr = tensor.expectations(z_opt, trunc if trunc_kf else None)
             for law, value in zip(_KF_LAWS, (expect, etr)):
-                bad = value is not None and value > LAW_TOL
-                if np.any(bad):
-                    fail(law, bad, t, f"value {float(value[_first_bad(bad)])!r}")
+                if value is not None:
+                    bad = value > LAW_TOL
+                    if bad.any():
+                        fail(law, bad, t, f"value {float(value[_first_bad(bad)])!r}")
 
         dot = np.zeros(N)
         na2 = np.zeros(N)
         if single:
             visit = q[0] <= cap
-            nJ[visit] = t
-            s_at_nJ[visit] = s_trunc[visit]
-            q1_at_nJ[visit] = q[0][visit]
+            np.putmask(nJ, visit, t)
+            np.putmask(s_at_nJ, visit, s_trunc)
+            np.putmask(q1_at_nJ, visit, q[0])
         for l in range(L):
             ql, zl = q[l], z_sel[l]
             dot += ql * zl
@@ -246,18 +262,22 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     )
 
 
-def simulate_paths(spec: ProblemSpec, master_seed: int, num_paths: int, T: int,
-                   z_opt: float, constants: BoundConstants, *,
+def simulate_paths(spec: ProblemSpec, master_seed: int, num_paths: int | tuple[int, ...],
+                   T: int, z_opt: float, constants: BoundConstants, *,
                    chaos: str | None = None, key_feature: bool = False,
-                   seed_offset: int = 0) -> ChunkStats:
+                   seed_offset: int | tuple[int, ...] = 0) -> ChunkStats:
     """All paths of a batch, run in chunks of :data:`CHUNK` paths in order.
-    A chunk stops at its own first violation, and a later chunk may fail at
-    an earlier slot, so all chunks run before the earliest is raised."""
-    all_seeds = np.asarray(
-        [derive_seed(master_seed, seed_offset + i) for i in range(num_paths)],
-        dtype=np.uint64)
+    Path i takes seed ``derive_seed(master_seed, seed_offset + i)``.  Given
+    tuples, ``num_paths[j]`` paths take seeds from offset ``seed_offset[j]``
+    on, and the sets run as one batch, indexed in order.  A chunk stops at
+    its own first violation, and a later chunk may fail at an earlier slot,
+    so all chunks run before the earliest is raised."""
+    counts = num_paths if isinstance(num_paths, tuple) else (num_paths,)
+    offsets = seed_offset if isinstance(seed_offset, tuple) else (seed_offset,)
+    all_seeds = np.concatenate([derive_seeds(master_seed, off, n)
+                                for off, n in zip(offsets, counts, strict=True)])
     parts, first = [], None
-    for lo in range(0, num_paths, CHUNK):
+    for lo in range(0, len(all_seeds), CHUNK):
         try:
             parts.append(simulate_chunk(spec, all_seeds[lo:lo + CHUNK], lo, T, z_opt,
                                         constants, chaos=chaos, key_feature=key_feature))
@@ -387,7 +407,9 @@ def _fit_then_validate(config: BatchConfig, name: str, k: int, z_opt: float,
                        xi: float) -> CheckResult:
     """Fit the hidden approximation constant on a calibration batch (path
     offset ``k << 32``), then demand the validation pass fraction (offset
-    ``(k + 1) << 32``) clears 1 - 2*delta at Wilson-lower confidence."""
+    ``(k + 1) << 32``) clears 1 - 2*delta at Wilson-lower confidence.  Both
+    batches run in one lockstep call; neither depends on the other's
+    results."""
     epsilon, delta = config.epsilon, config.delta
     v_spec = config.spec.with_v(1.0 / epsilon)
     if name == "Theorem2":
@@ -398,14 +420,20 @@ def _fit_then_validate(config: BatchConfig, name: str, k: int, z_opt: float,
     cal_paths = max(1, config.num_paths // 3)
     val_paths = max(1, config.num_paths - cal_paths)
     consts = constants_for_horizon(v_spec, xi, horizon, delta)
-    cal = simulate_paths(v_spec, config.master_seed, cal_paths, horizon, z_opt, consts,
-                         seed_offset=k << 32)
+    counts, offsets = (cal_paths, val_paths), (k << 32, (k + 1) << 32)
+    try:
+        cal, val = simulate_paths(v_spec, config.master_seed, counts, horizon, z_opt,
+                                  consts, seed_offset=offsets).split(cal_paths)
+    except InvariantViolation:
+        # the engine is deterministic, so the sets run alone, calibration
+        # first, raise the violation they raise as separate batches, with the
+        # path index counted within the failing set
+        cal, val = [simulate_paths(v_spec, config.master_seed, n, horizon, z_opt, consts,
+                                   seed_offset=off) for n, off in zip(counts, offsets)]
     margins = np.maximum(cal.avg_obj - z_opt, np.max(cal.avg_cons, axis=1)) / epsilon
     M = float(np.quantile(margins, 0.95))
     if M <= 0.0:
         M = 1e-9  # the guarantee needs a positive constant; calibration beat it
-    val = simulate_paths(v_spec, config.master_seed, val_paths, horizon, z_opt, consts,
-                         seed_offset=(k + 1) << 32)
     ok = ((val.avg_obj <= z_opt + M * epsilon)
           & np.all(val.avg_cons <= M * epsilon, axis=1))
     n_ok = int(np.count_nonzero(ok))

@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
+from helpers import unchecked_spec
+
 from dpp_lab.cli import _write_json, main
+from dpp_lab.configfile import RunConfig
+from dpp_lab.core import ProblemSpec
+from dpp_lab.events import derive_seed
 from dpp_lab.schema import load_schema, validate
 
 SIM_CFG = """
@@ -119,6 +124,21 @@ def test_verify_chaos_exits_2(tmp_path, capsys):
     # the violating value prints as a plain float under numpy 2
     assert "np.float64" not in err
     assert re.search(r"at slot \d+: value -?\d+\.\d+(e-?\d+)?\n", err)
+
+
+def test_theorem_violation_replays_at_its_horizon(tmp_path, capsys, monkeypatch):
+    # B understated by 0.1%: the 5-slot main batch stays clean, and Theorem2
+    # (epsilon = 1: V = 1, horizon 51) fails on validation path 1 at slot 32
+    build = RunConfig.build_spec
+    monkeypatch.setattr(RunConfig, "build_spec",
+                        lambda self: unchecked_spec(build(self), B=3 ** 0.5 * 0.999))
+    monkeypatch.setattr(ProblemSpec, "with_v", lambda self, V: unchecked_spec(self, V=V))
+    cfg = _write(tmp_path, "problem = server-scheduling-3x2\nV = 10.0\nseed = 7\n"
+                           "output = {out}\nbatch.num_paths = 3\nbatch.T = 5\n"
+                           "batch.epsilon = 1.0\nbatch.checks = Theorem2\n")
+    assert main(["verify", "--config", cfg]) == 2
+    seed = derive_seed(7, (2 << 32) + 1)
+    assert capsys.readouterr().err.endswith(f"replay: seed={seed} slot=32 T=51 V=1.0\n")
 
 
 def test_verify_underpowered_statistics_exit_3(tmp_path):

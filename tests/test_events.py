@@ -9,8 +9,9 @@ from scipy import stats as scipy_stats
 from dpp_lab import (ActionVector, EventOutcome, ProblemSpec,
                      build_server_scheduling_spec, build_single_queue_spec,
                      builtin_spec, derive_seed, sample_block)
-from dpp_lab.events import (cumulative_probabilities, mix64, u64_at, u64_block,
-                            uniform_across, uniform_at)
+from dpp_lab.core import PROB_TOL
+from dpp_lab.events import (cumulative_probabilities, derive_seeds, event_ids, mix64,
+                            u64_at, u64_block, uniform_across, uniform_at, uniform_block)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -25,6 +26,9 @@ def test_generator_regression_pins():
     assert derive_seed(999, 123) == 6239021794866276273
 
 
+# the vectorized draws wrap uint64 arithmetic in place: "error" shows that
+# none of it raises a RuntimeWarning
+@pytest.mark.filterwarnings("error")
 @given(U64, st.integers(min_value=0, max_value=1 << 32))
 def test_vector_generator_matches_scalar(seed, start):
     block = u64_block(seed, start, 8)
@@ -38,12 +42,71 @@ def test_uniform_in_unit_interval(seed, t):
     assert 0.0 <= u < 1.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_uniform_across_matches_per_path():
     seeds = np.asarray([derive_seed(5, i) for i in range(16)], dtype=np.uint64)
-    for t in (1, 2, 100):
+    buf = np.empty(16)
+    for t in (1, 2, 100, (1 << 64) - 1):
         col = uniform_across(seeds, t)
+        assert uniform_across(seeds, t, out=buf) is buf
+        assert buf.tobytes() == col.tobytes()
         for i in range(16):
             assert col[i] == uniform_at(int(seeds[i]), t)
+    assert seeds.tobytes() == np.asarray([derive_seed(5, i) for i in range(16)],
+                                         dtype=np.uint64).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start", [0, 1 << 32, 3 << 32, (1 << 63) - 5])
+@pytest.mark.parametrize("master", [0, 999, (1 << 64) - 1])
+def test_derive_seeds_match_derive_seed(master, start):
+    # the last start runs across 2**63
+    block = derive_seeds(master, start, 10)
+    assert block.dtype == np.uint64
+    assert block.tolist() == [derive_seed(master, start + i) for i in range(10)]
+
+
+def _searchsorted_ids(cum, u):
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+@st.composite
+def _cum_and_uniforms(draw):
+    """Cumulative probabilities of 1-9 ragged weights, with a last entry up
+    to PROB_TOL short of 1, and uniforms that include every boundary and
+    the gap past cum[-1]."""
+    w = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=9))
+    cum = np.cumsum(np.asarray(w, dtype=np.float64) / float(sum(w)))
+    cum[-1] = 1.0 - draw(st.sampled_from([0.0, PROB_TOL / 2, PROB_TOL]))
+    on = [float(c) for c in cum if c < 1.0]
+    below = [float(np.nextafter(c, 0.0)) for c in cum]
+    past = [float(np.nextafter(1.0, 0.0))]
+    free = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    return cum, np.asarray([0.0] + on + below + past + free)
+
+
+@pytest.mark.filterwarnings("error")
+@given(_cum_and_uniforms())
+def test_event_ids_match_clamped_searchsorted(case):
+    cum, u = case
+    ids = event_ids(cum, u)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == _searchsorted_ids(cum, u).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+def test_event_ids_single_event_and_boundaries():
+    assert event_ids(np.asarray([1.0]), np.asarray([0.0, 0.5, 0.999])).tolist() == [0, 0, 0]
+    cum = np.asarray([0.25, 0.5, 1.0 - PROB_TOL])
+    u = np.asarray([0.0, 0.25, np.nextafter(0.25, 0.0), 0.5, 1.0 - PROB_TOL, 1.0 - 2 ** -53])
+    assert event_ids(cum, u).tolist() == [0, 1, 0, 2, 2, 2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_block_uses_the_clamped_rule(sv_spec):
+    u = uniform_block(77, 1, 5000)
+    expected = _searchsorted_ids(cumulative_probabilities(sv_spec), u)
+    assert sample_block(sv_spec, 77, 5000).tolist() == expected.tolist()
 
 
 def test_sample_is_pure_in_seed_and_slot(sv_spec):

@@ -13,7 +13,8 @@ from dpp_lab import (BatchConfig, InvariantViolation, builtin_spec,
                      check_trace_laws, montecarlo, run_batch, run_path,
                      wilson_interval)
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
-                              constants_for_horizon)
+                              constants_for_horizon, convergence_time_multi)
+from dpp_lab.core import ProblemSpec
 from dpp_lab.events import derive_seed
 from dpp_lab.controller import ScoreTensor
 from dpp_lab.montecarlo import (CHUNK, ChunkStats, simulate_chunk,
@@ -92,6 +93,12 @@ def _split_run(spec, master_seed, cuts, T, z_opt, consts):
                               for lo, hi in zip(cuts, cuts[1:])])
 
 
+def _assert_stats_equal(a, b):
+    for f in fields(ChunkStats):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x is None and y is None) or x.tobytes() == y.tobytes(), f.name
+
+
 CUTS = (0, 1000, 7000, 2 * CHUNK + 17)  # a split other than simulate_paths' own
 
 
@@ -102,10 +109,7 @@ def test_batch_is_invariant_to_chunking(name):
     T = 52
     consts = constants_for_horizon(spec, sol.xi_star / 2, T, 0.05)
     whole = simulate_paths(spec, 1, CUTS[-1], T, sol.z_opt, consts)
-    split = _split_run(spec, 1, CUTS, T, sol.z_opt, consts)
-    for f in fields(ChunkStats):
-        a, b = getattr(whole, f.name), getattr(split, f.name)
-        assert (a is None and b is None) or a.tobytes() == b.tobytes(), f.name
+    _assert_stats_equal(whole, _split_run(spec, 1, CUTS, T, sol.z_opt, consts))
 
 
 def test_violation_path_index_is_invariant_to_chunking(sv_spec, sv_solution):
@@ -140,6 +144,63 @@ def test_earliest_violation_is_invariant_to_chunk_size(sv_spec, sv_solution, mon
         found.add((e.law, e.path_index, e.path_seed, e.slot, e.detail))
     assert len(found) == 1
     assert next(iter(found))[:4] == ("quadratic drift bound", 2001, derive_seed(8, 2001), 55)
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 7])
+@pytest.mark.parametrize("name", sorted(ENGINE_SPECS))
+def test_merged_seed_sets_match_separate_calls(name, chunk, monkeypatch):
+    # a theorem check's calibration and validation sets run as one lockstep
+    # call, also with a chunk that straddles the two; each set's per-path
+    # results are bit-equal to its own call
+    monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+    spec = ENGINE_SPECS[name]()
+    sol = solve_stationary_optimum(spec)
+    T = 120
+    consts = constants_for_horizon(spec, sol.xi_star / 2, T, 0.05)
+    counts, offsets = (5, 11), (1 << 32, 2 << 32)
+    both = simulate_paths(spec, 4, counts, T, sol.z_opt, consts, seed_offset=offsets)
+    assert both.avg_obj.shape == (16,)
+    for part, n, off in zip(both.split(counts[0]), counts, offsets):
+        alone = simulate_paths(spec, 4, n, T, sol.z_opt, consts, seed_offset=off)
+        _assert_stats_equal(part, alone)
+
+
+@pytest.mark.parametrize("seed,expected", [
+    # the validation set's path 1 fails; the merged call calls it path 2
+    (7, ("quadratic drift bound", 1, derive_seed(7, (2 << 32) + 1), 32, 2, 32)),
+    # the validation set fails first (slot 11), but the calibration set's
+    # failure at slot 30 is reported, as when the sets ran one by one
+    (2, ("quadratic drift bound", 0, derive_seed(2, 1 << 32), 30, 1, 11)),
+])
+def test_theorem_violation_names_its_own_set(sv_spec, monkeypatch, seed, expected):
+    # B understated by 0.1%; epsilon = 1 gives V = 1 and a Theorem2 horizon
+    # of 51 slots over 1 calibration and 2 validation paths, while the main
+    # batch (5 slots) stays clean
+    monkeypatch.setattr(ProblemSpec, "with_v", lambda self, V: unchecked_spec(self, V=V))
+    spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.999)
+    sol = solve_stationary_optimum(spec)
+    cfg = BatchConfig(spec=spec, num_paths=3, T=5, master_seed=seed, epsilon=1.0,
+                      checks=("Theorem2",))
+    with pytest.raises(InvariantViolation) as err:
+        run_batch(cfg)
+    e = err.value
+    horizon = convergence_time_multi(1.0, cfg.delta)
+    assert (e.law, e.path_index, e.path_seed, e.slot, e.T, e.V) == expected[:4] + (horizon, 1.0)
+    # the separate calls, calibration first, raise the same violation
+    v_spec = spec.with_v(1.0)
+    consts = constants_for_horizon(v_spec, sol.xi, horizon, cfg.delta)
+    found = []
+    for n, off in ((1, 1 << 32), (2, 2 << 32)):
+        try:
+            simulate_paths(v_spec, seed, n, horizon, sol.z_opt, consts, seed_offset=off)
+        except InvariantViolation as alone:
+            found.append(alone)
+    assert str(found[0]) == str(e)
+    # what the merged call raises alone
+    with pytest.raises(InvariantViolation) as merged:
+        simulate_paths(v_spec, seed, (1, 2), horizon, sol.z_opt, consts,
+                       seed_offset=(1 << 32, 2 << 32))
+    assert (merged.value.path_index, merged.value.slot) == expected[4:]
 
 
 def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, monkeypatch):

@@ -43,6 +43,25 @@ def test_tracing_installs_and_restores(tmp_path):
     assert layers["montecarlo.chunk_kf_path_slots_per_s"] > 0
 
 
+def test_tracing_sees_one_chunk_per_theorem(tmp_path):
+    # the tracer patches montecarlo.uniform_across by name; each theorem's
+    # calibration and validation paths run as one chunk
+    tracing = _load("tracing")
+    from dpp_lab import cli
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = single-queue-serve-idle\nV = 10.0\nseed = 3\n"
+                   f"output = {tmp_path / 'out'}\nbatch.num_paths = 12\nbatch.T = 20\n"
+                   "batch.epsilon = 0.5\nbatch.checks = QueueTail, Theorem2, Theorem3\n")
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert cli.main(["verify", "--config", str(cfg)]) in (0, 3)
+    finally:
+        tracer.restore()
+    layers = tracing.layer_metrics(tracer.spans)
+    assert layers["events.rng_s"] > 0 and layers["montecarlo.chunks"] == 3
+
+
 def test_workload_calls_exist():
     with open(os.path.join(PERFBENCH, "workloads.py"), encoding="utf-8") as f:
         tree = ast.parse(f.read())
