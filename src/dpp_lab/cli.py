@@ -2,8 +2,10 @@
 
 Every command is deterministic given its config file and flags, and writes
 machine-readable artifacts (CSV traces, JSON reports) under the output
-directory.  Exit codes: 0 success, 1 config error, 2 deterministic invariant
-violation, 3 statistical check failure.
+directory.  Exit codes: 0 success, 1 config or usage error (a bad flag goes
+through the same config-key rule as the line it overrides; an infeasible
+instance exits 1 too), 2 deterministic invariant violation, 3 statistical
+check failure.
 
 The --chaos flag deliberately breaks the decision rule and exists only so the
 verification harness can prove it detects a broken controller; never use it
@@ -21,8 +23,8 @@ import sys
 import numpy as np
 
 from . import analysis, schema
-from .configfile import ConfigError, RunConfig, load_config
-from .controller import run_path
+from .configfile import ConfigError, RunConfig, load_config, set_key
+from .controller import CHAOS_MODES, run_path
 from .core import ProblemSpec, time_average, write_trace_csv
 from .events import derive_seed
 from .montecarlo import (_SINGLE_ONLY, ALL_CHECKS, BatchConfig,
@@ -49,10 +51,7 @@ def _default_checks(spec: ProblemSpec) -> tuple[str, ...]:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.build_spec()
-    sol = solve_stationary_optimum(spec)
-    if sol.z_opt is None:
-        print("error: problem instance is infeasible", file=sys.stderr)
-        return EXIT_CONFIG
+    sol = solve_stationary_optimum(spec).require_feasible()
     trace = run_path(spec, cfg.seed, cfg.T)
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.csv")
@@ -77,19 +76,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig, epsilon: float, delta: float, out_dir: str) -> int:
+def cmd_bounds(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.build_spec()
-    sol = solve_stationary_optimum(spec)
-    if sol.z_opt is None:
-        print("error: problem instance is infeasible", file=sys.stderr)
-        return EXIT_CONFIG
+    epsilon, delta = cfg.epsilon, cfg.delta
+    sol = solve_stationary_optimum(spec).require_feasible()
     try:
         constants = analysis.constants_for_horizon(spec, sol.xi, cfg.T, delta)
     except SlacknessError as e:
-        print(f"error: {e}", file=sys.stderr)
-        print("stationary optimum certificate: "
-              + json.dumps(sol.to_json_dict(), sort_keys=True), file=sys.stderr)
-        return EXIT_CONFIG
+        raise SlacknessError(f"{e}\nstationary optimum certificate: "
+                             + json.dumps(sol.to_json_dict(), sort_keys=True)) from None
     t_multi = analysis.convergence_time_multi(epsilon, delta)
     t_single: int | None
     reason: str | None
@@ -150,9 +145,6 @@ def cmd_verify(cfg: RunConfig, out_dir: str, dump_traces: bool,
         v_note = "" if e.V == spec.V else f" V={e.V!r}"
         print(f"replay: seed={e.path_seed} slot={e.slot} T={e.T}{v_note}", file=sys.stderr)
         return EXIT_INVARIANT
-    except SlacknessError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "batch.json")
     _write_json(path, summary.to_json_dict(), "batch_summary")
@@ -175,9 +167,6 @@ def cmd_verify(cfg: RunConfig, out_dir: str, dump_traces: bool,
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
-    if not cfg.sweep_v:
-        print("error: sweep.V_list is empty", file=sys.stderr)
-        return EXIT_CONFIG
     T = cfg.T
     n_checks = min(cfg.sweep_checkpoints, T)
     grid = np.unique(np.round(np.logspace(0, math.log10(T), n_checks)).astype(np.int64))
@@ -198,77 +187,62 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`ConfigError`, so that they exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+# flag: the config key that parses, checks and stores it
+_FLAG_KEYS = {"seed": "seed", "paths": "batch.num_paths",
+              "epsilon": "batch.epsilon", "delta": "batch.delta"}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dpp-lab",
-                                description="drift-plus-penalty simulation and verification")
+    p = _Parser(prog="dpp-lab", description="drift-plus-penalty simulation and verification")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *flags):
         sp.add_argument("--config", required=True, help="run configuration file")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--out", default=None, help="override output directory")
+        for flag in ("seed",) + flags:
+            sp.add_argument(f"--{flag}", help=f"override {_FLAG_KEYS[flag]}")
+        return sp
 
-    sp = sub.add_parser("simulate", help="run one path, write trace CSV and summary JSON")
-    common(sp)
-
-    sp = sub.add_parser("bounds", help="closed-form constants and convergence horizons")
-    common(sp)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-
-    sp = sub.add_parser("verify", help="Monte Carlo verification batch")
-    common(sp)
-    sp.add_argument("--paths", type=int, default=None, help="override batch.num_paths")
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
+    common(sub.add_parser("simulate", help="run one path, write trace CSV and summary JSON"))
+    common(sub.add_parser("bounds", help="closed-form constants and convergence horizons"),
+           "epsilon", "delta")
+    sp = common(sub.add_parser("verify", help="Monte Carlo verification batch"),
+                "paths", "epsilon", "delta")
     sp.add_argument("--dump-traces", action="store_true")
-    sp.add_argument("--chaos", default=None, metavar="MODE",
+    sp.add_argument("--chaos", default=None, choices=CHAOS_MODES, metavar="MODE",
                     help="test-only controller fault injection "
-                         "(skip-minimization, worst-action)")
-
-    sp = sub.add_parser("sweep", help="time-average curves across trade-off weights")
-    common(sp)
+                         f"({', '.join(CHAOS_MODES)})")
+    common(sub.add_parser("sweep", help="time-average curves across trade-off weights"))
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.seed is not None:
-            if not 0 <= args.seed < (1 << 64):
-                raise ConfigError("--seed must fit in 64 unsigned bits")
-            cfg.seed = args.seed
+        for flag, key in _FLAG_KEYS.items():
+            raw = getattr(args, flag, None)
+            if raw is not None:
+                set_key(cfg, key, raw, f"--{flag}")
         out_dir = args.out if args.out is not None else cfg.output
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)
         if args.command == "bounds":
-            epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
-            delta = args.delta if args.delta is not None else cfg.delta
-            if not 0 < epsilon < math.inf or not 0 < delta < 1:
-                raise ConfigError("need finite epsilon > 0 and delta in (0, 1)")
-            return cmd_bounds(cfg, epsilon, delta, out_dir)
+            return cmd_bounds(cfg, out_dir)
         if args.command == "verify":
-            if args.paths is not None:
-                if args.paths < 1:
-                    raise ConfigError("--paths must be at least 1")
-                cfg.num_paths = args.paths
-            if args.epsilon is not None:
-                if not 0 < args.epsilon < math.inf:
-                    raise ConfigError("--epsilon must be positive and finite")
-                cfg.epsilon = args.epsilon
-            if args.delta is not None:
-                if not 0 < args.delta < 1:
-                    raise ConfigError("--delta must lie in (0, 1)")
-                cfg.delta = args.delta
             return cmd_verify(cfg, out_dir, args.dump_traces, args.chaos)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep(cfg, out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, analysis.ConsistencyError) as e:
+    except (ValueError, SlacknessError, analysis.ConsistencyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -109,41 +109,41 @@ class RunConfig:
             raise ConfigError(f"inline problem rejected: {e}") from None
 
 
-def _as_text(line_no: int, key: str, raw: str) -> str:
-    raw = raw.strip()
-    if not raw:
-        raise ConfigError(f"line {line_no}: empty value for {key}")
+# Each parser takes the label that its error messages open with: ``line N:
+# key`` for a config line, ``--flag`` for a command-line flag.
+
+def _as_text(label: str, raw: str) -> str:
     return raw
 
 
-def _as_int(line_no: int, key: str, raw: str) -> int:
+def _as_int(label: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} needs an integer, got {raw!r}") from None
+        raise ConfigError(f"{label} needs an integer, got {raw!r}") from None
 
 
-def _as_float(line_no: int, key: str, raw: str, what: str = "a finite number") -> float:
+def _as_float(label: str, raw: str, what: str = "a finite number") -> float:
     try:
         value = float(raw)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ConfigError(f"line {line_no}: {key} needs {what}, got {raw!r}")
+        raise ConfigError(f"{label} needs {what}, got {raw!r}")
     return value
 
 
-def _as_float_list(line_no: int, key: str, raw: str) -> tuple[float, ...]:
-    return tuple(_as_float(line_no, key, tok, "comma-separated finite numbers")
+def _as_float_list(label: str, raw: str) -> tuple[float, ...]:
+    return tuple(_as_float(label, tok, "comma-separated finite numbers")
                  for tok in raw.split(","))
 
 
-def _as_checks(line_no: int, key: str, raw: str) -> tuple[str, ...]:
+def _as_checks(label: str, raw: str) -> tuple[str, ...]:
     names = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
     for name in names:
         if name not in ALL_CHECKS:
-            raise ConfigError(f"line {line_no}: unknown check {name!r}; "
-                              f"choices: {ALL_CHECKS}")
+            line = label.split(": ")[0]  # this key has no flag, only config lines
+            raise ConfigError(f"{line}: unknown check {name!r}; choices: {ALL_CHECKS}")
     return names
 
 
@@ -175,6 +175,20 @@ _KEYS = {
 }
 
 
+def set_key(cfg: RunConfig, key: str, raw: str, label: str) -> None:
+    """Parse ``raw`` as the value of the table key ``key``, check it against
+    the key's requirement and store it in ``cfg``.  Errors open with
+    ``label``."""
+    target, parse, requirement = _KEYS[key]
+    value = parse(label, raw)
+    if requirement is not None and not requirement[0](value):
+        raise ConfigError(f"{label} {requirement[1]}")
+    if target is None:
+        cfg.inline[key.removeprefix("problem.")] = value
+    else:
+        setattr(cfg, target, value)
+
+
 def parse_config_text(text: str) -> RunConfig:
     cfg = RunConfig()
     seen: dict[str, int] = {}
@@ -184,32 +198,26 @@ def parse_config_text(text: str) -> RunConfig:
             continue
         if "=" not in body:
             raise ConfigError(f"line {line_no}: expected `key = value`, got {line!r}")
-        key, raw = body.split("=", 1)
-        key = key.strip()
-        raw = _as_text(line_no, key, raw)
+        key, raw = (part.strip() for part in body.split("=", 1))
+        if not raw:
+            raise ConfigError(f"line {line_no}: empty value for {key}")
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate key {key} (first on line {seen[key]})")
         seen[key] = line_no
+        label = f"line {line_no}: {key}"
 
         m = _EVENT_KEY.match(key)
         if m:
             node = cfg.inline.setdefault("events", {}).setdefault(int(m.group(1)), {})
             if m.group(3) is None:
-                node["probability"] = _as_float(line_no, key, raw)
+                node["probability"] = _as_float(label, raw)
             else:
-                row = _as_float_list(line_no, key, raw)
+                row = _as_float_list(label, raw)
                 node.setdefault("actions", {})[int(m.group(3))] = list(row)
             continue
         if key not in _KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        target, parse, requirement = _KEYS[key]
-        value = parse(line_no, key, raw)
-        if requirement is not None and not requirement[0](value):
-            raise ConfigError(f"line {line_no}: {key} {requirement[1]}")
-        if target is None:
-            cfg.inline[key.removeprefix("problem.")] = value
-        else:
-            setattr(cfg, target, value)
+        set_key(cfg, key, raw, label)
     if cfg.problem_name is not None and cfg.inline:
         raise ConfigError("give either a builtin `problem` or an inline problem.* tree, not both")
     return cfg

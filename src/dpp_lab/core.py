@@ -230,7 +230,8 @@ def time_average(trace: PathTrace, which: str, index: int | None = None) -> floa
 #
 # One ordered table serves the lockstep engine (evaluated each slot over the
 # paths of a chunk) and stored traces (evaluated over the slots of one path).
-# A law holds where lhs <= rhs + LAW_TOL.  Both sides read one namespace:
+# A law holds where lhs <= rhs + LAW_TOL, so a NaN on either side fails.
+# Both sides read one namespace:
 #   norm_before, norm_after  queue norm at the start and the end of the slot
 #   drift, qz                quadratic drift, and q.z for the chosen increments
 #   dy, dg                   one-step differences of the stopped process and,

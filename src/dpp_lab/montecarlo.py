@@ -49,7 +49,7 @@ from .analysis import (BoundConstants, calibrated_deviation_level,
 from .controller import ScoreTensor
 from .core import LAW_TOL, LAWS, ProblemSpec, laws_for
 from .events import cumulative_probabilities, derive_seeds, event_ids, uniform_across
-from .oracle import SlacknessError, solve_stationary_optimum
+from .oracle import solve_stationary_optimum
 
 WILSON_Z = 1.96  # 95 percent score interval
 CHUNK = 4096
@@ -173,8 +173,9 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     def enforce(laws, t: int) -> None:
         for law in laws:
             lhs, rhs = law.lhs(v), law.rhs(v)
-            bad = lhs > rhs + LAW_TOL
-            if bad.any():
+            ok = lhs <= rhs + LAW_TOL  # core.law_problems' form: NaN fails
+            if not ok.all():
+                bad = ~ok
                 i = _first_bad(bad)
                 fail(law.name, bad, t, f"{float(lhs[i])!r} exceeds "
                                        f"{float(np.broadcast_to(rhs, bad.shape)[i])!r}")
@@ -196,8 +197,9 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
             expect, etr = tensor.expectations(z_opt, trunc if trunc_kf else None)
             for law, value in zip(_KF_LAWS, (expect, etr)):
                 if value is not None:
-                    bad = value > LAW_TOL
-                    if bad.any():
+                    ok = value <= LAW_TOL
+                    if not ok.all():
+                        bad = ~ok
                         fail(law, bad, t, f"value {float(value[_first_bad(bad)])!r}")
 
         dot = np.zeros(N)
@@ -453,9 +455,7 @@ def run_batch(config: BatchConfig) -> BatchSummary:
     the config; raises :class:`InvariantViolation` on any per-path law
     failure."""
     spec = config.spec
-    sol = solve_stationary_optimum(spec)
-    if sol.z_opt is None:
-        raise SlacknessError("instance is infeasible; no stationary policy meets the constraints")
+    sol = solve_stationary_optimum(spec).require_feasible()
     xi = sol.xi
     constants = constants_for_horizon(spec, xi, config.T, config.delta)
 

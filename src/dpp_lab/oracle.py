@@ -22,6 +22,7 @@ the lockstep engine's scorer :class:`dpp_lab.controller.ScoreTensor`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,13 @@ class StationarySolution:
             "policy": None if self.policy is None else [list(row) for row in self.policy],
             "lp_status": self.lp_status.value,
         }
+
+    def require_feasible(self) -> "StationarySolution":
+        """This solution, or :class:`SlacknessError` if it has no policy."""
+        if self.z_opt is None:
+            raise SlacknessError("instance is infeasible; no stationary policy meets "
+                                 "the constraints")
+        return self
 
     @property
     def xi(self) -> float:
@@ -291,33 +299,35 @@ def _iter_grid_chunks(spec: ProblemSpec, resolution: int, chunk: int = 1 << 20):
             yield acc
 
 
-def grid_stationary_optimum(spec: ProblemSpec, resolution: int = 200,
-                            max_points: int = 1 << 25) -> float | None:
-    """Exhaustive minimum cost over the product of per-event simplex grids,
-    restricted to grid points meeting every constraint expectation.
+GRID_MAX_POINTS = 1 << 25  # small instances only, where exhaustion is airtight
 
-    Returns None when no grid point is feasible.  Refuses instances whose
-    joint grid exceeds ``max_points``; the point of this oracle is small
-    instances where exhaustion is airtight.
-    """
-    if grid_points_budget(spec, resolution) > max_points:
+
+@functools.lru_cache(maxsize=1)
+def _grid_extremes(spec: ProblemSpec, resolution: int) -> tuple[float | None, float]:
+    """Both grid oracles from one walk of the joint grid, read off each
+    point's max_l E[z_l]: the least cost where it is <= 1e-12 (None if
+    nowhere), and minus its minimum.  Cached, as callers ask for both."""
+    if grid_points_budget(spec, resolution) > GRID_MAX_POINTS:
         raise ValueError("joint grid too large; shrink the instance or resolution")
-    best = None
+    best, least_worst = None, math.inf
     for acc in _iter_grid_chunks(spec, resolution):
-        feas = np.all(acc[1:] <= 1e-12, axis=0)
-        if np.any(feas):
+        worst = np.max(acc[1:], axis=0)
+        least_worst = min(least_worst, float(np.min(worst)))
+        feas = worst <= 1e-12
+        if feas.any():
             m = float(np.min(acc[0][feas]))
             best = m if best is None else min(best, m)
-    return best
+    # max_x min_l(-z_l) == -min_x max_l(z_l): negation is exact
+    return best, -least_worst
 
 
-def grid_max_slackness(spec: ProblemSpec, resolution: int = 200,
-                       max_points: int = 1 << 25) -> float:
+def grid_stationary_optimum(spec: ProblemSpec, resolution: int = 200) -> float | None:
+    """Exhaustive minimum cost over the product of per-event simplex grids,
+    restricted to grid points meeting every constraint expectation; None
+    when no grid point is feasible."""
+    return _grid_extremes(spec, resolution)[0]
+
+
+def grid_max_slackness(spec: ProblemSpec, resolution: int = 200) -> float:
     """Exhaustive max over the joint grid of min_l(-E[z_l])."""
-    if grid_points_budget(spec, resolution) > max_points:
-        raise ValueError("joint grid too large; shrink the instance or resolution")
-    best = -np.inf
-    for acc in _iter_grid_chunks(spec, resolution):
-        # max_x min_l(-z_l) == -min_x max_l(z_l): negation is exact
-        best = max(best, -float(np.min(np.max(acc[1:], axis=0))))
-    return best
+    return _grid_extremes(spec, resolution)[1]

@@ -209,7 +209,54 @@ def test_config_errors_exit_1(tmp_path, capsys):
     zero_t.write_text("problem = server-scheduling-3x2\nV = 10\nT = 0\n")
     assert main(["simulate", "--config", str(zero_t)]) == 1
     cfg = _write(tmp_path, SIM_CFG)
-    assert main(["verify", "--config", cfg, "--paths", "0"]) == 1
+    capsys.readouterr()
+    # a flag is parsed and checked by the rule of the config key it overrides
+    bad_paths = _write(tmp_path, SIM_CFG.replace("num_paths = 60", "num_paths = 0"), "np.cfg")
+    assert main(["verify", "--config", bad_paths]) == 1
+    assert capsys.readouterr().err == "config error: line 7: batch.num_paths must be at least 1\n"
+    for argv, message in [
+        (["verify", "--config", cfg, "--paths", "0"], "--paths must be at least 1"),
+        (["verify", "--config", cfg, "--paths", "abc"], "--paths needs an integer, got 'abc'"),
+        (["bounds", "--config", cfg, "--epsilon", "x"],
+         "--epsilon needs a finite number, got 'x'"),
+        (["verify", "--config", cfg, "--seed", "-1"], "--seed must fit in 64 unsigned bits"),
+        (["verify", "--config", cfg, "--delta", "2"], "--delta must lie in (0, 1)"),
+        (["bounds", "--config", cfg, "--delta", "2"], "--delta must lie in (0, 1)"),
+        (["verify", "--config", cfg, "--chaos", "bogus"], "argument --chaos: invalid choice"),
+        (["simulate", "--seed", "3"], "the following arguments are required: --config"),
+        ([], "the following arguments are required: command"),
+    ]:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+# one constraint whose every action raises the queue: no policy meets it
+INFEASIBLE_CFG = ("problem.L = 1\nproblem.z_max = 1.0\nproblem.B = 1.0\nproblem.V = 5.0\n"
+                  "problem.events.0.probability = 1.0\n"
+                  "problem.events.0.actions.0 = 0.0, 0.5\n"
+                  "problem.events.0.actions.1 = 1.0, 0.25\n"
+                  "T = 50\noutput = {out}\nbatch.num_paths = 4\nbatch.T = 20\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds", "verify"])
+def test_infeasible_instance_exits_1(tmp_path, capsys, command):
+    cfg = _write(tmp_path, INFEASIBLE_CFG)
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == ("error: instance is infeasible; no stationary "
+                                       "policy meets the constraints\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bounds_without_slack_prints_the_certificate(tmp_path, capsys):
+    # feasible, but only at zero slack: the bound constants are undefined
+    cfg = _write(tmp_path, INFEASIBLE_CFG.replace("actions.0 = 0.0, 0.5", "actions.0 = 0.0, 0.0"))
+    assert main(["bounds", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: maximal slackness 0.0 is not positive\nstationary optimum certificate: "
+        '{"lp_status": "Optimal", "policy": [[1.0, 0.0]], "xi_star": 0.0, "z_opt": 0.0}\n')
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])

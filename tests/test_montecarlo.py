@@ -1,5 +1,6 @@
 import json
-from dataclasses import fields
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -407,6 +408,22 @@ def test_understated_z_max_trips_the_truncated_key_feature(sq_spec, sq_solution)
     err = _engine_violation(spec, consts, sq_solution.z_opt, key_feature=True)
     assert (err.law, err.path_index, err.slot) == (
         "exact truncated conditional expectation", 13, 15)
+
+
+@pytest.mark.parametrize("nan_in,key_feature,law", [
+    ("c2", False, "stopped process difference bound"),
+    ("z_opt", True, "exact conditional expectation"),
+])
+def test_nan_fails_the_engine(sq_spec, sq_solution, nan_in, key_feature, law):
+    # a NaN fails every law comparison, as it does on stored traces
+    consts = constants_for_horizon(sq_spec, sq_solution.xi_star / 2.0, 300, 0.05)
+    z_opt = sq_solution.z_opt
+    if nan_in == "c2":
+        consts = replace(consts, c2=math.nan)
+    else:
+        z_opt = math.nan
+    err = _engine_violation(sq_spec, consts, z_opt, key_feature=key_feature)
+    assert (err.law, err.path_index, err.slot) == (law, 0, 1)
 
 
 @pytest.mark.parametrize("chaos", [None, "skip-minimization"])

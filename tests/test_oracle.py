@@ -7,7 +7,7 @@ from helpers import (random_small_instance, reference_grid_chunks,
                      reference_grid_max_slackness,
                      reference_grid_stationary_optimum, reference_simplex_grid)
 
-from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, SlacknessError,
+from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, SlacknessError, oracle,
                      build_server_scheduling_spec,
                      exact_conditional_dpp_expectation,
                      exact_conditional_truncated_expectation, grid_max_slackness,
@@ -304,10 +304,34 @@ def test_policy_lp_agrees_with_reference_solver():
     assert solved >= 40
 
 
-def test_grid_budget_guard():
+def _count_walks(monkeypatch) -> list:
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return _iter_grid_chunks(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_iter_grid_chunks", counted)
+    oracle._grid_extremes.cache_clear()
+    return walks
+
+
+def test_grid_oracle_pair_walks_the_grid_once(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    spec = random_small_instance(np.random.default_rng(7), L=2, shape=(3, 2))
+    opt, xi = grid_stationary_optimum(spec, 50), grid_max_slackness(spec, resolution=50)
+    assert len(walks) == 1
+    assert (repr(opt), repr(xi)) == (repr(reference_grid_stationary_optimum(spec, 50)),
+                                     repr(reference_grid_max_slackness(spec, 50)))
+
+
+def test_grid_budget_guard(monkeypatch):
+    walks = _count_walks(monkeypatch)
     spec = build_server_scheduling_spec(V=1.0)  # 8 events x 3 actions
-    with pytest.raises(ValueError):
-        grid_stationary_optimum(spec, resolution=200)
+    for oracle_fn in (grid_stationary_optimum, grid_max_slackness):
+        with pytest.raises(ValueError, match="joint grid too large"):
+            oracle_fn(spec, resolution=200)
+    assert walks == []
 
 
 def test_solution_serialization_schema(sv_solution):
