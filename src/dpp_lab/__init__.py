@@ -10,8 +10,7 @@ from .analysis import (BoundConstants, ConsistencyError, LawReport, azuma_bound,
                        queue_tail_vacuity_crossover, xtail_bound)
 from .controller import pick_actions, run_path
 from .core import (LAWS, ActionVector, EventOutcome, PathTrace, ProblemSpec,
-                   drift, queue_update, read_trace_csv, time_average,
-                   write_trace_csv)
+                   drift, queue_update, read_trace_csv, write_trace_csv)
 from .events import (build_server_scheduling_spec, build_single_queue_spec,
                      builtin_spec, derive_seed, sample_block)
 from .montecarlo import (BatchConfig, BatchSummary, CheckResult,

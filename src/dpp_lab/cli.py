@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, schema
 from .configfile import ConfigError, RunConfig, load_config, set_key
 from .controller import CHAOS_MODES, run_path
-from .core import ProblemSpec, time_average, write_trace_csv
+from .core import ProblemSpec, write_trace_csv
 from .events import derive_seed
 from .montecarlo import (_SINGLE_ONLY, ALL_CHECKS, BatchConfig,
                          InvariantViolation, run_batch)
@@ -51,16 +51,15 @@ def _default_checks(spec: ProblemSpec) -> tuple[str, ...]:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.build_spec()
-    sol = solve_stationary_optimum(spec).require_feasible()
+    sol = solve_stationary_optimum(spec)
     trace = run_path(spec, cfg.seed, cfg.T)
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace, trace_path)
-    avg_obj = time_average(trace, "objective")
+    avg_obj = float(np.sum(trace.z0) / cfg.T)
     summary = {
         "time_avg_objective": avg_obj,
-        "time_avg_constraints": [time_average(trace, "constraint", l)
-                                 for l in range(1, spec.L + 1)],
+        "time_avg_constraints": [float(np.sum(trace.z[:, l]) / cfg.T) for l in range(spec.L)],
         "final_queue_norm": float(np.linalg.norm(trace.q[-1])),
         "z_opt": sol.z_opt,
         "gap": avg_obj - sol.z_opt,
@@ -79,7 +78,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 def cmd_bounds(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.build_spec()
     epsilon, delta = cfg.epsilon, cfg.delta
-    sol = solve_stationary_optimum(spec).require_feasible()
+    sol = solve_stationary_optimum(spec)
     try:
         constants = analysis.constants_for_horizon(spec, sol.xi, cfg.T, delta)
     except SlacknessError as e:

@@ -15,6 +15,9 @@ Inline problem instances spell out every event and action::
     problem.events.0.actions.0 = 0.0, 1.0    # z0, z_1..z_L
     problem.events.0.actions.1 = 1.0, 0.0
 
+Event and action indices run from 0 without gaps: the spec and its traces
+name each event and action by its position.
+
 Builtin instances are named instead: ``problem = server-scheduling-3x2``
 with a top-level ``V``.
 """
@@ -79,34 +82,37 @@ class RunConfig:
         V = self.V if self.V is not None else d.get("V")
         if V is None:
             raise ConfigError("inline problem needs problem.V or a top-level V")
-        tie = d.get("tie_break", "LowestIndex")
-        if tie != "LowestIndex":
-            raise ConfigError(f"unknown tie_break {tie!r}")
         ev_tree = d.get("events", {})
         if not ev_tree:
             raise ConfigError("inline problem has no events")
         events = []
-        for eid in sorted(ev_tree):
-            node = ev_tree[eid]
+        for eid, node in enumerate(_in_order(ev_tree, "problem.events")):
             if "probability" not in node:
                 raise ConfigError(f"problem.events.{eid} has no probability")
             acts = node.get("actions", {})
             if not acts:
                 raise ConfigError(f"problem.events.{eid} has no actions")
             actions = []
-            for k in sorted(acts):
-                row = acts[k]
+            for k, row in enumerate(_in_order(acts, f"problem.events.{eid}.actions")):
                 if len(row) != L + 1:
                     raise ConfigError(
                         f"problem.events.{eid}.actions.{k} needs {L + 1} values, got {len(row)}")
                 actions.append(ActionVector(row[0], tuple(row[1:])))
-            events.append(EventOutcome(id=eid, probability=node["probability"],
-                                       actions=tuple(actions)))
+            events.append(EventOutcome(node["probability"], tuple(actions)))
         try:
             return ProblemSpec(events=tuple(events), L=L, z_max=z_max, B=B,
                                V=float(V))
         except ValueError as e:
             raise ConfigError(f"inline problem rejected: {e}") from None
+
+
+def _in_order(tree: dict, key: str) -> list:
+    """The entries of an index-keyed tree in index order.  The indices must
+    run 0..n-1, since the spec and its traces name each entry by position."""
+    for i in range(len(tree)):
+        if i not in tree:
+            raise ConfigError(f"{key}.{i} is missing; indices run from 0 without gaps")
+    return [tree[i] for i in range(len(tree))]
 
 
 # Each parser takes the label that its error messages open with: ``line N:
@@ -162,7 +168,6 @@ _KEYS = {
     "problem.z_max": (None, _as_float, None),
     "problem.B": (None, _as_float, None),
     "problem.V": (None, _as_float, None),
-    "problem.tie_break": (None, _as_text, None),
     "batch.num_paths": ("num_paths", _as_int, _AT_LEAST_1),
     "batch.T": ("batch_T", _as_int, _AT_LEAST_1),
     "batch.epsilon": ("epsilon", _as_float, _POSITIVE),

@@ -190,8 +190,6 @@ def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> 
     z_tab = np.ascontiguousarray(np.moveaxis(table[1:], 0, -1))
     n2 = row_norm_sq(qs)  # in drift()'s float order
     return PathTrace(
-        spec_digest=spec.digest,
-        seed=seed,
         event_ids=ids,
         action_indices=actions,
         z0=table[0][ids, actions],

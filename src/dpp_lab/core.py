@@ -1,6 +1,11 @@
 """Domain types, the exact queue/drift dynamics, and the table of
 deterministic per-path laws shared by the rest of the package.
 
+Events and actions are named by their positions: event i is
+``ProblemSpec.events[i]`` and its action k is ``.actions[k]``.  A trace
+records these positions in its ``event_id`` and ``action_index`` columns.
+A trace holds only its columns; it is read against the spec it came from.
+
 Everything here is 64-bit floating point.  Per-slot law assertions, and the
 stored drift against its recomputed value, use an absolute tolerance of
 :data:`LAW_TOL` (1e-9); the queue update is an identity and is checked
@@ -30,25 +35,15 @@ class ActionVector:
     z0: float
     z: tuple[float, ...]
 
-    @property
-    def dim(self) -> int:
-        return 1 + len(self.z)
-
 
 @dataclass(frozen=True)
 class EventOutcome:
     """One point of the finite event support, with its probability and the
-    finite, nonempty action set available when it occurs."""
+    finite, nonempty action set available when it occurs.  An event is
+    named by its position in :attr:`ProblemSpec.events`."""
 
-    id: int
     probability: float
     actions: tuple[ActionVector, ...]
-
-    def __post_init__(self) -> None:
-        if not self.actions:
-            raise ValueError(f"event {self.id}: action set must be nonempty")
-        if not self.probability > 0.0:
-            raise ValueError(f"event {self.id}: probability must be positive")
 
 
 @dataclass(frozen=True)
@@ -76,23 +71,26 @@ class ProblemSpec:
             raise ValueError("z_max, B and V must all be positive and finite")
         if not self.events:
             raise ValueError("event support must be nonempty")
-        total = math.fsum(e.probability for e in self.events)
-        if not abs(total - 1.0) <= PROB_TOL:
-            raise ValueError(f"event probabilities sum to {total!r}, not 1")
-        for e in self.events:
+        for i, e in enumerate(self.events):
+            if not e.actions:
+                raise ValueError(f"event {i}: action set must be nonempty")
+            if not e.probability > 0.0:  # NaN fails too
+                raise ValueError(f"event {i}: probability must be positive")
             for k, a in enumerate(e.actions):
-                if a.dim != self.L + 1:
-                    raise ValueError(
-                        f"event {e.id} action {k}: dimension {a.dim} != L+1 = {self.L + 1}"
-                    )
+                if len(a.z) != self.L:
+                    raise ValueError(f"event {i} action {k}: dimension {1 + len(a.z)} "
+                                     f"!= L+1 = {self.L + 1}")
                 if not abs(a.z0) <= self.z_max + PROB_TOL:  # NaN fails too
                     raise ValueError(
-                        f"event {e.id} action {k}: |z0|={abs(a.z0)!r} exceeds z_max={self.z_max!r}"
+                        f"event {i} action {k}: |z0|={abs(a.z0)!r} exceeds z_max={self.z_max!r}"
                     )
                 if not math.sqrt(math.fsum(v * v for v in a.z)) <= self.B + PROB_TOL:
                     raise ValueError(
-                        f"event {e.id} action {k}: ||z|| exceeds B={self.B!r}"
+                        f"event {i} action {k}: ||z|| exceeds B={self.B!r}"
                     )
+        total = math.fsum(e.probability for e in self.events)
+        if not abs(total - 1.0) <= PROB_TOL:
+            raise ValueError(f"event probabilities sum to {total!r}, not 1")
 
     @cached_property
     def digest(self) -> str:
@@ -100,8 +98,8 @@ class ProblemSpec:
         h = hashlib.sha256()
         h.update(f"L={self.L};z_max={self.z_max!r};B={self.B!r};V={self.V!r};"
                  "tie=lowest-index;".encode())
-        for e in self.events:
-            h.update(f"e{e.id}:p={e.probability!r};".encode())
+        for i, e in enumerate(self.events):
+            h.update(f"e{i}:p={e.probability!r};".encode())
             for a in e.actions:
                 h.update(f"a={a.z0!r},{','.join(repr(v) for v in a.z)};".encode())
         return h.hexdigest()
@@ -137,10 +135,8 @@ class PathTrace:
     row T is the final post-update vector.
     """
 
-    spec_digest: str
-    seed: int
-    event_ids: np.ndarray     # (T,) int64
-    action_indices: np.ndarray  # (T,) int64
+    event_ids: np.ndarray     # (T,) int64, positions in ProblemSpec.events
+    action_indices: np.ndarray  # (T,) int64, positions in the event's actions
     z0: np.ndarray            # (T,) float64
     z: np.ndarray             # (T, L) float64
     q: np.ndarray             # (T+1, L) float64
@@ -205,24 +201,6 @@ def drift(q_before: Sequence[float], q_after: Sequence[float]) -> float:
     if qb.shape != qa.shape:
         raise ValueError(f"dimension mismatch: {qb.shape} vs {qa.shape}")
     return 0.5 * (norm_sq(qa.tolist()) - norm_sq(qb.tolist()))
-
-
-def time_average(trace: PathTrace, which: str, index: int | None = None) -> float:
-    """Prefix average over the whole trace.
-
-    ``which`` is ``"objective"`` (mean of z0) or ``"constraint"`` (mean of
-    z_index, 1-based).
-    """
-    T = trace.T
-    if T < 1:
-        raise ValueError("empty trace")
-    if which == "objective":
-        return float(np.sum(trace.z0) / T)
-    if which == "constraint":
-        if index is None or not 1 <= index <= trace.L:
-            raise ValueError(f"constraint index must be in 1..{trace.L}")
-        return float(np.sum(trace.z[:, index - 1]) / T)
-    raise ValueError(f"unknown time average {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +362,7 @@ def _first_true_row(bad: np.ndarray) -> int:
     return i // (bad.size // len(bad)) if bad.flat[i] else len(bad)
 
 
-def read_trace_csv(path: str, spec_digest: str = "", seed: int = 0) -> PathTrace:
+def read_trace_csv(path: str) -> PathTrace:
     """Rebuild a trace from its CSV form.  The final post-update queue vector
     is reconstructed through the exact queue update.
 
@@ -424,8 +402,6 @@ def read_trace_csv(path: str, spec_digest: str = "", seed: int = 0) -> PathTrace
     q[:T] = qb
     q[T] = queue_update(qb[T - 1], z[T - 1])
     return PathTrace(
-        spec_digest=spec_digest,
-        seed=seed,
         event_ids=event_ids,
         action_indices=action_indices,
         z0=raw[:, 3].copy(),

@@ -132,8 +132,8 @@ def build_server_scheduling_spec(arrival_means=(0.5, 0.7, 0.4), V: float = 10.0)
     if len(means) != 3 or any(not 0.0 < m < 1.0 for m in means):
         raise ValueError("arrival means must be three values strictly inside (0, 1)")
     events = []
-    for eid, bits in enumerate(itertools.product((1, 0), repeat=3)):
-        # id 0 is a=(1,1,1), id 7 is a=(0,0,0): id = 4*(1-a1)+2*(1-a2)+(1-a3)
+    for bits in itertools.product((1, 0), repeat=3):
+        # event 0 is a=(1,1,1), event 7 is a=(0,0,0): 4*(1-a1)+2*(1-a2)+(1-a3)
         p = 1.0
         for a, m in zip(bits, means):
             p *= m if a == 1 else 1.0 - m
@@ -141,7 +141,7 @@ def build_server_scheduling_spec(arrival_means=(0.5, 0.7, 0.4), V: float = 10.0)
             ActionVector(cost, tuple(float(a - b) for a, b in zip(bits, srv)))
             for cost, srv in zip(_SERVICE_COSTS, _SERVICE_OPTIONS)
         )
-        events.append(EventOutcome(id=eid, probability=p, actions=actions))
+        events.append(EventOutcome(p, actions))
     return ProblemSpec(events=tuple(events), L=3, z_max=2.0, B=math.sqrt(3.0), V=float(V))
 
 
@@ -159,13 +159,13 @@ def build_single_queue_spec(arrival_mean: float = 0.5, V: float = 10.0,
     if serve_cost <= 0.0:
         raise ValueError("serve cost must be positive")
     events = []
-    for eid, a in enumerate((1, 0)):
+    for a in (1, 0):
         p = m if a == 1 else 1.0 - m
         actions = (
             ActionVector(0.0, (float(a),)),               # idle
             ActionVector(float(serve_cost), (float(a - 1),)),  # serve
         )
-        events.append(EventOutcome(id=eid, probability=p, actions=actions))
+        events.append(EventOutcome(p, actions))
     return ProblemSpec(events=tuple(events), L=1, z_max=float(serve_cost), B=1.0, V=float(V))
 
 

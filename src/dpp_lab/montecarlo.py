@@ -455,7 +455,7 @@ def run_batch(config: BatchConfig) -> BatchSummary:
     the config; raises :class:`InvariantViolation` on any per-path law
     failure."""
     spec = config.spec
-    sol = solve_stationary_optimum(spec).require_feasible()
+    sol = solve_stationary_optimum(spec)
     xi = sol.xi
     constants = constants_for_horizon(spec, xi, config.T, config.delta)
 

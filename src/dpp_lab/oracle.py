@@ -2,10 +2,13 @@
 
 Two linear programs over per-event randomized policies: the minimum
 achievable long-run cost subject to all constraint expectations being
-nonpositive, and the maximum uniform slackness of those expectations.  Both
-are cross-checked by exhaustive grid search over per-event probability
-simplices (see :func:`grid_stationary_optimum`), which is the independent
-oracle the simplex solver is validated against.
+nonpositive, and the maximum uniform slackness of those expectations.  An
+instance that no stationary policy solves raises :class:`SlacknessError`,
+as does a maximal slackness that is not positive where one is needed; a
+:class:`StationarySolution` is always a solved LP.  Both LPs are
+cross-checked by exhaustive grid search over per-event probability simplices
+(see :func:`grid_stationary_optimum`), which is the independent oracle the
+simplex solver is validated against.
 
 The grid oracle lists each event's simplex grid in lexicographic order of
 its integer counts and sums every joint (cost, constraints) value event by
@@ -49,45 +52,40 @@ class StationarySolution:
     constraint slackness over all stationary policies.
     """
 
-    z_opt: float | None
-    policy: tuple[tuple[float, ...], ...] | None
-    xi_star: float | None
-    lp_status: LpStatus
+    z_opt: float
+    policy: tuple[tuple[float, ...], ...]
+    xi_star: float
 
     def to_json_dict(self) -> dict:
         return {
             "z_opt": self.z_opt,
             "xi_star": self.xi_star,
-            "policy": None if self.policy is None else [list(row) for row in self.policy],
-            "lp_status": self.lp_status.value,
+            "policy": [list(row) for row in self.policy],
+            "lp_status": LpStatus.OPTIMAL.value,  # only a solved LP gives a solution
         }
-
-    def require_feasible(self) -> "StationarySolution":
-        """This solution, or :class:`SlacknessError` if it has no policy."""
-        if self.z_opt is None:
-            raise SlacknessError("instance is infeasible; no stationary policy meets "
-                                 "the constraints")
-        return self
 
     @property
     def xi(self) -> float:
         """The slackness margin the bound constants use: half the maximal
         slackness, so that the margin is strict.  Raises
         :class:`SlacknessError` unless ``xi_star`` is positive."""
-        if self.xi_star is None or self.xi_star <= 0.0:
-            raise SlacknessError(f"maximal slackness {self.xi_star!r} is not positive")
-        return self.xi_star / 2.0
+        return _positive_slackness(self.xi_star) / 2.0
 
     def option_marginals(self, spec: ProblemSpec) -> np.ndarray:
         """Event-averaged probability of each action index (padded by zeros
         for events with fewer actions)."""
-        if self.policy is None:
-            raise ValueError("no policy available")
         out = np.zeros(spec.max_actions)
         for e, row in zip(spec.events, self.policy):
             for k, p in enumerate(row):
                 out[k] += e.probability * p
         return out
+
+
+def _positive_slackness(xi_star: float) -> float:
+    """``xi_star``, or :class:`SlacknessError` unless it is positive."""
+    if not xi_star > 0.0:
+        raise SlacknessError(f"maximal slackness {xi_star!r} is not positive")
+    return xi_star
 
 
 def _lp_matrices(spec: ProblemSpec):
@@ -104,12 +102,15 @@ def _lp_matrices(spec: ProblemSpec):
 def solve_stationary_optimum(spec: ProblemSpec) -> StationarySolution:
     """Minimize expected cost over per-event action distributions subject to
     every constraint expectation being <= 0.  Returns the exact simplex
-    optimum together with the maximal slackness of the instance."""
+    optimum together with the maximal slackness of the instance; raises
+    :class:`SlacknessError` when no stationary policy meets the
+    constraints."""
     n, cost, A_ub, A_eq = _lp_matrices(spec)
     res = solve_lp(cost, A_ub=A_ub, b_ub=np.zeros(spec.L),
                    A_eq=A_eq, b_eq=np.ones(len(spec.events)))
     if res.status is not LpStatus.OPTIMAL:
-        return StationarySolution(None, None, None, LpStatus.INFEASIBLE)
+        raise SlacknessError("instance is infeasible; no stationary policy meets "
+                             "the constraints")
     policy = []
     for row in np.split(res.x, np.cumsum([len(e.actions) for e in spec.events])[:-1]):
         s = float(np.sum(row))
@@ -118,7 +119,7 @@ def solve_stationary_optimum(spec: ProblemSpec) -> StationarySolution:
         policy.append(tuple(float(v) for v in row))
     xi_star = _max_slackness_value(spec)
     return StationarySolution(z_opt=float(res.objective), policy=tuple(policy),
-                              xi_star=xi_star, lp_status=LpStatus.OPTIMAL)
+                              xi_star=xi_star)
 
 
 def _max_slackness_value(spec: ProblemSpec) -> float:
@@ -146,11 +147,7 @@ def _max_slackness_value(spec: ProblemSpec) -> float:
 def solve_max_slackness(spec: ProblemSpec) -> float:
     """Maximal uniform slackness xi*.  Raises :class:`SlacknessError` when no
     policy achieves strictly positive slack."""
-    xi = _max_slackness_value(spec)
-    if xi <= 0.0:
-        raise SlacknessError(
-            f"maximal slackness {xi!r} is not positive; the instance admits no "
-            "strictly feasible stationary policy")
+    xi = _positive_slackness(_max_slackness_value(spec))
     if xi > spec.B + POLICY_TOL:
         raise AssertionError(f"slackness {xi!r} exceeds the increment bound {spec.B!r}")
     return xi

@@ -44,7 +44,7 @@ def random_small_instance(rng: np.random.Generator, L: int | None = None,
     probs = weights / math.fsum(weights.tolist())
     probs[-1] = 1.0 - math.fsum(probs[:-1].tolist())
     events = []
-    for eid, (n_actions, p) in enumerate(zip(shape, probs)):
+    for n_actions, p in zip(shape, probs):
         actions = []
         for k in range(n_actions):
             z0 = float(np.round(rng.uniform(0.0, 1.0), 3))
@@ -54,7 +54,7 @@ def random_small_instance(rng: np.random.Generator, L: int | None = None,
                 z = rng.uniform(-1.0, 1.0, size=L)
             z = tuple(float(np.round(v, 3)) for v in z)
             actions.append(ActionVector(z0, z))
-        events.append(EventOutcome(id=eid, probability=float(p), actions=tuple(actions)))
+        events.append(EventOutcome(probability=float(p), actions=tuple(actions)))
     spec = ProblemSpec(events=tuple(events), L=L, z_max=1.0,
                        B=math.sqrt(float(L)), V=1.0)
     assert grid_points_budget(spec, 200) <= GRID_BUDGET
@@ -146,10 +146,10 @@ def ragged_spec() -> ProblemSpec:
     """One constraint, two events with one and three actions, so the padded
     (event, action) tables have a padding entry."""
     events = (
-        EventOutcome(0, 0.25, (ActionVector(0.2, (-0.5,)),)),
-        EventOutcome(1, 0.75, (ActionVector(0.0, (0.9,)),
-                               ActionVector(0.6, (-1.0,)),
-                               ActionVector(1.0, (0.0,)))),
+        EventOutcome(0.25, (ActionVector(0.2, (-0.5,)),)),
+        EventOutcome(0.75, (ActionVector(0.0, (0.9,)),
+                            ActionVector(0.6, (-1.0,)),
+                            ActionVector(1.0, (0.0,)))),
     )
     return ProblemSpec(events=events, L=1, z_max=1.0, B=1.0, V=5.0)
 
@@ -263,7 +263,7 @@ def reference_write_trace_csv(trace: PathTrace, path: str) -> None:
             f.write("\n".join(out) + "\n")
 
 
-def build_trace_from_z(spec_digest: str, z0, z_rows, seed: int = 0) -> PathTrace:
+def build_trace_from_z(z0, z_rows) -> PathTrace:
     """Assemble a dynamics-consistent trace directly from an increment
     sequence; event and action columns are filled with zeros."""
     z_arr = np.asarray(list(z_rows), dtype=np.float64)
@@ -276,8 +276,8 @@ def build_trace_from_z(spec_digest: str, z0, z_rows, seed: int = 0) -> PathTrace
     for i in range(T):
         q[i + 1] = np.maximum(q[i] + z_arr[i], 0.0)
         dr[i] = 0.5 * (norm_sq(q[i + 1].tolist()) - norm_sq(q[i].tolist()))
-    return PathTrace(spec_digest, seed, np.zeros(T, dtype=np.int64),
-                     np.zeros(T, dtype=np.int64), z0_arr, z_arr, q, dr)
+    return PathTrace(np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64),
+                     z0_arr, z_arr, q, dr)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from dpp_lab import (BatchConfig, InvariantViolation,
 from dpp_lab.cli import main
 from dpp_lab.events import uniform_block
 from dpp_lab.montecarlo import WILSON_Z, simulate_paths
-from dpp_lab.simplex import LpStatus
 
 BIG_PATHS = 10_000
 BIG_T = 10_000
@@ -73,7 +72,6 @@ def big_single_queue_batch(sq_spec):
 def test_criterion_1_benchmark_optimum(tmp_path):
     spec = build_server_scheduling_spec(V=100.0)
     sol = solve_stationary_optimum(spec)
-    assert sol.lp_status is LpStatus.OPTIMAL
     assert sol.z_opt == pytest.approx(1.1, abs=1e-9)
     marginals = sol.option_marginals(spec)
     for got, want in zip(marginals, (0.6, 0.3, 0.1)):
@@ -268,7 +266,6 @@ def test_criterion_8_oracle_equivalence():
     for i in range(50):
         spec = random_small_instance(rng)
         sol = solve_stationary_optimum(spec)
-        assert sol.lp_status is LpStatus.OPTIMAL
         grid_opt = grid_stationary_optimum(spec, resolution=200)
         assert grid_opt is not None
         assert grid_opt >= sol.z_opt - 1e-9  # grid points are feasible points

@@ -196,7 +196,7 @@ def test_g_tail_threshold_algebra():
 
 
 def test_trace_laws_flat_trace():
-    tr = build_trace_from_z("", [1.1] * 8, [[0.0]] * 8)
+    tr = build_trace_from_z([1.1] * 8, [[0.0]] * 8)
     c = compute_constants(bound_params(2.0, 1.0, 5.0), xi=0.5, c1=10.0)
     rep = check_trace_laws(tr, z_opt=1.1, constants=c)
     assert rep.violated == ()
@@ -204,7 +204,7 @@ def test_trace_laws_flat_trace():
 
 
 def test_trace_laws_single_slot():
-    tr = build_trace_from_z("", [0.9], [[0.4]])
+    tr = build_trace_from_z([0.9], [[0.4]])
     c = compute_constants(bound_params(2.0, 1.0, 5.0), xi=0.5, c1=10.0)
     rep = check_trace_laws(tr, z_opt=0.5, constants=c)
     assert rep.x_final == rep.y_final == rep.g_final == 5.0 * (0.9 - 0.5)  # queue empty
@@ -248,7 +248,7 @@ def test_truncated_and_stopped_processes_coincide_without_excursions(sq_spec, sq
 
 def test_difference_bounds_flag_crafted_jump():
     # a trace whose costs overrun the declared z_max breaks the c2 law
-    tr = build_trace_from_z("", [5.0, 0.0], [[0.0], [0.0]])
+    tr = build_trace_from_z([5.0, 0.0], [[0.0], [0.0]])
     tiny = compute_constants(bound_params(1e-3, 1.0, 1.0), xi=0.9, c1=1e-3)
     assert tiny.c2 < 1.0
     rep = check_trace_laws(tr, z_opt=0.0, constants=tiny)
@@ -262,7 +262,7 @@ def test_difference_bounds_flag_crafted_jump():
 def test_telescoping_trivial_paths():
     c = compute_constants(bound_params(1.0, 1.0, 1.0), xi=1.0, c1=1.0)
     assert c.C0 == pytest.approx(4.75)
-    flat = build_trace_from_z("", [0.0] * 6, [[0.0]] * 6)
+    flat = build_trace_from_z([0.0] * 6, [[0.0]] * 6)
     rep = check_trace_laws(flat, 0.0, c)
     assert rep.violated == () and rep.nJ == 7 and rep.tele_gap == 0.0
     assert rep.tele_avg == 0.0
@@ -274,7 +274,7 @@ def test_telescoping_with_active_truncation():
     c = compute_constants(bound_params(1.0, 1.0, 1.0), xi=1.0, c1=100.0)
     ups = [[1.0]] * 8
     downs = [[-1.0]] * 8
-    tr = build_trace_from_z("", [0.0] * 16, ups + downs)
+    tr = build_trace_from_z([0.0] * 16, ups + downs)
     assert np.max(tr.q[:, 0]) == 8.0 > c.C0
     rep = check_trace_laws(tr, 0.0, c)
     assert rep.violated == ()
@@ -306,7 +306,7 @@ def test_telescoping_laws_hold_for_any_bounded_increments(z_seq):
     # the partial-sum and floor laws are deterministic statements about the
     # queue recursion itself, not about any particular decision rule
     c = compute_constants(bound_params(1.0, 1.0, 1.0), xi=1.0, c1=100.0)
-    tr = build_trace_from_z("", [0.0] * len(z_seq), [[z] for z in z_seq])
+    tr = build_trace_from_z([0.0] * len(z_seq), [[z] for z in z_seq])
     rep = check_trace_laws(tr, 0.0, c)
     assert rep.violated == () and rep.tele_gap is not None
 
@@ -323,7 +323,7 @@ def test_understated_B_trips_the_telescoping_laws():
     # the queue alternates 0, 1, 0, ...: the truncated sum falls by 1 every
     # second slot, more than the 2.5*B^2 per slot allowed at B = 1/4
     c = compute_constants(bound_params(1.0, 1.0, 1.0), xi=1.0, c1=100.0)
-    tr = build_trace_from_z("", [0.0] * 40, [[1.0], [-1.0]] * 20)
+    tr = build_trace_from_z([0.0] * 40, [[1.0], [-1.0]] * 20)
     assert check_trace_laws(tr, 0.0, c).violated == ()
     rep = check_trace_laws(tr, 0.0, dataclasses.replace(c, B=0.25))
     assert rep.violated == ("queue norm step bound", "quadratic drift bound",

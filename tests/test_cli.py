@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import unchecked_spec
 
+import dpp_lab
 from dpp_lab.cli import _write_json, main
 from dpp_lab.configfile import RunConfig
 from dpp_lab.core import ProblemSpec
@@ -181,21 +183,36 @@ def test_sweep_single_point(tmp_path):
     assert len(rows) == 2
 
 
+INLINE_CFG = ("problem.L = 1\nproblem.z_max = 1.0\nproblem.B = 1.0\n"
+              "problem.V = 5.0\n"
+              "problem.events.0.probability = 0.5\n"
+              "problem.events.0.actions.0 = 0.0, 1.0\n"
+              "problem.events.0.actions.1 = 1.0, 0.0\n"
+              "problem.events.1.probability = 0.5\n"
+              "problem.events.1.actions.0 = 0.0, 0.0\n"
+              "problem.events.1.actions.1 = 1.0, -1.0\n"
+              "T = 400\nseed = 3\noutput = {out}\n")
+
+
 def test_simulate_inline_problem(tmp_path):
-    body = ("problem.L = 1\nproblem.z_max = 1.0\nproblem.B = 1.0\n"
-            "problem.V = 5.0\n"
-            "problem.events.0.probability = 0.5\n"
-            "problem.events.0.actions.0 = 0.0, 1.0\n"
-            "problem.events.0.actions.1 = 1.0, 0.0\n"
-            "problem.events.1.probability = 0.5\n"
-            "problem.events.1.actions.0 = 0.0, 0.0\n"
-            "problem.events.1.actions.1 = 1.0, -1.0\n"
-            "T = 400\nseed = 3\noutput = {out}\n")
-    cfg = _write(tmp_path, body)
+    cfg = _write(tmp_path, INLINE_CFG)
     assert main(["simulate", "--config", cfg]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["z_opt"] == pytest.approx(0.5, abs=1e-9)
     assert summary["V"] == 5.0
+
+
+@pytest.mark.parametrize("old, new, missing", [
+    ("problem.events.1.", "problem.events.7.", "problem.events.1"),
+    ("problem.events.1.actions.1", "problem.events.1.actions.2", "problem.events.1.actions.1"),
+])
+def test_simulate_rejects_an_index_gap(tmp_path, capsys, old, new, missing):
+    # traces name events and actions by position, so a gap would rename them
+    cfg = _write(tmp_path, INLINE_CFG.replace(old, new))
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (f"config error: {missing} is missing; "
+                                       "indices run from 0 without gaps\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_errors_exit_1(tmp_path, capsys):
@@ -292,8 +309,12 @@ def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
 
 def test_cli_runs_as_module(tmp_path):
     cfg = _write(tmp_path, SIM_CFG.replace("T = 800", "T = 50"))
+    # the child imports the same dpp_lab, installed or not
+    src = os.path.dirname(os.path.dirname(dpp_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "dpp_lab.cli", "simulate",
                            "--config", cfg, "--out", str(tmp_path / "m")],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "m" / "summary.json").exists()

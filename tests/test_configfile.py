@@ -45,12 +45,21 @@ def test_parse_builtin_config():
     assert spec.V == 10.0 and spec.L == 3
 
 
-def test_tie_break_key_accepts_only_lowest_index():
-    base = parse_config_text(INLINE).build_spec()
-    spec = parse_config_text(INLINE + "problem.tie_break = LowestIndex\n").build_spec()
-    assert spec == base and spec.digest == base.digest
-    with pytest.raises(ConfigError, match="tie_break"):
-        parse_config_text(INLINE + "problem.tie_break = HighestIndex\n").build_spec()
+def test_tie_break_key_is_unknown():
+    # exact ties always go to the lowest index; there is no key to say so
+    with pytest.raises(ConfigError, match="^line 12: unknown key 'problem.tie_break'$"):
+        parse_config_text(INLINE + "problem.tie_break = LowestIndex\n")
+
+
+@pytest.mark.parametrize("old, new, missing", [
+    ("problem.events.1.", "problem.events.7.", "problem.events.1"),
+    ("problem.events.0.actions.1", "problem.events.0.actions.2", "problem.events.0.actions.1"),
+])
+def test_inline_indices_run_from_zero_without_gaps(old, new, missing):
+    cfg = parse_config_text(INLINE.replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        cfg.build_spec()
+    assert str(err.value) == f"{missing} is missing; indices run from 0 without gaps"
 
 
 def test_parse_inline_problem():

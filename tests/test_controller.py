@@ -42,7 +42,7 @@ def test_select_action_tie_goes_to_lowest_index(sv_spec):
 
 
 def test_select_action_single_action_event():
-    ev = EventOutcome(0, 1.0, (ActionVector(0.3, (0.1,)),))
+    ev = EventOutcome(1.0, (ActionVector(0.3, (0.1,)),))
     assert select_action([7.0], ev, 2.0)[0] == 0
     assert select_action([0.0], ev, 100.0)[0] == 0
 
@@ -60,7 +60,7 @@ def test_step_benchmark_zero_queue(sv_spec):
 
 def test_step_single_action_drain():
     a = ActionVector(0.0, (-1.0,))
-    spec = ProblemSpec(events=(EventOutcome(0, 1.0, (a,)),),
+    spec = ProblemSpec(events=(EventOutcome(1.0, (a,)),),
                        L=1, z_max=1.0, B=1.0, V=1.0)
     tr = run_path(spec, seed=0, T=1)
     assert tr.q[1].tolist() == [0.0]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from dpp_lab import (LAWS, ActionVector, EventOutcome, PathTrace, ProblemSpec,
                      build_server_scheduling_spec, build_single_queue_spec,
                      core, drift, queue_update, read_trace_csv, run_path,
-                     time_average, write_trace_csv)
+                     write_trace_csv)
 from dpp_lab.core import (DYNAMICS_LAWS, law_problems, laws_for, norm_sq,
                           trace_csv_header, trace_law_values,
                           verify_trace_dynamics)
@@ -88,14 +88,14 @@ def test_law_table_names_and_order():
 
 def test_drift_upper_bound_examples():
     drift_law = (LAWS[1],)
-    tr = build_trace_from_z("", [0.0], [[1.0]])
+    tr = build_trace_from_z([0.0], [[1.0]])
     assert tr.drift[0] == 0.5
     v = trace_law_values(tr)
     v.B = 1.0
     assert law_problems(drift_law, v, tr.T) == {}
 
-    tr = build_trace_from_z("", [0.0, 0.0, 0.0, 0.0],
-                            [[3.0], [-1.0], [0.0], [0.0]])
+    tr = build_trace_from_z([0.0, 0.0, 0.0, 0.0],
+                        [[3.0], [-1.0], [0.0], [0.0]])
     assert tr.drift[1] == -2.5  # q_before=(3), z=(-1): drift=-2.5 <= 4.5-3
     v = trace_law_values(tr)
     v.B = 3.0
@@ -168,31 +168,8 @@ def test_law_problems_counts_a_nan_end_of_path_value_as_a_violation():
 def test_dynamics_laws_hold_for_any_bounded_increments(rows):
     # step bound and drift bound are facts about the recursion, independent
     # of how the increments were chosen; ||z|| <= 0.7*sqrt(2) < 1 here
-    tr = build_trace_from_z("", [0.0] * len(rows), [list(r) for r in rows])
+    tr = build_trace_from_z([0.0] * len(rows), [list(r) for r in rows])
     assert verify_trace_dynamics(tr, B=1.0) == []
-
-
-def test_time_average_constant_objective():
-    tr = build_trace_from_z("", [1.1] * 10, [[0.0]] * 10)
-    assert time_average(tr, "objective") == pytest.approx(1.1, abs=1e-12)
-
-
-def test_time_average_alternating_constraint():
-    tr = build_trace_from_z("", [0.0] * 4, [[1.0], [-1.0], [1.0], [-1.0]])
-    assert time_average(tr, "constraint", 1) == 0.0
-
-
-def test_time_average_errors(sv_spec):
-    tr = run_path(sv_spec, seed=1, T=10)
-    with pytest.raises(ValueError):
-        time_average(tr, "constraint", 0)
-    with pytest.raises(ValueError):
-        time_average(tr, "constraint", 4)
-    with pytest.raises(ValueError):
-        time_average(tr, "volume")
-    empty = build_trace_from_z("", [], np.zeros((0, 1)))
-    with pytest.raises(ValueError):
-        time_average(empty, "objective")
 
 
 def test_replay_is_bit_identical(sv_spec):
@@ -204,7 +181,6 @@ def test_replay_is_bit_identical(sv_spec):
     assert np.array_equal(a.z, b.z)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.drift, b.drift)
-    assert a.spec_digest == b.spec_digest == sv_spec.digest
 
 
 def test_csv_round_trip(tmp_path, sv_spec):
@@ -213,7 +189,7 @@ def test_csv_round_trip(tmp_path, sv_spec):
     write_trace_csv(tr, str(path))
     header = path.read_text().splitlines()[0]
     assert header == trace_csv_header(sv_spec.L)
-    back = read_trace_csv(str(path), spec_digest=tr.spec_digest, seed=tr.seed)
+    back = read_trace_csv(str(path))
     assert np.array_equal(back.event_ids, tr.event_ids)
     assert np.array_equal(back.action_indices, tr.action_indices)
     assert np.array_equal(back.z0, tr.z0)
@@ -306,11 +282,11 @@ def test_writer_matches_reference_across_blocks(tmp_path, build):
 
 def test_writer_matches_reference_on_signed_zeros_and_thirds(tmp_path):
     events = (
-        EventOutcome(0, 0.5, (ActionVector(-0.0, (-0.0, 0.1)),
-                              ActionVector(0.1, (1 / 3, -0.0)),
-                              ActionVector(1 / 3, (-1 / 3, -0.1)))),
-        EventOutcome(1, 0.5, (ActionVector(0.0, (0.1, 1 / 3)),
-                              ActionVector(0.5, (-0.1, -1 / 3)))),
+        EventOutcome(0.5, (ActionVector(-0.0, (-0.0, 0.1)),
+                           ActionVector(0.1, (1 / 3, -0.0)),
+                           ActionVector(1 / 3, (-1 / 3, -0.1)))),
+        EventOutcome(0.5, (ActionVector(0.0, (0.1, 1 / 3)),
+                           ActionVector(0.5, (-0.1, -1 / 3)))),
     )
     spec = ProblemSpec(events=events, L=2, z_max=1.0, B=1.0, V=3.0)
     tr = run_path(spec, seed=4, T=3000)
@@ -335,8 +311,7 @@ def _any_trace(draw) -> PathTrace:
         return np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
                                       min_size=T, max_size=T)), dtype=np.int64)
 
-    return PathTrace("", 0, ints(), ints(), floats(T), floats(T, L),
-                     floats(T + 1, L), floats(T))
+    return PathTrace(ints(), ints(), floats(T), floats(T, L), floats(T + 1, L), floats(T))
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,10 +362,10 @@ def test_extreme_seeds_replay(sv_spec):
 
 def test_spec_validation_rejects_bad_instances():
     a = ActionVector(1.0, (0.5,))
-    ev = EventOutcome(id=0, probability=1.0, actions=(a,))
+    ev = EventOutcome(probability=1.0, actions=(a,))
     ProblemSpec(events=(ev,), L=1, z_max=1.0, B=1.0, V=1.0)
     with pytest.raises(ValueError):  # probabilities off
-        bad = EventOutcome(id=0, probability=0.5, actions=(a,))
+        bad = EventOutcome(probability=0.5, actions=(a,))
         ProblemSpec(events=(bad,), L=1, z_max=1.0, B=1.0, V=1.0)
     with pytest.raises(ValueError):  # z_max not a true bound
         ProblemSpec(events=(ev,), L=1, z_max=0.5, B=1.0, V=1.0)
@@ -398,13 +373,15 @@ def test_spec_validation_rejects_bad_instances():
         ProblemSpec(events=(ev,), L=1, z_max=1.0, B=0.1, V=1.0)
     with pytest.raises(ValueError):  # dimension mismatch
         ProblemSpec(events=(ev,), L=2, z_max=1.0, B=1.0, V=1.0)
-    with pytest.raises(ValueError):  # empty action set
-        EventOutcome(id=0, probability=1.0, actions=())
-    with pytest.raises(ValueError):  # nonpositive probability
-        EventOutcome(id=0, probability=0.0, actions=(a,))
     nan, inf = math.nan, math.inf
+    # an event's own checks name it by position, before the probability sum
+    for bad, reason in ((EventOutcome(1.0, ()), "action set must be nonempty"),
+                        (EventOutcome(0.0, (a,)), "probability must be positive"),
+                        (EventOutcome(nan, (a,)), "probability must be positive")):
+        with pytest.raises(ValueError, match=f"^event 1: {reason}$"):
+            ProblemSpec(events=(ev, bad), L=1, z_max=1.0, B=1.0, V=1.0)
     for z0, z in ((nan, (0.5,)), (1.0, (nan,))):  # NaN passes no bound check
-        ev_bad = EventOutcome(id=0, probability=1.0, actions=(ActionVector(z0, z),))
+        ev_bad = EventOutcome(probability=1.0, actions=(ActionVector(z0, z),))
         with pytest.raises(ValueError):
             ProblemSpec(events=(ev_bad,), L=1, z_max=1.0, B=1.0, V=1.0)
     for field in ("z_max", "B", "V"):  # each must be finite, not only positive
@@ -412,8 +389,6 @@ def test_spec_validation_rejects_bad_instances():
             with pytest.raises(ValueError):
                 ProblemSpec(**{"events": (ev,), "L": 1, "z_max": 1.0, "B": 1.0,
                                "V": 1.0, field: value})
-    with pytest.raises(ValueError):  # NaN probability
-        EventOutcome(id=0, probability=nan, actions=(a,))
 
 
 def test_action_table_is_padded_and_read_only():

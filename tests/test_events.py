@@ -122,7 +122,7 @@ def test_sample_is_pure_in_seed_and_slot(sv_spec):
 
 def test_single_event_support_always_sampled():
     a = ActionVector(0.0, (0.0,))
-    spec = ProblemSpec(events=(EventOutcome(0, 1.0, (a,)),),
+    spec = ProblemSpec(events=(EventOutcome(1.0, (a,)),),
                        L=1, z_max=1.0, B=1.0, V=1.0)
     assert set(sample_block(spec, 9, 1000).tolist()) == {0}
 
@@ -161,7 +161,7 @@ def test_benchmark_spec_structure():
     spec = build_server_scheduling_spec(V=10.0)
     assert len(spec.events) == 8 and spec.L == 3
     assert spec.z_max == 2.0 and spec.B == math.sqrt(3.0)
-    by_bits = {_arrival_bits(e.id): e for e in spec.events}
+    by_bits = {_arrival_bits(i): e for i, e in enumerate(spec.events)}
     assert by_bits[(1, 1, 0)].probability == pytest.approx(0.5 * 0.7 * 0.6, abs=1e-15)
     total = math.fsum(e.probability for e in spec.events)
     assert abs(total - 1.0) <= 1e-12

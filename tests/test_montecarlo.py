@@ -226,9 +226,8 @@ def test_single_path_batch_matches_direct_run(sv_spec, sv_solution):
     summary = run_batch(cfg)
     consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2, T, cfg.delta)
     tr = run_path(sv_spec, derive_seed(13, 0), T)
-    from dpp_lab.core import time_average
     med = [row for row in summary.objective_quantiles if row[0] == 0.5][0][1]
-    assert med == pytest.approx(time_average(tr, "objective"), rel=1e-12)
+    assert med == pytest.approx(np.sum(tr.z0) / T, rel=1e-12)
     rep = check_trace_laws(tr, sv_solution.z_opt, consts)
     stats = simulate_paths(sv_spec, 13, 1, T, sv_solution.z_opt, consts)
     assert stats.x_final[0] == rep.x_final
