@@ -26,7 +26,6 @@ from . import analysis, schema
 from .configfile import ConfigError, RunConfig, load_config, set_key
 from .controller import CHAOS_MODES, run_path
 from .core import ProblemSpec, write_trace_csv
-from .events import derive_seed
 from .montecarlo import (_SINGLE_ONLY, ALL_CHECKS, BatchConfig,
                          InvariantViolation, run_batch)
 from .oracle import SlacknessError, solve_stationary_optimum
@@ -156,8 +155,8 @@ def cmd_verify(cfg: RunConfig, out_dir: str, dump_traces: bool,
     if dump_traces:
         tdir = os.path.join(out_dir, "traces")
         os.makedirs(tdir, exist_ok=True)
-        for i in range(batch.num_paths):
-            tr = run_path(spec, derive_seed(batch.master_seed, i), batch.T, chaos=chaos)
+        for i, seed in enumerate(batch.seeds.tolist()):
+            tr = run_path(spec, seed, batch.T, chaos=chaos)
             write_trace_csv(tr, os.path.join(tdir, f"path_{i:06d}.csv"))
         print(f"dumped {batch.num_paths} per-path traces under {tdir}")
     if not summary.all_passed:

@@ -37,7 +37,8 @@ class ConfigError(Exception):
     """Bad run configuration; message carries the line number when known."""
 
 
-_EVENT_KEY = re.compile(r"^problem\.events\.(\d+)\.(probability|actions\.(\d+))$")
+# an index has no leading zeros, so that each entry has one spelling
+_EVENT_KEY = re.compile(r"^problem\.events\.(0|[1-9]\d*)\.(probability|actions\.(0|[1-9]\d*))$")
 
 
 @dataclass
@@ -154,6 +155,7 @@ def _as_checks(label: str, raw: str) -> tuple[str, ...]:
 
 
 _POSITIVE = (lambda x: x > 0, "must be positive")
+_ALL_POSITIVE = (lambda x: min(x) > 0, "must be positive")
 _AT_LEAST_1 = (lambda x: x >= 1, "must be at least 1")
 
 # key: (RunConfig field, or None for the field of the inline problem named
@@ -172,10 +174,9 @@ _KEYS = {
     "batch.T": ("batch_T", _as_int, _AT_LEAST_1),
     "batch.epsilon": ("epsilon", _as_float, _POSITIVE),
     "batch.delta": ("delta", _as_float, (lambda x: 0 < x < 1, "must lie in (0, 1)")),
-    "batch.checks": ("checks", _as_checks, None),
-    "batch.queue_tail_levels": ("queue_tail_levels", _as_float_list,
-                                (lambda x: min(x) > 0, "must be positive")),
-    "sweep.V_list": ("sweep_v", _as_float_list, None),
+    "batch.checks": ("checks", _as_checks, (lambda x: len(x) > 0, "must name at least one check")),
+    "batch.queue_tail_levels": ("queue_tail_levels", _as_float_list, _ALL_POSITIVE),
+    "sweep.V_list": ("sweep_v", _as_float_list, _ALL_POSITIVE),
     "sweep.checkpoints": ("sweep_checkpoints", _as_int, _AT_LEAST_1),
 }
 

@@ -121,14 +121,6 @@ class ChunkStats:
             out[f.name] = None if items[0] is None else np.concatenate(items)
         return ChunkStats(**out)
 
-    def split(self, n: int) -> tuple["ChunkStats", "ChunkStats"]:
-        """The first ``n`` paths and the rest."""
-        parts = [{}, {}]
-        for f in fields(ChunkStats):
-            a = getattr(self, f.name)
-            parts[0][f.name], parts[1][f.name] = (None, None) if a is None else (a[:n], a[n:])
-        return ChunkStats(**parts[0]), ChunkStats(**parts[1])
-
 
 def _first_bad(mask: np.ndarray) -> int:
     return int(np.nonzero(mask)[0][0])
@@ -264,24 +256,17 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     )
 
 
-def simulate_paths(spec: ProblemSpec, master_seed: int, num_paths: int | tuple[int, ...],
-                   T: int, z_opt: float, constants: BoundConstants, *,
-                   chaos: str | None = None, key_feature: bool = False,
-                   seed_offset: int | tuple[int, ...] = 0) -> ChunkStats:
-    """All paths of a batch, run in chunks of :data:`CHUNK` paths in order.
-    Path i takes seed ``derive_seed(master_seed, seed_offset + i)``.  Given
-    tuples, ``num_paths[j]`` paths take seeds from offset ``seed_offset[j]``
-    on, and the sets run as one batch, indexed in order.  A chunk stops at
-    its own first violation, and a later chunk may fail at an earlier slot,
-    so all chunks run before the earliest is raised."""
-    counts = num_paths if isinstance(num_paths, tuple) else (num_paths,)
-    offsets = seed_offset if isinstance(seed_offset, tuple) else (seed_offset,)
-    all_seeds = np.concatenate([derive_seeds(master_seed, off, n)
-                                for off, n in zip(offsets, counts, strict=True)])
+def simulate_paths(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
+                   constants: BoundConstants, *, chaos: str | None = None,
+                   key_feature: bool = False) -> ChunkStats:
+    """All paths of a batch, path i from ``seeds[i]`` (uint64), run in chunks
+    of :data:`CHUNK` paths in order.  A chunk stops at its own first
+    violation, and a later chunk may fail at an earlier slot, so all chunks
+    run before the earliest is raised."""
     parts, first = [], None
-    for lo in range(0, len(all_seeds), CHUNK):
+    for lo in range(0, len(seeds), CHUNK):
         try:
-            parts.append(simulate_chunk(spec, all_seeds[lo:lo + CHUNK], lo, T, z_opt,
+            parts.append(simulate_chunk(spec, seeds[lo:lo + CHUNK], lo, T, z_opt,
                                         constants, chaos=chaos, key_feature=key_feature))
         except InvariantViolation as e:
             # keep only the earliest, freeing the other chunks; a tie keeps the lower path
@@ -317,6 +302,11 @@ class BatchConfig:
                 raise ValueError(f"unknown check {c!r}; choices: {ALL_CHECKS}")
             if c in _SINGLE_ONLY and self.spec.L != 1:
                 raise ValueError(f"check {c} needs a single-constraint problem")
+
+    @property
+    def seeds(self) -> np.ndarray:
+        """The path seeds: path i takes ``derive_seed(master_seed, i)``."""
+        return derive_seeds(self.master_seed, 0, self.num_paths)
 
 
 @dataclass(frozen=True)
@@ -407,11 +397,11 @@ def _online_check(name: str, n: int, **details) -> CheckResult:
 
 def _fit_then_validate(config: BatchConfig, name: str, k: int, z_opt: float,
                        xi: float) -> CheckResult:
-    """Fit the hidden approximation constant on a calibration batch (path
+    """Fit the hidden approximation constant on the calibration paths (seed
     offset ``k << 32``), then demand the validation pass fraction (offset
     ``(k + 1) << 32``) clears 1 - 2*delta at Wilson-lower confidence.  Both
-    batches run in one lockstep call; neither depends on the other's
-    results."""
+    sets run as one batch, calibration paths first, so a violation is the
+    batch's earliest and its path index counts over both sets."""
     epsilon, delta = config.epsilon, config.delta
     v_spec = config.spec.with_v(1.0 / epsilon)
     if name == "Theorem2":
@@ -422,22 +412,16 @@ def _fit_then_validate(config: BatchConfig, name: str, k: int, z_opt: float,
     cal_paths = max(1, config.num_paths // 3)
     val_paths = max(1, config.num_paths - cal_paths)
     consts = constants_for_horizon(v_spec, xi, horizon, delta)
-    counts, offsets = (cal_paths, val_paths), (k << 32, (k + 1) << 32)
-    try:
-        cal, val = simulate_paths(v_spec, config.master_seed, counts, horizon, z_opt,
-                                  consts, seed_offset=offsets).split(cal_paths)
-    except InvariantViolation:
-        # the engine is deterministic, so the sets run alone, calibration
-        # first, raise the violation they raise as separate batches, with the
-        # path index counted within the failing set
-        cal, val = [simulate_paths(v_spec, config.master_seed, n, horizon, z_opt, consts,
-                                   seed_offset=off) for n, off in zip(counts, offsets)]
-    margins = np.maximum(cal.avg_obj - z_opt, np.max(cal.avg_cons, axis=1)) / epsilon
+    seeds = np.concatenate([derive_seeds(config.master_seed, k << 32, cal_paths),
+                            derive_seeds(config.master_seed, (k + 1) << 32, val_paths)])
+    stats = simulate_paths(v_spec, seeds, horizon, z_opt, consts)
+    obj, cons = stats.avg_obj, stats.avg_cons
+    margins = np.maximum(obj[:cal_paths] - z_opt, np.max(cons[:cal_paths], axis=1)) / epsilon
     M = float(np.quantile(margins, 0.95))
     if M <= 0.0:
         M = 1e-9  # the guarantee needs a positive constant; calibration beat it
-    ok = ((val.avg_obj <= z_opt + M * epsilon)
-          & np.all(val.avg_cons <= M * epsilon, axis=1))
+    ok = ((obj[cal_paths:] <= z_opt + M * epsilon)
+          & np.all(cons[cal_paths:] <= M * epsilon, axis=1))
     n_ok = int(np.count_nonzero(ok))
     lo, hi = wilson_interval(n_ok, val_paths)
     target = 1.0 - 2.0 * delta
@@ -460,9 +444,8 @@ def run_batch(config: BatchConfig) -> BatchSummary:
     constants = constants_for_horizon(spec, xi, config.T, config.delta)
 
     key_feature = "KeyFeature" in config.checks
-    stats = simulate_paths(spec, config.master_seed, config.num_paths, config.T,
-                           sol.z_opt, constants, chaos=config.chaos,
-                           key_feature=key_feature)
+    stats = simulate_paths(spec, config.seeds, config.T, sol.z_opt, constants,
+                           chaos=config.chaos, key_feature=key_feature)
 
     checks: dict[str, CheckResult] = {}
 

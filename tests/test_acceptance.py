@@ -26,7 +26,7 @@ from dpp_lab import (BatchConfig, InvariantViolation,
                      solve_max_slackness, solve_stationary_optimum,
                      wilson_interval)
 from dpp_lab.cli import main
-from dpp_lab.events import uniform_block
+from dpp_lab.events import derive_seeds, uniform_block
 from dpp_lab.montecarlo import WILSON_Z, simulate_paths
 
 BIG_PATHS = 10_000
@@ -100,8 +100,8 @@ def test_criterion_2_exact_key_feature(sv_solution):
         sol = solve_stationary_optimum(spec)
         consts = constants_for_horizon(spec, sol.xi_star / 2.0, BIG_T, DELTA)
         # raises on the first violated state across 100 paths x 1e4 slots
-        simulate_paths(spec, 555_000 + int(v), 100, BIG_T, sol.z_opt, consts,
-                       key_feature=True)
+        simulate_paths(spec, derive_seeds(555_000 + int(v), 0, 100), BIG_T, sol.z_opt,
+                       consts, key_feature=True)
         worst = -np.inf
         for _ in range(200):
             q = rng.uniform(0.0, 50.0, size=3)
@@ -194,7 +194,7 @@ def test_criterion_5_convergence_theorems(sv_spec, sq_spec):
     spec10 = sv_spec  # V = 1/epsilon already
     sol = solve_stationary_optimum(spec10)
     consts = constants_for_horizon(spec10, sol.xi_star / 2.0, horizon, DELTA)
-    stats = simulate_paths(spec10, 515151, 2000, horizon, sol.z_opt, consts)
+    stats = simulate_paths(spec10, derive_seeds(515151, 0, 2000), horizon, sol.z_opt, consts)
     level = math.log(consts.D / DELTA) / consts.r
     exceed = int(np.count_nonzero(stats.final_qnorm > level))
     lo, _ = wilson_interval(exceed, 2000)

@@ -11,8 +11,9 @@ from helpers import unchecked_spec
 import dpp_lab
 from dpp_lab.cli import _write_json, main
 from dpp_lab.configfile import RunConfig
-from dpp_lab.core import ProblemSpec
-from dpp_lab.events import derive_seed
+from dpp_lab.controller import run_path
+from dpp_lab.core import ProblemSpec, write_trace_csv
+from dpp_lab.events import builtin_spec, derive_seed
 from dpp_lab.schema import load_schema, validate
 
 SIM_CFG = """
@@ -159,6 +160,12 @@ def test_verify_dump_traces(tmp_path):
     assert main(["verify", "--config", cfg, "--dump-traces"]) == 0
     dumped = sorted((tmp_path / "out" / "traces").glob("path_*.csv"))
     assert len(dumped) == 4
+    # path i of the batch takes seed derive_seed(seed, i)
+    want = tmp_path / "want.csv"
+    write_trace_csv(run_path(builtin_spec("single-queue-serve-idle", 10.0),
+                             derive_seed(7, 3), 300), str(want))
+    assert dumped[3].name == "path_000003.csv"
+    assert dumped[3].read_bytes() == want.read_bytes()
 
 
 def test_sweep_rows_and_monotone_checkpoints(tmp_path):

@@ -128,6 +128,25 @@ def test_queue_tail_levels_must_be_positive():
     assert cfg.queue_tail_levels == (10.0, 2.5)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("sweep.V_list = 0, 5", "line 2: sweep.V_list must be positive"),
+    ("batch.checks = ,", "line 2: batch.checks must name at least one check"),
+])
+def test_lists_that_would_fail_open_rejected(line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("seed = 1\n" + line + "\n")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key", ["problem.events.00.probability",
+                                 "problem.events.0.actions.00"])
+def test_index_with_leading_zero_rejected(key):
+    # 00 and 0 would name one entry, and the later line would silently
+    # overwrite the earlier
+    with pytest.raises(ConfigError, match=f"^line 12: unknown key '{key}'$"):
+        parse_config_text(INLINE + f"{key} = 1.0, 0.0\n")
+
+
 def test_builtin_and_inline_conflict():
     with pytest.raises(ConfigError):
         parse_config_text("problem = server-scheduling-3x2\nproblem.L = 1\n")

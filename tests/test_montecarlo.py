@@ -16,7 +16,7 @@ from dpp_lab import (BatchConfig, InvariantViolation, builtin_spec,
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
                               constants_for_horizon, convergence_time_multi)
 from dpp_lab.core import ProblemSpec
-from dpp_lab.events import derive_seed
+from dpp_lab.events import derive_seed, derive_seeds
 from dpp_lab.controller import ScoreTensor
 from dpp_lab.montecarlo import (CHUNK, ChunkStats, simulate_chunk,
                                 simulate_paths)
@@ -109,7 +109,7 @@ def test_batch_is_invariant_to_chunking(name):
     sol = solve_stationary_optimum(spec)
     T = 52
     consts = constants_for_horizon(spec, sol.xi_star / 2, T, 0.05)
-    whole = simulate_paths(spec, 1, CUTS[-1], T, sol.z_opt, consts)
+    whole = simulate_paths(spec, derive_seeds(1, 0, CUTS[-1]), T, sol.z_opt, consts)
     _assert_stats_equal(whole, _split_run(spec, 1, CUTS, T, sol.z_opt, consts))
 
 
@@ -120,7 +120,8 @@ def test_violation_path_index_is_invariant_to_chunking(sv_spec, sv_solution):
     consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2, T, 0.05)
     spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.999)
     found = []
-    for run in (lambda: simulate_paths(spec, 1, CUTS[-1], T, sv_solution.z_opt, consts),
+    seeds = derive_seeds(1, 0, CUTS[-1])
+    for run in (lambda: simulate_paths(spec, seeds, T, sv_solution.z_opt, consts),
                 lambda: _split_run(spec, 1, CUTS, T, sv_solution.z_opt, consts)):
         with pytest.raises(InvariantViolation) as err:
             run()
@@ -140,7 +141,7 @@ def test_earliest_violation_is_invariant_to_chunk_size(sv_spec, sv_solution, mon
     for chunk in (1000, 2000, 4096, 8192):
         monkeypatch.setattr(montecarlo, "CHUNK", chunk)
         with pytest.raises(InvariantViolation) as err:
-            simulate_paths(spec, 8, 8192, T, sv_solution.z_opt, consts)
+            simulate_paths(spec, derive_seeds(8, 0, 8192), T, sv_solution.z_opt, consts)
         e = err.value
         found.add((e.law, e.path_index, e.path_seed, e.slot, e.detail))
     assert len(found) == 1
@@ -150,28 +151,30 @@ def test_earliest_violation_is_invariant_to_chunk_size(sv_spec, sv_solution, mon
 @pytest.mark.parametrize("chunk", [CHUNK, 7])
 @pytest.mark.parametrize("name", sorted(ENGINE_SPECS))
 def test_merged_seed_sets_match_separate_calls(name, chunk, monkeypatch):
-    # a theorem check's calibration and validation sets run as one lockstep
-    # call, also with a chunk that straddles the two; each set's per-path
-    # results are bit-equal to its own call
+    # a theorem check's calibration and validation seeds run as one batch,
+    # also with a chunk that straddles the two; each set's per-path results
+    # are bit-equal to its own call
     monkeypatch.setattr(montecarlo, "CHUNK", chunk)
     spec = ENGINE_SPECS[name]()
     sol = solve_stationary_optimum(spec)
     T = 120
     consts = constants_for_horizon(spec, sol.xi_star / 2, T, 0.05)
-    counts, offsets = (5, 11), (1 << 32, 2 << 32)
-    both = simulate_paths(spec, 4, counts, T, sol.z_opt, consts, seed_offset=offsets)
+    sets = (derive_seeds(4, 1 << 32, 5), derive_seeds(4, 2 << 32, 11))
+    both = simulate_paths(spec, np.concatenate(sets), T, sol.z_opt, consts)
     assert both.avg_obj.shape == (16,)
-    for part, n, off in zip(both.split(counts[0]), counts, offsets):
-        alone = simulate_paths(spec, 4, n, T, sol.z_opt, consts, seed_offset=off)
-        _assert_stats_equal(part, alone)
+    for lo, seeds in zip((0, 5), sets):
+        alone = simulate_paths(spec, seeds, T, sol.z_opt, consts)
+        for f in fields(ChunkStats):
+            x, y = getattr(both, f.name), getattr(alone, f.name)
+            assert (x is None and y is None) or x[lo:lo + len(seeds)].tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("seed,expected", [
-    # the validation set's path 1 fails; the merged call calls it path 2
-    (7, ("quadratic drift bound", 1, derive_seed(7, (2 << 32) + 1), 32, 2, 32)),
-    # the validation set fails first (slot 11), but the calibration set's
-    # failure at slot 30 is reported, as when the sets ran one by one
-    (2, ("quadratic drift bound", 0, derive_seed(2, 1 << 32), 30, 1, 11)),
+    # the validation set's path 1, batch path 2, fails at slot 32
+    (7, ("quadratic drift bound", 2, derive_seed(7, (2 << 32) + 1), 32)),
+    # the validation set's path 0 fails at slot 11, before the calibration
+    # path's failure at slot 30
+    (2, ("quadratic drift bound", 1, derive_seed(2, 2 << 32), 11)),
 ])
 def test_theorem_violation_names_its_own_set(sv_spec, monkeypatch, seed, expected):
     # B understated by 0.1%; epsilon = 1 gives V = 1 and a Theorem2 horizon
@@ -186,22 +189,14 @@ def test_theorem_violation_names_its_own_set(sv_spec, monkeypatch, seed, expecte
         run_batch(cfg)
     e = err.value
     horizon = convergence_time_multi(1.0, cfg.delta)
-    assert (e.law, e.path_index, e.path_seed, e.slot, e.T, e.V) == expected[:4] + (horizon, 1.0)
-    # the separate calls, calibration first, raise the same violation
+    assert (e.law, e.path_index, e.path_seed, e.slot, e.T, e.V) == expected + (horizon, 1.0)
+    # the batch of the theorem's seeds, calibration first, raises it too
     v_spec = spec.with_v(1.0)
     consts = constants_for_horizon(v_spec, sol.xi, horizon, cfg.delta)
-    found = []
-    for n, off in ((1, 1 << 32), (2, 2 << 32)):
-        try:
-            simulate_paths(v_spec, seed, n, horizon, sol.z_opt, consts, seed_offset=off)
-        except InvariantViolation as alone:
-            found.append(alone)
-    assert str(found[0]) == str(e)
-    # what the merged call raises alone
-    with pytest.raises(InvariantViolation) as merged:
-        simulate_paths(v_spec, seed, (1, 2), horizon, sol.z_opt, consts,
-                       seed_offset=(1 << 32, 2 << 32))
-    assert (merged.value.path_index, merged.value.slot) == expected[4:]
+    seeds = np.concatenate([derive_seeds(seed, 1 << 32, 1), derive_seeds(seed, 2 << 32, 2)])
+    with pytest.raises(InvariantViolation) as alone:
+        simulate_paths(v_spec, seeds, horizon, sol.z_opt, consts)
+    assert str(alone.value) == str(e)
 
 
 def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, monkeypatch):
@@ -215,7 +210,7 @@ def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, monkeypatch):
     monkeypatch.setattr(montecarlo, "CHUNK", 2)
     monkeypatch.setattr(montecarlo, "simulate_chunk", fail)
     with pytest.raises(InvariantViolation) as err:
-        simulate_paths(sv_spec, 1, 8, 10, 0.0, None)
+        simulate_paths(sv_spec, derive_seeds(1, 0, 8), 10, 0.0, None)
     assert err.value is raised[2]
 
 
@@ -229,7 +224,7 @@ def test_single_path_batch_matches_direct_run(sv_spec, sv_solution):
     med = [row for row in summary.objective_quantiles if row[0] == 0.5][0][1]
     assert med == pytest.approx(np.sum(tr.z0) / T, rel=1e-12)
     rep = check_trace_laws(tr, sv_solution.z_opt, consts)
-    stats = simulate_paths(sv_spec, 13, 1, T, sv_solution.z_opt, consts)
+    stats = simulate_paths(sv_spec, derive_seeds(13, 0, 1), T, sv_solution.z_opt, consts)
     assert stats.x_final[0] == rep.x_final
     qn = float(np.max(np.sqrt(np.einsum("ij,ij->i", tr.q_before, tr.q_before))))
     assert stats.max_qnorm[0] == qn
@@ -248,7 +243,7 @@ def test_lockstep_matches_scalar_engine_bitwise(name, key_feature, chaos):
     sol = solve_stationary_optimum(spec)
     T, N = 250, 8
     consts = constants_for_horizon(spec, sol.xi_star / 2, T, 0.05)
-    stats = simulate_paths(spec, 21, N, T, sol.z_opt, consts,
+    stats = simulate_paths(spec, derive_seeds(21, 0, N), T, sol.z_opt, consts,
                            chaos=chaos, key_feature=key_feature)
     for i in range(N):
         tr = run_path(spec, derive_seed(21, i), T, chaos=chaos)
@@ -431,7 +426,8 @@ def test_trace_checker_matches_engine_telescoping(sq_spec, sq_solution, chaos):
     # and nJ falls before the horizon; the laws hold for any decision rule
     T, N = 600, 12
     consts = constants_for_horizon(sq_spec, sq_solution.xi_star / 2.0, T, 0.05)
-    stats = simulate_paths(sq_spec, 9, N, T, sq_solution.z_opt, consts, chaos=chaos)
+    stats = simulate_paths(sq_spec, derive_seeds(9, 0, N), T, sq_solution.z_opt, consts,
+                           chaos=chaos)
     cap = consts.C0 * sq_spec.V
     nJs = []
     for i in range(N):
@@ -457,7 +453,7 @@ def test_trace_checker_matches_engine_finals(name, c1):
     xi = sol.xi_star / 2.0
     consts = (constants_for_horizon(spec, xi, T, 0.05) if c1 is None
               else compute_constants(spec, xi, c1))
-    stats = simulate_paths(spec, 17, N, T, sol.z_opt, consts)
+    stats = simulate_paths(spec, derive_seeds(17, 0, N), T, sol.z_opt, consts)
     assert np.all(stats.stopped) == (c1 is not None)
     for i in range(N):
         rep = check_trace_laws(run_path(spec, derive_seed(17, i), T), sol.z_opt, consts)
@@ -477,7 +473,7 @@ def test_trace_checker_matches_engine_finals(name, c1):
 def test_stopped_process_differs_only_after_a_stop(sv_spec, sv_solution, seed, c1):
     # the stopping-time divergence law is an identity of how Y is built
     consts = compute_constants(sv_spec, sv_solution.xi_star / 2.0, c1)
-    stats = simulate_paths(sv_spec, seed, 16, 200, sv_solution.z_opt, consts)
+    stats = simulate_paths(sv_spec, derive_seeds(seed, 0, 16), 200, sv_solution.z_opt, consts)
     assert np.all((stats.x_final == stats.y_final) | stats.stopped)
     assert np.all(stats.stopped == (stats.max_qnorm > c1))
 
@@ -491,7 +487,7 @@ def test_ragged_action_sets_run_clean():
     assert summary.invariant_violations == 0
     # scalar engine agrees on a sample path
     consts = constants_for_horizon(spec, summary.xi, 500, 0.05)
-    stats = simulate_paths(spec, 4, 8, 500, summary.z_opt, consts)
+    stats = simulate_paths(spec, derive_seeds(4, 0, 8), 500, summary.z_opt, consts)
     for i in range(8):
         tr = run_path(spec, derive_seed(4, i), 500)
         s = 0.0

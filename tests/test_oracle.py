@@ -16,7 +16,7 @@ from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, SlacknessError, or
 from dpp_lab.events import u64_at
 from dpp_lab.oracle import (_iter_grid_chunks, _lp_matrices, grid_points_budget,
                             simplex_grid, simplex_grid_size)
-from dpp_lab.schema import load_schema, validate
+from dpp_lab.schema import SchemaError, load_schema, validate
 from dpp_lab.simplex import LpStatus, solve_lp
 
 
@@ -340,6 +340,10 @@ def test_solution_serialization_schema(sv_solution):
     payload = sv_solution.to_json_dict()
     validate(payload, load_schema("stationary_solution"))
     assert payload["lp_status"] == "Optimal"
+    # an infeasible instance raises instead, so no document holds its states
+    for key, value in (("z_opt", None), ("lp_status", "Infeasible")):
+        with pytest.raises(SchemaError):
+            validate({**payload, key: value}, load_schema("stationary_solution"))
 
 
 def test_single_queue_oracle(sq_spec, sq_solution):
