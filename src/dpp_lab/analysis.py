@@ -1,5 +1,4 @@
-"""Closed-form constants, tail bounds, convergence times, and the law table
-evaluated over one stored trace.
+"""Closed-form constants, tail bounds and convergence times.
 
 All logarithms are natural: the exponential-moment machinery behind the
 queue tail bound is base e, and every constant here must stay consistent
@@ -11,9 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
-from .core import PathTrace, law_problems, laws_for, trace_law_values
 from .oracle import SlacknessError
 
 
@@ -110,82 +106,6 @@ def constants_for_horizon(spec, xi: float, T: int, delta: float) -> BoundConstan
 
 
 # ---------------------------------------------------------------------------
-# the law table over a stored trace
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LawReport:
-    """The law table evaluated over the slots of one stored trace.
-
-    ``problems`` maps every violated law, in table order, to messages for
-    its first five failing slots.  ``x_final``, ``y_final`` and ``g_final``
-    are X, the stopped process Y and (one constraint only, else None) the
-    truncated process G at the horizon.  ``nJ`` (the last slot in 1..T+1
-    whose queue value lies in [0, C0*V]), ``tele_gap`` and ``tele_avg`` are
-    the telescoping quantities; they are None unless the trace has one
-    constraint and C0*V >= B.  Every value is computed in the lockstep
-    engine's float order, so it equals the engine's bit for bit.
-    """
-
-    problems: dict[str, list[str]]
-    x_final: float
-    y_final: float
-    g_final: float | None = None
-    nJ: int | None = None
-    tele_gap: float | None = None
-    tele_avg: float | None = None
-
-    @property
-    def violated(self) -> tuple[str, ...]:
-        return tuple(self.problems)
-
-
-def _partial_sums(a: np.ndarray) -> np.ndarray:
-    """Sums of the first 0, 1, ..., len(a) entries of ``a``, added left to
-    right from zero as the engine accumulates them."""
-    return np.cumsum(np.concatenate(([0.0], a)))
-
-
-def check_trace_laws(trace: PathTrace, z_opt: float, constants: BoundConstants) -> LawReport:
-    """Evaluate every law of :data:`dpp_lab.core.LAWS` that applies to the
-    trace, reporting all violations rather than stopping at the first.
-
-    dX is V*(z0 - z_opt) + q.z; the stopped process stops changing from the
-    first slot whose starting queue norm exceeds c1.  With one constraint, dG
-    clips the queue weight at C0*V.
-    """
-    V = constants.V
-    v = trace_law_values(trace)
-    vars(v).update(B=constants.B, c2=constants.c2, V=V, z_max=constants.z_max,
-                   C0=constants.C0)
-    penalty = V * (trace.z0 - z_opt)
-    dx = penalty + v.qz
-    stopped = np.logical_or.accumulate(v.norm_before > constants.c1)
-    v.dy = np.where(stopped, 0.0, dx)
-    laws = laws_for(trace.L, final=False)
-    out: dict = {"x_final": float(_partial_sums(dx)[-1]),
-                 "y_final": float(_partial_sums(v.dy)[-1])}
-    if trace.L == 1:
-        cap = constants.C0 * V
-        q1 = trace.q[:, 0]
-        terms = np.minimum(q1[:-1], cap) * trace.z[:, 0]
-        v.dg = penalty + terms
-        out["g_final"] = float(_partial_sums(v.dg)[-1])
-        if cap >= constants.B:  # the telescoping laws assume the cap clears one step
-            partial = _partial_sums(terms)  # before slots 1..T+1
-            visits = np.nonzero(q1 <= cap)[0]
-            nJ = int(visits[-1]) + 1 if visits.size else 1
-            q_nJ = float(q1[nJ - 1])
-            tele = {"nJ": nJ,
-                    "tele_gap": abs(float(partial[nJ - 1]) - 0.5 * q_nJ * q_nJ),
-                    "tele_avg": float(partial[-1]) / trace.T}
-            vars(v).update(tele)
-            out.update(tele)
-            laws += laws_for(1, final=True)
-    return LawReport(law_problems(laws, v, trace.T), **out)
-
-
-# ---------------------------------------------------------------------------
 # bounds and convergence times
 # ---------------------------------------------------------------------------
 
@@ -242,7 +162,7 @@ def convergence_time_multi(epsilon: float, delta: float) -> int:
         raise ValueError("delta must lie in (0, 1)")
     le = math.log(1.0 / epsilon)
     ld = math.log(2.0 / delta)
-    return math.ceil(max(le * le * ld, ld ** 3) / (epsilon * epsilon))
+    return _slots(max(le * le * ld, ld ** 3), epsilon)
 
 
 def convergence_time_single(epsilon: float, delta: float,
@@ -256,22 +176,13 @@ def convergence_time_single(epsilon: float, delta: float,
     if not 0.0 < epsilon <= limit:
         raise ValueError(f"epsilon must lie in (0, {limit!r}]; got {epsilon!r}")
     ld = math.log(1.0 / delta)
-    return math.ceil(ld * ld / (epsilon * epsilon))
+    return _slots(ld * ld, epsilon)
 
 
-def deviation_over_horizon(constants: BoundConstants, T: int, delta: float) -> float:
-    """The multi-constraint per-slot deviation level
-    C * max{ln T * ln^(1/2)(2/delta), ln^(3/2)(2/delta)} / sqrt(T)."""
-    ld = math.log(2.0 / delta)
-    num = max(math.log(T) * math.sqrt(ld), ld ** 1.5)
-    return constants.C * num / math.sqrt(T)
-
-
-def chained_deviation_check(constants: BoundConstants, epsilon: float, delta: float,
-                            rel_tol: float = 1e-9) -> tuple[float, float, bool]:
-    """Substituting the multi-constraint horizon into the deviation level must
-    come out at most 6*C*epsilon.  Returns (lhs, rhs, ok)."""
-    T = convergence_time_multi(epsilon, delta)
-    lhs = deviation_over_horizon(constants, T, delta)
-    rhs = 6.0 * constants.C * epsilon
-    return lhs, rhs, lhs <= rhs * (1.0 + rel_tol)
+def _slots(x: float, epsilon: float) -> int:
+    """ceil(x / eps^2) for x > 0, at least 1 where it underflows to zero;
+    ValueError naming eps where x / eps^2 is not a finite float."""
+    t = x / (epsilon * epsilon) if epsilon * epsilon > 0.0 else math.inf
+    if not math.isfinite(t):
+        raise ValueError(f"convergence horizon at epsilon={epsilon!r} is not finite")
+    return max(1, math.ceil(t))

@@ -7,7 +7,7 @@ distribution live in :mod:`dpp_lab.oracle`.
 Float evaluation order is pinned: an action's score is ``V*z0`` followed by
 ``+= q[l]*z[l]`` for l ascending.  :class:`ScoreTensor`, the one vectorized
 scorer, keeps that order for a batch of queue states: the lockstep engine's
-paths, :func:`run_path`'s chaos rule, or the exact oracles' one state.
+paths or :func:`run_path`'s chaos rule.
 :func:`run_path`'s honest rule replays it in plain Python, so the engines
 agree bit for bit.
 """
@@ -188,7 +188,7 @@ def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> 
     qs = np.frombuffer(q_buf, dtype=np.float64).reshape(T + 1, L)
     # the chosen action's z0 and z, the latter from a contiguous (W, K, L) copy of the table
     z_tab = np.ascontiguousarray(np.moveaxis(table[1:], 0, -1))
-    n2 = row_norm_sq(qs)  # in drift()'s float order
+    n2 = row_norm_sq(qs)  # in the stored-trace checker's float order
     return PathTrace(
         event_ids=ids,
         action_indices=actions,

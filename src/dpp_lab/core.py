@@ -1,5 +1,5 @@
-"""Domain types, the exact queue/drift dynamics, and the table of
-deterministic per-path laws shared by the rest of the package.
+"""Domain types, the queue dynamics, the table of per-path laws, the trace
+CSV format, and the one stored-trace checker :func:`verify_trace_dynamics`.
 
 Events and actions are named by their positions: event i is
 ``ProblemSpec.events[i]`` and its action k is ``.actions[k]``.  A trace
@@ -160,23 +160,16 @@ class PathTrace:
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers with a pinned summation order
+# the queue dynamics
 #
-# The scalar path engine and the vectorized batch engine must agree bit for
-# bit, so every float reduction below runs left to right over the constraint
-# index.  Do not replace these with np.dot / np.sum.
+# The two engines and the stored-trace checker must agree bit for bit, so a
+# squared queue norm sums left to right over the constraint index from zero.
+# Do not replace row_norm_sq with np.dot / np.sum.
 # ---------------------------------------------------------------------------
-
-def norm_sq(v: Sequence[float]) -> float:
-    acc = 0.0
-    for x in v:
-        acc += x * x
-    return acc
-
 
 def row_norm_sq(x: np.ndarray) -> np.ndarray:
     """Squared euclidean norm of each row of a 2-D array, summed over the
-    columns left to right from zero as :func:`norm_sq` does."""
+    columns left to right from zero."""
     out = np.zeros(x.shape[0])
     for l in range(x.shape[1]):
         out += x[:, l] * x[:, l]
@@ -192,15 +185,6 @@ def queue_update(q: Sequence[float], z: Sequence[float]) -> np.ndarray:
     if np.any(qa < 0.0):
         raise ValueError("queue vector must be nonnegative")
     return np.maximum(qa + za, 0.0)
-
-
-def drift(q_before: Sequence[float], q_after: Sequence[float]) -> float:
-    """Half the change of the squared euclidean queue norm across one slot."""
-    qb = np.asarray(q_before, dtype=np.float64)
-    qa = np.asarray(q_after, dtype=np.float64)
-    if qb.shape != qa.shape:
-        raise ValueError(f"dimension mismatch: {qb.shape} vs {qa.shape}")
-    return 0.5 * (norm_sq(qa.tolist()) - norm_sq(qb.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +284,7 @@ def verify_trace_dynamics(trace: PathTrace, B: float) -> list[str]:
     bad = np.nonzero(~np.all(qa == expect, axis=1))[0]
     for i in bad[:5]:
         problems.append(f"slot {i + 1}: queue update not exact")
-    if np.any(qa < 0.0):
+    if np.any(trace.q < 0.0):
         problems.append("negative queue component")
     v = trace_law_values(trace)
     bad = np.nonzero(~(np.abs(0.5 * (v.na2 - v.nb2) - trace.drift) <= LAW_TOL))[0]

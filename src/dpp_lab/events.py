@@ -31,24 +31,9 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def u64_at(seed: int, n: int) -> int:
-    """The n-th 64-bit output of the stream keyed by ``seed``."""
-    return mix64((seed + n * _GOLDEN) & _MASK64)
-
-
-def uniform_at(seed: int, n: int) -> float:
-    """Uniform double in [0, 1), pure in (seed, n)."""
-    return (u64_at(seed, n) >> 11) * 2.0 ** -53
-
-
-def derive_seed(master: int, stream_index: int) -> int:
-    """Seed for an independent substream (one per Monte Carlo path)."""
-    return u64_at(mix64(master ^ _STREAM_SALT), stream_index)
-
-
 def derive_seeds(master: int, start: int, count: int) -> np.ndarray:
-    """``derive_seed(master, start + i)`` for i in 0..count-1, as one uint64
-    array built in one vectorized call."""
+    """Seeds of substreams ``start .. start+count-1`` of ``master``, one per
+    path: those outputs of the stream ``mix64(master ^ _STREAM_SALT)``."""
     return u64_block(mix64(master ^ _STREAM_SALT), start, count)
 
 
@@ -68,8 +53,8 @@ def _mix64_block(x: np.ndarray) -> np.ndarray:
 
 
 def u64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs ``start .. start+count-1`` of the stream, vectorized; matches
-    :func:`u64_at` bit for bit."""
+    """Outputs ``start .. start+count-1`` of the stream keyed by ``seed``;
+    output n is splitmix64's finalizer of ``seed + n * golden`` mod 2**64."""
     state = np.arange(start, start + count, dtype=np.uint64)
     state *= _G
     state += np.uint64(seed & _MASK64)

@@ -12,9 +12,9 @@ action) pair of every path once, into one (event, action, path) tensor with
 the paths contiguous, and picks each event's action from it.  The realized
 event's pick is the decision; with the KeyFeature check on, the
 probability-weighted picks of all events give both exact conditional
-expectations, so nothing is scored twice.  The tensor is the scorer of the
-exact oracles too, and its float order is the scalar path engine's, so the
-two engines agree bit for bit on every per-path quantity.
+expectations, so nothing is scored twice.  The tensor's float order is the
+scalar path engine's, so the two engines agree bit for bit on every
+per-path quantity.
 
 The deterministic per-path laws of :data:`dpp_lab.core.LAWS` (and, for the
 KeyFeature check, the exact conditional expectations) are enforced on every
@@ -305,7 +305,7 @@ class BatchConfig:
 
     @property
     def seeds(self) -> np.ndarray:
-        """The path seeds: path i takes ``derive_seed(master_seed, i)``."""
+        """The path seeds: path i takes substream i of ``master_seed``."""
         return derive_seeds(self.master_seed, 0, self.num_paths)
 
 

@@ -17,10 +17,6 @@ order the joint points are visited in; only the min and max are reported.
 Joint points are evaluated in chunks of at most 2**20, so memory stays at
 about two chunks of (L+1) floats plus the per-event grids, whatever the size
 of the joint grid.
-
-Also the exact conditional one-step expectations of the controller's rule,
-evaluated by enumerating the event support rather than by sampling, through
-the lockstep engine's scorer :class:`dpp_lab.controller.ScoreTensor`.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ScoreTensor
 from .core import ProblemSpec
 from .simplex import LpStatus, solve_lp
 
@@ -70,15 +65,6 @@ class StationarySolution:
         slackness, so that the margin is strict.  Raises
         :class:`SlacknessError` unless ``xi_star`` is positive."""
         return _positive_slackness(self.xi_star) / 2.0
-
-    def option_marginals(self, spec: ProblemSpec) -> np.ndarray:
-        """Event-averaged probability of each action index (padded by zeros
-        for events with fewer actions)."""
-        out = np.zeros(spec.max_actions)
-        for e, row in zip(spec.events, self.policy):
-            for k, p in enumerate(row):
-                out[k] += e.probability * p
-        return out
 
 
 def _positive_slackness(xi_star: float) -> float:
@@ -151,45 +137,6 @@ def solve_max_slackness(spec: ProblemSpec) -> float:
     if xi > spec.B + POLICY_TOL:
         raise AssertionError(f"slackness {xi!r} exceeds the increment bound {spec.B!r}")
     return xi
-
-
-def _scored(spec: ProblemSpec, q, z_opt: float) -> ScoreTensor:
-    """A one-state :class:`ScoreTensor` that has scored the queue vector q
-    under the honest rule; bad inputs raise ValueError."""
-    q = [float(v) for v in q]
-    if len(q) != spec.L:
-        raise ValueError("queue dimension does not match spec")
-    if not all(0.0 <= v < math.inf for v in q):
-        raise ValueError(f"queue vector {q!r} must be nonnegative and finite")
-    if not math.isfinite(z_opt):
-        raise ValueError(f"z_opt must be finite, got {z_opt!r}")
-    tensor = ScoreTensor(spec, 1)
-    tensor.choose(q, None)
-    return tensor
-
-
-def exact_conditional_dpp_expectation(spec: ProblemSpec, q, z_opt: float) -> float:
-    """Exact expectation, over the event distribution, of
-    V*(z0 - z_opt) + sum_l q[l] * z_l at the controller's own choice.
-
-    The decision rule never sees probabilities; they enter only here, in the
-    enumeration.  A correct controller keeps this nonpositive for every
-    nonnegative q.
-    """
-    return float(_scored(spec, q, z_opt).expectations(z_opt, None)[0][0])
-
-
-def exact_conditional_truncated_expectation(spec: ProblemSpec, q1: float,
-                                            z_opt: float, cap: float) -> float:
-    """Single-constraint variant with the queue weight clipped at ``cap``:
-    expectation of V*(z0 - z_opt) + min(q1, cap) * z_1 at the controller's
-    (unclipped) choice."""
-    if spec.L != 1:
-        raise ValueError("truncated expectation is defined for one constraint")
-    if not cap >= 0.0:
-        raise ValueError(f"cap must be nonnegative, got {cap!r}")
-    tensor = _scored(spec, [q1], z_opt)
-    return float(tensor.expectations(z_opt, np.array([min(float(q1), cap)]))[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Shared generators for randomized oracle cross-checks, the reference grid
-oracle, the scalar decision rule and the reference KeyFeature loop they are
-checked against, unvalidated spec copies for negative controls, bare
-constants parameters, the reference trace CSV writer, and trace and tail
-helpers that only tests use."""
+"""Test-only code: generators for randomized oracle cross-checks, the
+reference grid oracle, the scalar references the engines and the vectorized
+RNG are checked against (the decision rule, the exact conditional
+expectations, the KeyFeature loop, the squared norm and drift, and the
+splitmix64 stream and seed rule), the law table evaluated over a stored
+trace (``check_trace_laws``, which matches the lockstep engine bit for bit),
+unvalidated spec copies for negative controls, bare constants parameters,
+the reference trace CSV writer, and tail helpers."""
 
 import copy
 import itertools
@@ -13,9 +16,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dpp_lab import (ActionVector, EventOutcome, PathTrace, ProblemSpec,
-                     check_trace_laws, pick_actions, wilson_interval)
-from dpp_lab.core import norm_sq, trace_csv_header
+from dpp_lab import (ActionVector, BoundConstants, EventOutcome, PathTrace, ProblemSpec,
+                     StationarySolution, convergence_time_multi, pick_actions,
+                     wilson_interval)
+from dpp_lab.controller import ScoreTensor
+from dpp_lab.core import law_problems, laws_for, trace_csv_header, trace_law_values
+from dpp_lab.events import _GOLDEN, _MASK64, _STREAM_SALT, mix64
 from dpp_lab.oracle import grid_points_budget
 
 # event/action shapes whose joint 1/200 grid stays exhaustively enumerable
@@ -78,6 +84,44 @@ def unchecked_spec(spec: ProblemSpec, **changes) -> ProblemSpec:
         if isinstance(attr, cached_property):
             out.__dict__.pop(name, None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the splitmix64 stream, the seed rule and the queue
+# norm.  events.u64_block, uniform_block, uniform_across and derive_seeds,
+# and core.row_norm_sq, must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def u64_at(seed: int, n: int) -> int:
+    """The n-th 64-bit output of the stream keyed by ``seed``."""
+    return mix64((seed + n * _GOLDEN) & _MASK64)
+
+
+def uniform_at(seed: int, n: int) -> float:
+    """Uniform double in [0, 1), pure in (seed, n)."""
+    return (u64_at(seed, n) >> 11) * 2.0 ** -53
+
+
+def derive_seed(master: int, stream_index: int) -> int:
+    """Seed for an independent substream (one per Monte Carlo path)."""
+    return u64_at(mix64(master ^ _STREAM_SALT), stream_index)
+
+
+def norm_sq(v) -> float:
+    """Squared euclidean norm, summed left to right from zero."""
+    acc = 0.0
+    for x in v:
+        acc += x * x
+    return acc
+
+
+def drift(q_before, q_after) -> float:
+    """Half the change of the squared euclidean queue norm across one slot."""
+    qb = np.asarray(q_before, dtype=np.float64)
+    qa = np.asarray(q_after, dtype=np.float64)
+    if qb.shape != qa.shape:
+        raise ValueError(f"dimension mismatch: {qb.shape} vs {qa.shape}")
+    return 0.5 * (norm_sq(qa.tolist()) - norm_sq(qb.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +247,60 @@ def reference_truncated_expectation(spec: ProblemSpec, q1: float, z_opt: float,
 
 
 # ---------------------------------------------------------------------------
+# exact conditional one-step expectations of the controller's rule, by
+# enumerating the event support through the lockstep engine's scorer
+# ---------------------------------------------------------------------------
+
+def _scored(spec: ProblemSpec, q, z_opt: float) -> ScoreTensor:
+    """A one-state :class:`ScoreTensor` that has scored the queue vector q
+    under the honest rule; bad inputs raise ValueError."""
+    q = [float(v) for v in q]
+    if len(q) != spec.L:
+        raise ValueError("queue dimension does not match spec")
+    if not all(0.0 <= v < math.inf for v in q):
+        raise ValueError(f"queue vector {q!r} must be nonnegative and finite")
+    if not math.isfinite(z_opt):
+        raise ValueError(f"z_opt must be finite, got {z_opt!r}")
+    tensor = ScoreTensor(spec, 1)
+    tensor.choose(q, None)
+    return tensor
+
+
+def exact_conditional_dpp_expectation(spec: ProblemSpec, q, z_opt: float) -> float:
+    """Exact expectation, over the event distribution, of
+    V*(z0 - z_opt) + sum_l q[l] * z_l at the controller's own choice.
+
+    The decision rule never sees probabilities; they enter only here, in the
+    enumeration.  A correct controller keeps this nonpositive for every
+    nonnegative q.
+    """
+    return float(_scored(spec, q, z_opt).expectations(z_opt, None)[0][0])
+
+
+def exact_conditional_truncated_expectation(spec: ProblemSpec, q1: float,
+                                            z_opt: float, cap: float) -> float:
+    """Single-constraint variant with the queue weight clipped at ``cap``:
+    expectation of V*(z0 - z_opt) + min(q1, cap) * z_1 at the controller's
+    (unclipped) choice."""
+    if spec.L != 1:
+        raise ValueError("truncated expectation is defined for one constraint")
+    if not cap >= 0.0:
+        raise ValueError(f"cap must be nonnegative, got {cap!r}")
+    tensor = _scored(spec, [q1], z_opt)
+    return float(tensor.expectations(z_opt, np.array([min(float(q1), cap)]))[1][0])
+
+
+def option_marginals(sol: StationarySolution, spec: ProblemSpec) -> np.ndarray:
+    """Event-averaged probability of each action index under the stationary
+    policy of ``sol`` (padded by zeros for events with fewer actions)."""
+    out = np.zeros(spec.max_actions)
+    for e, row in zip(spec.events, sol.policy):
+        for k, p in enumerate(row):
+            out[k] += e.probability * p
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reference KeyFeature expectations: each event scored and chosen on its own
 # (N, K) row.  The lockstep engine's single score tensor must reproduce them
 # bit for bit.
@@ -231,6 +329,104 @@ def reference_kf_expectations(spec: ProblemSpec, q: list, z_opt: float,
         if trunc is not None:
             etr += e.probability * (V * (z0[kw] - z_opt) + trunc * z[0][kw])
     return expect, etr
+
+
+# ---------------------------------------------------------------------------
+# the law table over a stored trace
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LawReport:
+    """The law table evaluated over the slots of one stored trace.
+
+    ``problems`` maps every violated law, in table order, to messages for
+    its first five failing slots.  ``x_final``, ``y_final`` and ``g_final``
+    are X, the stopped process Y and (one constraint only, else None) the
+    truncated process G at the horizon.  ``nJ`` (the last slot in 1..T+1
+    whose queue value lies in [0, C0*V]), ``tele_gap`` and ``tele_avg`` are
+    the telescoping quantities; they are None unless the trace has one
+    constraint and C0*V >= B.  Every value is computed in the lockstep
+    engine's float order, so it equals the engine's bit for bit.
+    """
+
+    problems: dict[str, list[str]]
+    x_final: float
+    y_final: float
+    g_final: float | None = None
+    nJ: int | None = None
+    tele_gap: float | None = None
+    tele_avg: float | None = None
+
+    @property
+    def violated(self) -> tuple[str, ...]:
+        return tuple(self.problems)
+
+
+def _partial_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of the first 0, 1, ..., len(a) entries of ``a``, added left to
+    right from zero as the engine accumulates them."""
+    return np.cumsum(np.concatenate(([0.0], a)))
+
+
+def check_trace_laws(trace: PathTrace, z_opt: float, constants: BoundConstants) -> LawReport:
+    """Evaluate every law of :data:`dpp_lab.core.LAWS` that applies to the
+    trace, reporting all violations rather than stopping at the first.
+
+    dX is V*(z0 - z_opt) + q.z; the stopped process stops changing from the
+    first slot whose starting queue norm exceeds c1.  With one constraint, dG
+    clips the queue weight at C0*V.
+    """
+    V = constants.V
+    v = trace_law_values(trace)
+    vars(v).update(B=constants.B, c2=constants.c2, V=V, z_max=constants.z_max,
+                   C0=constants.C0)
+    penalty = V * (trace.z0 - z_opt)
+    dx = penalty + v.qz
+    stopped = np.logical_or.accumulate(v.norm_before > constants.c1)
+    v.dy = np.where(stopped, 0.0, dx)
+    laws = laws_for(trace.L, final=False)
+    out: dict = {"x_final": float(_partial_sums(dx)[-1]),
+                 "y_final": float(_partial_sums(v.dy)[-1])}
+    if trace.L == 1:
+        cap = constants.C0 * V
+        q1 = trace.q[:, 0]
+        terms = np.minimum(q1[:-1], cap) * trace.z[:, 0]
+        v.dg = penalty + terms
+        out["g_final"] = float(_partial_sums(v.dg)[-1])
+        if cap >= constants.B:  # the telescoping laws assume the cap clears one step
+            partial = _partial_sums(terms)  # before slots 1..T+1
+            visits = np.nonzero(q1 <= cap)[0]
+            nJ = int(visits[-1]) + 1 if visits.size else 1
+            q_nJ = float(q1[nJ - 1])
+            tele = {"nJ": nJ,
+                    "tele_gap": abs(float(partial[nJ - 1]) - 0.5 * q_nJ * q_nJ),
+                    "tele_avg": float(partial[-1]) / trace.T}
+            vars(v).update(tele)
+            out.update(tele)
+            laws += laws_for(1, final=True)
+    return LawReport(law_problems(laws, v, trace.T), **out)
+
+
+# ---------------------------------------------------------------------------
+# the multi-constraint deviation level at the multi-constraint horizon
+# ---------------------------------------------------------------------------
+
+def deviation_over_horizon(constants: BoundConstants, T: int, delta: float) -> float:
+    """The multi-constraint per-slot deviation level
+    C * max{ln T * ln^(1/2)(2/delta), ln^(3/2)(2/delta)} / sqrt(T)."""
+    ld = math.log(2.0 / delta)
+    num = max(math.log(T) * math.sqrt(ld), ld ** 1.5)
+    return constants.C * num / math.sqrt(T)
+
+
+def chained_deviation_check(constants: BoundConstants, epsilon: float, delta: float,
+                            rel_tol: float = 1e-9) -> tuple[float, float, bool]:
+    """Substituting the multi-constraint horizon into the deviation level must
+    come out at most 6*C*epsilon.  Returns (lhs, rhs, ok)."""
+    T = convergence_time_multi(epsilon, delta)
+    lhs = deviation_over_horizon(constants, T, delta)
+    rhs = 6.0 * constants.C * epsilon
+    return lhs, rhs, lhs <= rhs * (1.0 + rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ import time
 import numpy as np
 import pytest
 from conftest import register_criterion
-from helpers import random_small_instance
+from helpers import (chained_deviation_check, exact_conditional_dpp_expectation,
+                     option_marginals, random_small_instance)
 
 from dpp_lab import (BatchConfig, InvariantViolation,
                      build_server_scheduling_spec,
-                     chained_deviation_check, compute_constants,
+                     compute_constants,
                      constants_for_horizon, convergence_time_multi,
                      convergence_time_single,
-                     exact_conditional_dpp_expectation, grid_max_slackness,
+                     grid_max_slackness,
                      grid_stationary_optimum, queue_tail_bound,
                      queue_tail_vacuity_crossover, run_batch,
                      solve_max_slackness, solve_stationary_optimum,
@@ -73,7 +74,7 @@ def test_criterion_1_benchmark_optimum(tmp_path):
     spec = build_server_scheduling_spec(V=100.0)
     sol = solve_stationary_optimum(spec)
     assert sol.z_opt == pytest.approx(1.1, abs=1e-9)
-    marginals = sol.option_marginals(spec)
+    marginals = option_marginals(sol, spec)
     for got, want in zip(marginals, (0.6, 0.3, 0.1)):
         assert got == pytest.approx(want, abs=1e-9)
 

@@ -3,18 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from helpers import bound_params, build_trace_from_z
+from helpers import (bound_params, build_trace_from_z, chained_deviation_check,
+                     check_trace_laws, deviation_over_horizon)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpp_lab import (azuma_bound, chained_deviation_check,
-                     check_trace_laws, compute_constants,
-                     constants_for_horizon, convergence_time_multi,
-                     convergence_time_single, default_truncation_level,
-                     g_tail_bound, queue_tail_bound,
+from dpp_lab import (azuma_bound, compute_constants, constants_for_horizon,
+                     convergence_time_multi, convergence_time_single,
+                     default_truncation_level, g_tail_bound, queue_tail_bound,
                      queue_tail_vacuity_crossover, run_path, xtail_bound)
-from dpp_lab.analysis import (ConsistencyError, deviation_over_horizon,
-                              calibrated_deviation_level)
+from dpp_lab.analysis import ConsistencyError, calibrated_deviation_level
 from dpp_lab.oracle import SlacknessError
 
 SV_PARAMS = bound_params(2.0, math.sqrt(3.0), 10.0)  # z_max, B, V of the benchmark
@@ -172,6 +170,19 @@ def test_convergence_time_single_values():
                     <= convergence_time_multi(eps, delta))
     with pytest.raises(ValueError):
         convergence_time_single(c.C0 / c.B * 1.01, 0.05, c)  # past the valid range
+
+
+def test_convergence_times_fail_closed():
+    # a positive horizon that underflows still takes one slot
+    assert convergence_time_multi(1e300, 0.05) == 1
+    wide = dataclasses.replace(compute_constants(SV_PARAMS, xi=0.1, c1=1.0), C0=1e308)
+    assert convergence_time_single(1e300, 0.05, wide) == 1
+    # eps^2 underflows to zero at 1e-200; at 1e-160 the quotient overflows
+    for eps in (1e-200, 1e-160):
+        with pytest.raises(ValueError, match=f"epsilon={eps!r}"):
+            convergence_time_multi(eps, 0.05)
+        with pytest.raises(ValueError, match=f"epsilon={eps!r}"):
+            convergence_time_single(eps, 0.05, wide)
 
 
 def test_chained_deviation_inequality_grid():

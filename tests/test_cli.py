@@ -6,14 +6,14 @@ import sys
 
 import pytest
 
-from helpers import unchecked_spec
+from helpers import derive_seed, unchecked_spec
 
 import dpp_lab
 from dpp_lab.cli import _write_json, main
 from dpp_lab.configfile import RunConfig
 from dpp_lab.controller import run_path
 from dpp_lab.core import ProblemSpec, write_trace_csv
-from dpp_lab.events import builtin_spec, derive_seed
+from dpp_lab.events import builtin_spec
 from dpp_lab.schema import load_schema, validate
 
 SIM_CFG = """
@@ -289,6 +289,20 @@ def test_constants_past_float_range_exit_1(tmp_path, capsys, command):
     assert main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: moment ceiling") and "float64 range" in err
+
+
+@pytest.mark.parametrize("value", ["1e-200", "1e-160"])
+def test_horizon_past_float_range_exits_1(tmp_path, capsys, value):
+    cfg = _write(tmp_path, SQ_CFG)
+    assert main(["bounds", "--config", cfg, "--epsilon", value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: convergence horizon at epsilon={float(value)!r} is not finite\n")
+
+
+def test_underflowing_horizon_is_one_slot(tmp_path):
+    cfg = _write(tmp_path, SQ_CFG)
+    assert main(["bounds", "--config", cfg, "--epsilon", "1e300"]) == 0
+    assert json.loads((tmp_path / "out" / "bounds.json").read_text())["t_multi"] == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

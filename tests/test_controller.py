@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from helpers import action_score, select_action
+from helpers import (action_score, drift, exact_conditional_dpp_expectation,
+                     exact_conditional_truncated_expectation, select_action)
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, drift,
-                     exact_conditional_dpp_expectation,
-                     exact_conditional_truncated_expectation, pick_actions,
+from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, pick_actions,
                      queue_update, run_path)
 from dpp_lab.analysis import constants_for_horizon
 from dpp_lab.core import verify_trace_dynamics

@@ -9,16 +9,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import (build_trace_from_z, ragged_spec, reference_write_trace_csv,
-                     unchecked_spec)
+from helpers import (build_trace_from_z, drift, norm_sq, ragged_spec,
+                     reference_write_trace_csv, unchecked_spec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpp_lab import (LAWS, ActionVector, EventOutcome, PathTrace, ProblemSpec,
                      build_server_scheduling_spec, build_single_queue_spec,
-                     core, drift, queue_update, read_trace_csv, run_path,
+                     core, queue_update, read_trace_csv, run_path,
                      write_trace_csv)
-from dpp_lab.core import (DYNAMICS_LAWS, law_problems, laws_for, norm_sq,
+from dpp_lab.core import (DYNAMICS_LAWS, law_problems, laws_for,
                           trace_csv_header, trace_law_values,
                           verify_trace_dynamics)
 
@@ -143,6 +143,17 @@ def test_trace_dynamics_flags_corruption(sv_spec):
     problems = verify_trace_dynamics(tr3, 0.5)
     assert any(p.startswith("queue norm step bound: ") for p in problems)
     assert any(p.startswith("quadratic drift bound: ") for p in problems)
+
+
+def test_trace_dynamics_flags_a_negative_start_queue(sv_spec):
+    # slot 1 adds nothing to queue 1, so its update from -1 is still exact,
+    # and the stored drift is recomputed; only the nonnegativity check can
+    # see the corrupted start
+    tr = run_path(sv_spec, seed=3, T=50)
+    assert tr.z[0, 0] <= 0.0
+    tr.q[0, 0] = -1.0
+    tr.drift[0] = drift(tr.q[0], tr.q[1])
+    assert verify_trace_dynamics(tr, sv_spec.B) == ["negative queue component"]
 
 
 def test_trace_dynamics_flags_nan_drift(sv_spec):

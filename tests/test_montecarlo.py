@@ -4,25 +4,24 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import (empirical_tail, ragged_spec, reference_dpp_expectation,
-                     reference_kf_expectations, reference_truncated_expectation,
-                     unchecked_spec)
+from helpers import (check_trace_laws, derive_seed, empirical_tail,
+                     exact_conditional_dpp_expectation,
+                     exact_conditional_truncated_expectation, ragged_spec,
+                     reference_dpp_expectation, reference_kf_expectations,
+                     reference_truncated_expectation, unchecked_spec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpp_lab import (BatchConfig, InvariantViolation, builtin_spec,
-                     check_trace_laws, montecarlo, run_batch, run_path,
-                     wilson_interval)
+from dpp_lab import (BatchConfig, InvariantViolation, builtin_spec, montecarlo,
+                     run_batch, run_path, wilson_interval)
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
                               constants_for_horizon, convergence_time_multi)
 from dpp_lab.core import ProblemSpec
-from dpp_lab.events import derive_seed, derive_seeds
+from dpp_lab.events import derive_seeds
 from dpp_lab.controller import ScoreTensor
 from dpp_lab.montecarlo import (CHUNK, ChunkStats, simulate_chunk,
                                 simulate_paths)
-from dpp_lab.oracle import (exact_conditional_dpp_expectation,
-                            exact_conditional_truncated_expectation,
-                            solve_stationary_optimum)
+from dpp_lab.oracle import solve_stationary_optimum
 from dpp_lab.schema import load_schema, validate
 
 

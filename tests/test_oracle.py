@@ -3,17 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import (random_small_instance, reference_grid_chunks,
+from helpers import (exact_conditional_dpp_expectation,
+                     exact_conditional_truncated_expectation, option_marginals,
+                     random_small_instance, reference_grid_chunks,
                      reference_grid_max_slackness,
-                     reference_grid_stationary_optimum, reference_simplex_grid)
+                     reference_grid_stationary_optimum, reference_simplex_grid,
+                     u64_at)
 
 from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, SlacknessError, oracle,
-                     build_server_scheduling_spec,
-                     exact_conditional_dpp_expectation,
-                     exact_conditional_truncated_expectation, grid_max_slackness,
+                     build_server_scheduling_spec, grid_max_slackness,
                      grid_stationary_optimum, solve_max_slackness,
                      solve_stationary_optimum)
-from dpp_lab.events import u64_at
 from dpp_lab.oracle import (_iter_grid_chunks, _lp_matrices, grid_points_budget,
                             simplex_grid, simplex_grid_size)
 from dpp_lab.schema import SchemaError, load_schema, validate
@@ -22,7 +22,7 @@ from dpp_lab.simplex import LpStatus, solve_lp
 
 def test_benchmark_optimum(sv_spec, sv_solution):
     assert sv_solution.z_opt == pytest.approx(1.1, abs=1e-9)
-    marginals = sv_solution.option_marginals(sv_spec)
+    marginals = option_marginals(sv_solution, sv_spec)
     assert marginals == pytest.approx([0.6, 0.3, 0.1], abs=1e-9)
 
 
