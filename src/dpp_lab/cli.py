@@ -168,7 +168,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     T = cfg.T
     n_checks = min(cfg.sweep_checkpoints, T)
     grid = np.unique(np.round(np.logspace(0, math.log10(T), n_checks)).astype(np.int64))
-    grid = grid[grid >= 1]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", encoding="utf-8") as f:

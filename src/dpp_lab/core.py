@@ -160,7 +160,7 @@ class PathTrace:
 
 
 # ---------------------------------------------------------------------------
-# the queue dynamics
+# squared queue norms
 #
 # The two engines and the stored-trace checker must agree bit for bit, so a
 # squared queue norm sums left to right over the constraint index from zero.
@@ -174,17 +174,6 @@ def row_norm_sq(x: np.ndarray) -> np.ndarray:
     for l in range(x.shape[1]):
         out += x[:, l] * x[:, l]
     return out
-
-
-def queue_update(q: Sequence[float], z: Sequence[float]) -> np.ndarray:
-    """One virtual-queue step: componentwise max{q + z, 0}."""
-    qa = np.asarray(q, dtype=np.float64)
-    za = np.asarray(z, dtype=np.float64)
-    if qa.shape != za.shape:
-        raise ValueError(f"dimension mismatch: {qa.shape} vs {za.shape}")
-    if np.any(qa < 0.0):
-        raise ValueError("queue vector must be nonnegative")
-    return np.maximum(qa + za, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +337,14 @@ def _first_true_row(bad: np.ndarray) -> int:
 
 def read_trace_csv(path: str) -> PathTrace:
     """Rebuild a trace from its CSV form.  The final post-update queue vector
-    is reconstructed through the exact queue update.
+    is reconstructed as max{q + z, 0} of the last row.
 
     Fails closed with a ValueError naming the first bad row (data rows count
     from 1; numpy skips blank lines, so they are not counted): a ``t`` column
     other than 1..T, an ``event_id`` or ``action_index`` that is not an
     integer in 0..2**53 (beyond which float parsing cannot tell), or any
-    value that is not finite."""
+    value that is not finite.  Queue values are not judged here:
+    :func:`verify_trace_dynamics` checks every row of them."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         ncol = len(header.split(","))
@@ -384,7 +374,7 @@ def read_trace_csv(path: str) -> PathTrace:
     qb = raw[:, 4 + L:4 + 2 * L]
     q = np.empty((T + 1, L), dtype=np.float64)
     q[:T] = qb
-    q[T] = queue_update(qb[T - 1], z[T - 1])
+    q[T] = np.maximum(qb[T - 1] + z[T - 1], 0.0)
     return PathTrace(
         event_ids=event_ids,
         action_indices=action_indices,

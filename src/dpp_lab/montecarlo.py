@@ -145,6 +145,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
 
     q = [np.zeros(N) for _ in range(L)]
     nb2 = np.zeros(N)
+    norm = np.zeros(N)  # the queue norm at the start of the slot
     sum_z0 = np.zeros(N)
     sum_z = [np.zeros(N) for _ in range(L)]
     x_val = np.zeros(N)
@@ -154,6 +155,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     if single:
         g_val = np.zeros(N)
         s_trunc = np.zeros(N)
+        # the last slot in 1..T+1 that starts with q_1 <= C0*V; s_trunc, q_1 there
         nJ = np.ones(N, dtype=np.int64)
         s_at_nJ = np.zeros(N)
         q1_at_nJ = np.zeros(N)
@@ -179,9 +181,8 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         tensor.choose(q, chaos)
         z0_sel, *z_sel = tensor.realized(ids)
 
-        qnorm = np.sqrt(nb2)
-        np.maximum(max_qnorm, qnorm, out=max_qnorm)
-        stopped |= qnorm > c1
+        np.maximum(max_qnorm, norm, out=max_qnorm)
+        stopped |= norm > c1
         if single:
             trunc = np.minimum(q[0], cap)
 
@@ -196,11 +197,6 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
 
         dot = np.zeros(N)
         na2 = np.zeros(N)
-        if single:
-            visit = q[0] <= cap
-            np.putmask(nJ, visit, t)
-            np.putmask(s_at_nJ, visit, s_trunc)
-            np.putmask(q1_at_nJ, visit, q[0])
         for l in range(L):
             ql, zl = q[l], z_sel[l]
             dot += ql * zl
@@ -211,7 +207,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
 
         penalty = V * (z0_sel - z_opt)
         dx = penalty + dot
-        v.norm_before, v.norm_after = qnorm, np.sqrt(na2)
+        v.norm_before, v.norm_after = norm, np.sqrt(na2)
         v.drift, v.qz = 0.5 * (na2 - nb2), dot
         v.dy = np.where(stopped, 0.0, dx)
         if single:
@@ -223,15 +219,15 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         if single:
             g_val += v.dg
             s_trunc += tz
+            visit = q[0] <= cap  # slot t+1 starts at or below the cap
+            np.putmask(nJ, visit, t + 1)
+            np.putmask(s_at_nJ, visit, s_trunc)
+            np.putmask(q1_at_nJ, visit, q[0])
         sum_z0 += z0_sel
-        nb2 = na2
+        nb2, norm = na2, v.norm_after
 
     tele_gap = tele_bound = tele_avg = g_out = None
     if single:
-        visit = q[0] <= cap
-        nJ[visit] = T + 1
-        s_at_nJ[visit] = s_trunc[visit]
-        q1_at_nJ[visit] = q[0][visit]
         tele_gap = np.abs(s_at_nJ - 0.5 * q1_at_nJ * q1_at_nJ)
         tele_avg = s_trunc / T
         vars(v).update(nJ=nJ, tele_gap=tele_gap, tele_avg=tele_avg)
@@ -252,7 +248,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         tele_gap=tele_gap,
         tele_bound=tele_bound,
         tele_avg=tele_avg,
-        final_qnorm=np.sqrt(nb2),
+        final_qnorm=norm,
     )
 
 
@@ -302,6 +298,8 @@ class BatchConfig:
                 raise ValueError(f"unknown check {c!r}; choices: {ALL_CHECKS}")
             if c in _SINGLE_ONLY and self.spec.L != 1:
                 raise ValueError(f"check {c} needs a single-constraint problem")
+            if c in ("Theorem2", "Theorem3") and not 0.0 < self.epsilon <= 1.0:
+                raise ValueError(f"check {c} needs epsilon in (0, 1]; got {self.epsilon!r}")
 
     @property
     def seeds(self) -> np.ndarray:

@@ -14,9 +14,10 @@ The grid oracle lists each event's simplex grid in lexicographic order of
 its integer counts and sums every joint (cost, constraints) value event by
 event from zero, in event order, so each value is the same float whichever
 order the joint points are visited in; only the min and max are reported.
-Joint points are evaluated in chunks of at most 2**20, so memory stays at
-about two chunks of (L+1) floats plus the per-event grids, whatever the size
-of the joint grid.
+Joint points are evaluated in chunks of at most 2**20, each a table of the
+leading events' joint grid plus a slice of the next event's grid, so memory
+stays at about two chunks of (L+1) floats plus the per-event grids, whatever
+the size of the joint grid.
 """
 
 from __future__ import annotations
@@ -216,23 +217,21 @@ def _iter_grid_chunks(spec: ProblemSpec, resolution: int, chunk: int = 1 << 20):
     Every joint value is summed event by event from zero,
     ``((0 + c_0) + c_1) + ...``, so it is the same float whatever order the
     joint points are visited in (starting from zero also turns a -0.0 sum
-    into +0.0).  The leading events whose joint grid fits in ``chunk`` points
-    are broadcast into one prefix table; the next event is taken in slices
-    such that prefix x slice fits; every later event is visited one grid
-    point at a time and added in place.  Memory therefore stays at one chunk
-    plus the prefix table (itself at most one chunk) and the per-event
-    contributions, whatever the size of the joint grid.
+    into +0.0).  The leading events whose joint grid fits in ``chunk`` points,
+    never the last event, are broadcast into one prefix table; the next event
+    is taken in slices such that prefix x slice fits; every later event is
+    visited one grid point at a time and added in place.  A joint grid that
+    fits in one chunk is thus one slice.  Memory stays at one chunk plus the
+    prefix table (itself at most one chunk) and the per-event contributions,
+    whatever the size of the joint grid.
     """
     contribs = _event_grid_contributions(spec, resolution)
     width = spec.L + 1
     prefix = np.zeros((width, 1))
     k = 0
-    while k < len(contribs) and prefix.shape[1] * contribs[k].shape[1] <= chunk:
+    while k < len(contribs) - 1 and prefix.shape[1] * contribs[k].shape[1] <= chunk:
         prefix = (prefix[:, :, None] + contribs[k][:, None, :]).reshape(width, -1)
         k += 1
-    if k == len(contribs):
-        yield prefix
-        return
     split, later = contribs[k], contribs[k + 1:]
     step = chunk // prefix.shape[1]
     for point in np.ndindex(*(c.shape[1] for c in later)):

@@ -1,7 +1,7 @@
 import pytest
 
-from dpp_lab import (build_server_scheduling_spec, build_single_queue_spec,
-                     solve_stationary_optimum)
+from dpp_lab.events import build_server_scheduling_spec, build_single_queue_spec
+from dpp_lab.oracle import solve_stationary_optimum
 
 _ACCEPTANCE_TITLES = {}
 

@@ -16,13 +16,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dpp_lab import (ActionVector, BoundConstants, EventOutcome, PathTrace, ProblemSpec,
-                     StationarySolution, convergence_time_multi, pick_actions,
-                     wilson_interval)
-from dpp_lab.controller import ScoreTensor
-from dpp_lab.core import law_problems, laws_for, trace_csv_header, trace_law_values
+from dpp_lab.analysis import BoundConstants, convergence_time_multi
+from dpp_lab.controller import ScoreTensor, pick_actions
+from dpp_lab.core import (ActionVector, EventOutcome, PathTrace, ProblemSpec, law_problems,
+                          laws_for, trace_csv_header, trace_law_values)
 from dpp_lab.events import _GOLDEN, _MASK64, _STREAM_SALT, mix64
-from dpp_lab.oracle import grid_points_budget
+from dpp_lab.montecarlo import wilson_interval
+from dpp_lab.oracle import StationarySolution, grid_points_budget
 
 # event/action shapes whose joint 1/200 grid stays exhaustively enumerable
 _SHAPES = (
@@ -69,7 +69,7 @@ def random_small_instance(rng: np.random.Generator, L: int | None = None,
 
 def bound_params(z_max: float, B: float, V: float) -> SimpleNamespace:
     """The three problem parameters the constants of
-    :func:`dpp_lab.compute_constants` depend on, without a whole spec."""
+    :func:`dpp_lab.analysis.compute_constants` depend on, without a whole spec."""
     return SimpleNamespace(z_max=z_max, B=B, V=V)
 
 

@@ -16,19 +16,15 @@ from conftest import register_criterion
 from helpers import (chained_deviation_check, exact_conditional_dpp_expectation,
                      option_marginals, random_small_instance)
 
-from dpp_lab import (BatchConfig, InvariantViolation,
-                     build_server_scheduling_spec,
-                     compute_constants,
-                     constants_for_horizon, convergence_time_multi,
-                     convergence_time_single,
-                     grid_max_slackness,
-                     grid_stationary_optimum, queue_tail_bound,
-                     queue_tail_vacuity_crossover, run_batch,
-                     solve_max_slackness, solve_stationary_optimum,
-                     wilson_interval)
+from dpp_lab.analysis import (compute_constants, constants_for_horizon,
+                              convergence_time_multi, convergence_time_single,
+                              queue_tail_bound, queue_tail_vacuity_crossover)
 from dpp_lab.cli import main
-from dpp_lab.events import derive_seeds, uniform_block
-from dpp_lab.montecarlo import WILSON_Z, simulate_paths
+from dpp_lab.events import build_server_scheduling_spec, derive_seeds, uniform_block
+from dpp_lab.montecarlo import (WILSON_Z, BatchConfig, InvariantViolation, run_batch,
+                                simulate_paths, wilson_interval)
+from dpp_lab.oracle import (grid_max_slackness, grid_stationary_optimum,
+                            solve_max_slackness, solve_stationary_optimum)
 
 BIG_PATHS = 10_000
 BIG_T = 10_000

@@ -8,11 +8,12 @@ from helpers import (bound_params, build_trace_from_z, chained_deviation_check,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpp_lab import (azuma_bound, compute_constants, constants_for_horizon,
-                     convergence_time_multi, convergence_time_single,
-                     default_truncation_level, g_tail_bound, queue_tail_bound,
-                     queue_tail_vacuity_crossover, run_path, xtail_bound)
-from dpp_lab.analysis import ConsistencyError, calibrated_deviation_level
+from dpp_lab.analysis import (ConsistencyError, azuma_bound, calibrated_deviation_level,
+                              compute_constants, constants_for_horizon,
+                              convergence_time_multi, convergence_time_single,
+                              default_truncation_level, g_tail_bound, queue_tail_bound,
+                              queue_tail_vacuity_crossover, xtail_bound)
+from dpp_lab.controller import run_path
 from dpp_lab.oracle import SlacknessError
 
 SV_PARAMS = bound_params(2.0, math.sqrt(3.0), 10.0)  # z_max, B, V of the benchmark

@@ -305,6 +305,19 @@ def test_underflowing_horizon_is_one_slot(tmp_path):
     assert json.loads((tmp_path / "out" / "bounds.json").read_text())["t_multi"] == 1
 
 
+@pytest.mark.parametrize("body,check,value", [(SIM_CFG, "Theorem2", "1e300"),
+                                              (SQ_CFG, "Theorem3", "1.5")],
+                         ids=["Theorem2", "Theorem3"])
+def test_theorem_check_rejects_epsilon_above_one(tmp_path, capsys, body, check, value):
+    # V = 1/epsilon < 1 is outside the regime the theorems speak of
+    body = re.sub(r"batch\.checks = .*", f"batch.checks = {check}", body)
+    cfg = _write(tmp_path, body)
+    assert main(["verify", "--config", cfg, "--epsilon", value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: check {check} needs epsilon in (0, 1]; got {float(value)!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["bounds", "verify"])
 def test_non_finite_epsilon_exits_1(tmp_path, capsys, command, value):

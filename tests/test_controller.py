@@ -5,10 +5,9 @@ from helpers import (action_score, drift, exact_conditional_dpp_expectation,
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, pick_actions,
-                     queue_update, run_path)
 from dpp_lab.analysis import constants_for_horizon
-from dpp_lab.core import verify_trace_dynamics
+from dpp_lab.controller import pick_actions, run_path
+from dpp_lab.core import ActionVector, EventOutcome, ProblemSpec, verify_trace_dynamics
 from dpp_lab.events import sample_block
 
 
@@ -52,7 +51,7 @@ def test_step_benchmark_zero_queue(sv_spec):
     k, _ = select_action([0.0, 0.0, 0.0], ev, sv_spec.V)
     assert k == 0                              # tie broken low
     assert ev.actions[k].z == (0.0, 0.0, 0.0)  # a - (1,1,0) = 0
-    q_after = queue_update([0.0, 0.0, 0.0], ev.actions[k].z)
+    q_after = np.maximum(np.add([0.0, 0.0, 0.0], ev.actions[k].z), 0.0)
     assert q_after.tolist() == [0.0, 0.0, 0.0]
     assert drift([0.0, 0.0, 0.0], q_after) == 0.0
 
@@ -79,7 +78,7 @@ def test_run_path_matches_step_loop(sv_spec):
         a = event.actions[k]
         assert int(tr.action_indices[i]) == k
         assert tr.z0[i] == a.z0 and tuple(tr.z[i].tolist()) == a.z
-        q_after = queue_update(q, a.z)
+        q_after = np.maximum(np.add(q, a.z), 0.0)
         assert tr.q[i + 1].tolist() == q_after.tolist()
         assert tr.drift[i] == drift(q, q_after)
 
@@ -134,7 +133,7 @@ def test_run_path_first_slot_starts_empty(sv_spec):
 
 
 def test_queue_sum_grows_with_v():
-    from dpp_lab import build_server_scheduling_spec
+    from dpp_lab.events import build_server_scheduling_spec
     lo = build_server_scheduling_spec(V=10.0)
     hi = build_server_scheduling_spec(V=100.0)
     t_lo = run_path(lo, seed=99, T=20_000)

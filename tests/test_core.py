@@ -14,30 +14,13 @@ from helpers import (build_trace_from_z, drift, norm_sq, ragged_spec,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpp_lab import (LAWS, ActionVector, EventOutcome, PathTrace, ProblemSpec,
-                     build_server_scheduling_spec, build_single_queue_spec,
-                     core, queue_update, read_trace_csv, run_path,
-                     write_trace_csv)
-from dpp_lab.core import (DYNAMICS_LAWS, law_problems, laws_for,
-                          trace_csv_header, trace_law_values,
-                          verify_trace_dynamics)
-
-
-def test_queue_update_clamps_at_zero():
-    assert queue_update([2.0], [-3.0]).tolist() == [0.0]
-
-
-def test_queue_update_componentwise():
-    assert queue_update([1.5, 0.0], [0.7, -0.2]).tolist() == [2.2, 0.0]
-
-
-def test_queue_update_identity():
-    assert queue_update([5.0], [0.0]).tolist() == [5.0]
-
-
-def test_queue_update_dimension_mismatch():
-    with pytest.raises(ValueError):
-        queue_update([1.0, 2.0], [0.5])
+from dpp_lab import core
+from dpp_lab.controller import run_path
+from dpp_lab.core import (DYNAMICS_LAWS, LAWS, ActionVector, EventOutcome, PathTrace,
+                          ProblemSpec, law_problems, laws_for, read_trace_csv,
+                          trace_csv_header, trace_law_values, verify_trace_dynamics,
+                          write_trace_csv)
+from dpp_lab.events import build_server_scheduling_spec, build_single_queue_spec
 
 
 def test_drift_values():
@@ -60,12 +43,12 @@ finite_floats = st.floats(min_value=-100.0, max_value=100.0,
 def test_queue_update_matches_componentwise_max(pairs):
     q = [p[0] for p in pairs]
     z = [p[1] for p in pairs]
-    out = queue_update(q, z)
-    assert all(v >= 0.0 for v in out)
-    assert out.tolist() == [max(a + b, 0.0) for a, b in zip(q, z)]
-    # the exact queue update is an IEEE identity: max(u, 0) == (u + |u|)/2
     u = np.asarray(q) + np.asarray(z)
-    assert np.array_equal(np.maximum(u, 0.0), (u + np.abs(u)) / 2.0)
+    out = np.maximum(u, 0.0)
+    assert out.tolist() == [max(a + b, 0.0) for a, b in zip(q, z)]
+    # the exact queue update is an IEEE identity: max(u, 0) == (u + |u|)/2,
+    # which verify_trace_dynamics relies on
+    assert np.array_equal(out, (u + np.abs(u)) / 2.0)
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=5),
@@ -263,6 +246,17 @@ def test_read_trace_csv_counts_data_rows_not_lines(tmp_path, sq_spec):
         read_trace_csv(str(path))
 
 
+@pytest.mark.parametrize("row", [5, 50])
+def test_read_trace_csv_leaves_queue_values_to_the_checker(tmp_path, sv_spec, row):
+    # the reader parses, whichever row holds the negative queue, the last
+    # included; the checker reports it
+    path = tmp_path / "t.csv"
+    write_trace_csv(run_path(sv_spec, seed=3, T=50), str(path))
+    _rewrite_cell(path, row, 4 + sv_spec.L, "-1.0")  # q_1
+    problems = verify_trace_dynamics(read_trace_csv(str(path)), sv_spec.B)
+    assert "negative queue component" in problems
+
+
 def test_read_trace_csv_reports_the_first_bad_row(tmp_path):
     # every rule broken at once: the first row is named, with its first rule
     path = tmp_path / "t.csv"
@@ -428,9 +422,8 @@ def test_digest_pins(sv_spec, sq_spec):
 
 
 def test_norm_helpers_fixed_order():
-    # left-to-right accumulation, the contract the two engines share
-    v = [1e16, 1.0, -1e16]
-    acc = 0.0
-    for x in v:
-        acc += x * x
-    assert norm_sq(v) == acc
+    # left-to-right accumulation from zero, the contract the two engines and
+    # the stored-trace checker share
+    rows = [[1e16, 1.0, -1e16], [0.1, 0.1, 0.3]]  # the second sums differently reversed
+    assert core.row_norm_sq(np.array(rows[:1])).tolist() == [norm_sq(rows[0])]
+    assert core.row_norm_sq(np.array(rows)).tolist() == [norm_sq(r) for r in rows]

@@ -7,12 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from dpp_lab import (ActionVector, EventOutcome, ProblemSpec,
-                     build_server_scheduling_spec, build_single_queue_spec,
-                     builtin_spec, sample_block)
-from dpp_lab.core import PROB_TOL
-from dpp_lab.events import (cumulative_probabilities, derive_seeds, event_ids, mix64,
-                            u64_block, uniform_across, uniform_block)
+from dpp_lab.core import PROB_TOL, ActionVector, EventOutcome, ProblemSpec
+from dpp_lab.events import (build_server_scheduling_spec, build_single_queue_spec,
+                            builtin_spec, cumulative_probabilities, derive_seeds, event_ids,
+                            mix64, sample_block, u64_block, uniform_across, uniform_block)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 

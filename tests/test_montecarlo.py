@@ -12,15 +12,15 @@ from helpers import (check_trace_laws, derive_seed, empirical_tail,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpp_lab import (BatchConfig, InvariantViolation, builtin_spec, montecarlo,
-                     run_batch, run_path, wilson_interval)
+from dpp_lab import montecarlo
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
                               constants_for_horizon, convergence_time_multi)
+from dpp_lab.controller import ScoreTensor, run_path
 from dpp_lab.core import ProblemSpec
-from dpp_lab.events import derive_seeds
-from dpp_lab.controller import ScoreTensor
-from dpp_lab.montecarlo import (CHUNK, ChunkStats, simulate_chunk,
-                                simulate_paths)
+from dpp_lab.events import builtin_spec, derive_seeds
+from dpp_lab.montecarlo import (CHUNK, BatchConfig, ChunkStats, InvariantViolation,
+                                run_batch, simulate_chunk, simulate_paths,
+                                wilson_interval)
 from dpp_lab.oracle import solve_stationary_optimum
 from dpp_lab.schema import load_schema, validate
 
@@ -320,6 +320,19 @@ def test_batch_config_validation(sv_spec, sq_spec):
                     checks=("Sharpness",))
     BatchConfig(spec=sq_spec, num_paths=1, T=10, master_seed=1,
                 checks=("Theorem3", "GTail", "Telescoping"))
+
+
+@pytest.mark.parametrize("check", ["Theorem2", "Theorem3"])
+def test_theorem_checks_need_epsilon_at_most_one(sq_spec, check):
+    def config(epsilon, checks):
+        return BatchConfig(spec=sq_spec, num_paths=1, T=10, master_seed=1,
+                           epsilon=epsilon, checks=checks)
+    for bad in (0.0, -0.1, 1.0 + 1e-12, 1e300, math.nan):
+        with pytest.raises(ValueError, match=rf"^check {check} needs epsilon in \(0, 1\]"):
+            config(bad, ("QueueTail", check))
+        config(bad, ("QueueTail",))  # the other checks do not read epsilon
+    for ok in (1.0, 1e-300):
+        config(ok, (check,))
 
 
 def test_chaos_raises_with_replay_information(sv_spec, sv_solution):

@@ -10,12 +10,13 @@ from helpers import (exact_conditional_dpp_expectation,
                      reference_grid_stationary_optimum, reference_simplex_grid,
                      u64_at)
 
-from dpp_lab import (ActionVector, EventOutcome, ProblemSpec, SlacknessError, oracle,
-                     build_server_scheduling_spec, grid_max_slackness,
-                     grid_stationary_optimum, solve_max_slackness,
-                     solve_stationary_optimum)
-from dpp_lab.oracle import (_iter_grid_chunks, _lp_matrices, grid_points_budget,
-                            simplex_grid, simplex_grid_size)
+from dpp_lab import oracle
+from dpp_lab.core import ActionVector, EventOutcome, ProblemSpec
+from dpp_lab.events import build_server_scheduling_spec
+from dpp_lab.oracle import (SlacknessError, _iter_grid_chunks, _lp_matrices,
+                            grid_max_slackness, grid_points_budget,
+                            grid_stationary_optimum, simplex_grid, simplex_grid_size,
+                            solve_max_slackness, solve_stationary_optimum)
 from dpp_lab.schema import SchemaError, load_schema, validate
 from dpp_lab.simplex import LpStatus, solve_lp
 

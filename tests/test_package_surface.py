@@ -1,7 +1,8 @@
 """Every public top-level function and class of the package has a caller
 outside the tests: another package module, a later statement of its own
 module, or the benchmark under perfbench/.  Code that only tests call
-belongs in tests/helpers.py."""
+belongs in tests/helpers.py.  Each name has one home, its defining module:
+the package ``__init__`` lists none of them again."""
 
 import ast
 import os
@@ -70,3 +71,23 @@ def unused_names():
 def test_every_public_name_has_a_caller_outside_the_tests():
     # entrypoint is the console script that pyproject.toml names
     assert unused_names() == {"cli.entrypoint"}
+
+
+def _bound_names(tree):
+    """Names that the top-level statements of ``tree`` bind."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in stmt.names}
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        else:
+            names |= {node.id for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    return names
+
+
+def test_package_init_binds_only_its_version():
+    # tests and callers import each name from its module, e.g.
+    # ``from dpp_lab.montecarlo import run_batch``
+    assert _bound_names(_parse(os.path.join(SRC, "__init__.py"))) == {"__version__"}
