@@ -10,11 +10,19 @@ scorer, keeps that order for a batch of queue states: the lockstep engine's
 paths or :func:`run_path`'s chaos rule.
 :func:`run_path`'s honest rule replays it in plain Python, so the engines
 agree bit for bit.
+
+A decision is a pure function of the realized event and the queue vector,
+so :func:`run_path` decides each distinct (event, queue vector) pair of a
+path once while its states repeat, and replays that decision on later
+visits; once a block of slots brings mostly new pairs, it decides every
+remaining slot.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -138,52 +146,119 @@ def _event_sum(terms: np.ndarray) -> np.ndarray:
     return out
 
 
+RUN_PATH_BLOCK = 4096  # slots between run_path's checks of its table's hit rate
+
+
+def _step_rule(spec: ProblemSpec, chaos: str | None) -> Callable[[int, list[float]], int]:
+    """``step(e, q)``: decide the slot of event ``e`` at the queue vector
+    ``q`` (a list), apply the queue update ``max(q + z, 0)`` to ``q`` in
+    place and return the action index.  The honest rule scores in the
+    pinned float order in plain Python, since a numpy call per slot costs
+    far more at one path; a chaos rule goes through :class:`ScoreTensor` at
+    one state."""
+    table = spec.action_table
+    # per event, trimmed to its actions: ([V*z0 ...], [z rows ...]) with V folded in once
+    tables = [((spec.V * table[0, i, :len(e.actions)]).tolist(),
+               table[1:, i, :len(e.actions)].T.tolist()) for i, e in enumerate(spec.events)]
+    rng_l = range(spec.L)
+    if chaos is not None:
+        kernel = ScoreTensor(spec, 1)
+
+        def step(e: int, q: list[float]) -> int:
+            kernel.choose(q, chaos)
+            k = int(kernel.picks[e, 0])
+            zrow = tables[e][1][k]
+            for l in rng_l:
+                nq = q[l] + zrow[l]
+                q[l] = 0.0 if nq < 0.0 else nq
+            return k
+        return step
+
+    def step(e: int, q: list[float]) -> int:
+        vz0s, zs = tables[e]
+        best_k = 0
+        best = vz0s[0]
+        zrow = zs[0]
+        for l in rng_l:
+            best += q[l] * zrow[l]
+        for k in range(1, len(vz0s)):
+            v = vz0s[k]
+            zrow = zs[k]
+            for l in rng_l:
+                v += q[l] * zrow[l]
+            if v < best:
+                best, best_k = v, k
+        zrow = zs[best_k]
+        for l in rng_l:
+            nq = q[l] + zrow[l]
+            q[l] = 0.0 if nq < 0.0 else nq
+        return best_k
+    return step
+
+
 def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> PathTrace:
     """Simulate one path of length T from empty queues.
 
     Deterministic in (spec, seed, T): event draws are pure functions of
     (seed, t) and the decision rule is deterministic.  ``chaos`` switches in a
     deliberately broken decision rule for negative-control testing.
+
+    The decision, and so the next queue vector, is a pure function of the
+    realized event and the queue vector, so the path is first run over a
+    table: queue vectors are numbered as first visited, each (state, event)
+    pair is decided once, and later visits replay it.  The path runs in
+    blocks of :data:`RUN_PATH_BLOCK` slots; after a block in which more than
+    half the slots were decided afresh, the rest of the path decides every
+    slot.  Only a slot decided afresh adds a state, at most half the slots
+    of every tabled block but the last, so the table holds at most
+    (T + RUN_PATH_BLOCK)/2 + 1 states, each with W entries.  Both phases
+    make the same float operations in the same order, so the arrays do not
+    depend on where the hand-over falls.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
-    L, V = spec.L, spec.V
+    L, W = spec.L, len(spec.events)
     ids = sample_block(spec, seed, T)
-    id_list = ids.tolist()
+    step = _step_rule(spec, chaos)
     table = spec.action_table
-    # per event, trimmed to its actions: ([V*z0 ...], [z rows ...]) with V folded in once
-    tables = [((V * table[0, i, :len(e.actions)]).tolist(),
-               table[1:, i, :len(e.actions)].T.tolist()) for i, e in enumerate(spec.events)]
-    kernel = None if chaos is None else ScoreTensor(spec, 1)
-    q = [0.0] * L
-    rng_l = range(L)
     a_idx = array("q")
-    q_buf = array("d", q)  # row-major (T+1, L): the queues before each slot, then the last
-    for e in id_list:
-        vz0s, zs = tables[e]
-        if chaos is None:
-            best_k = 0
-            best = vz0s[0]
-            zrow = zs[0]
-            for l in rng_l:
-                best += q[l] * zrow[l]
-            for k in range(1, len(vz0s)):
-                v = vz0s[k]
-                zrow = zs[k]
-                for l in rng_l:
-                    v += q[l] * zrow[l]
-                if v < best:
-                    best, best_k = v, k
-        else:
-            kernel.choose(q, chaos)
-            best_k = int(kernel.picks[e, 0])
-        zrow = zs[best_k]
-        for l in rng_l:
-            nq = q[l] + zrow[l]
-            q[l] = 0.0 if nq < 0.0 else nq
+    # tabled phase.  A sum is -0.0 only when both terms are, and the queues
+    # start at +0.0, so they never hold -0.0 and equal tuples have equal bits.
+    states = [(0.0,) * L]
+    number = {states[0]: 0}
+    trans: list[tuple[int, int] | None] = [None] * W  # [s*W + e]: (k, s_next*W)
+    visits = array("q", [0])  # s*W of the queues before each slot, then the last
+    events = iter(ids.tolist())
+    s = 0
+    for block in iter(lambda: list(islice(events, RUN_PATH_BLOCK)), []):
+        misses = 0
+        for e in block:
+            hit = trans[s + e]
+            if hit is None:
+                misses += 1
+                q = list(states[s // W])
+                k = step(e, q)
+                nq = tuple(q)
+                n = number.setdefault(nq, len(states))
+                if n == len(states):
+                    states.append(nq)
+                    trans.extend([None] * W)
+                hit = trans[s + e] = (k, n * W)
+            k, s = hit
+            a_idx.append(k)
+            visits.append(s)
+        if 2 * misses > len(block):
+            break
+    visited = np.frombuffer(visits, dtype=np.int64)
+    visited //= W
+    q_buf = array("d")  # row-major (T+1, L): the queues before each slot, then the last
+    q_buf.frombytes(memoryview(np.array(states).reshape(-1, L)[visited]).cast("B"))
+    del trans, number, states, visits, visited
+    # plain phase: decide every remaining slot
+    q = q_buf[-L:].tolist()
+    for e in events:
+        a_idx.append(step(e, q))
         q_buf.extend(q)
-        a_idx.append(best_k)
-    del id_list
     actions = np.frombuffer(a_idx, dtype=np.int64)
     qs = np.frombuffer(q_buf, dtype=np.float64).reshape(T + 1, L)
     # the chosen action's z0 and z, the latter from a contiguous (W, K, L) copy of the table

@@ -300,18 +300,21 @@ TRACE_CSV_BLOCK = 65536  # rows rendered and written at a time
 
 def _text_rows(values: np.ndarray) -> list[list[str]]:
     """``repr`` of every entry of a 2-D int64 or float64 array, row by row,
-    with ``repr`` called once per distinct bit pattern.  Keying on bits, not
-    values, keeps 0.0 and -0.0 (equal, but printed differently) apart."""
-    keys = values.view(np.uint64)
-    distinct, inv = np.unique(keys, return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
-    return text[inv.reshape(keys.shape)].tolist()
+    with ``repr`` called once per distinct bit pattern of each row (a
+    column of the trace).  Keying on bits, not values, keeps 0.0 and -0.0
+    (equal, but printed differently) apart."""
+    out = []
+    for row in values:
+        distinct, inv = np.unique(row.view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+        out.append(text[inv].tolist())
+    return out
 
 
 def write_trace_csv(trace: PathTrace, path: str) -> None:
     """One row per slot; queue columns hold the vector at the start of the
     slot.  Floats use shortest round-trip decimals.  Rows are rendered a
-    block at a time, each distinct number of a block once."""
+    block at a time, each distinct number of a column's block once."""
     T = trace.T
     with open(path, "w", encoding="utf-8") as f:
         f.write(trace_csv_header(trace.L) + "\n")

@@ -198,6 +198,22 @@ def ragged_spec() -> ProblemSpec:
     return ProblemSpec(events=events, L=1, z_max=1.0, B=1.0, V=5.0)
 
 
+def non_lattice_spec() -> ProblemSpec:
+    """Three constraints, four equally likely events of three actions with
+    unrounded random z0 ~ U(0, 1) and z (action 0's in U(-1, -0.2)^3, the
+    others' in U(-1, 1)^3), from ``default_rng(0)``, at V=100: the queue
+    vectors of a path almost never repeat, so ``run_path``'s table almost
+    never hits."""
+    rng = np.random.default_rng(0)
+    events = tuple(
+        EventOutcome(0.25, tuple(
+            ActionVector(float(rng.uniform(0.0, 1.0)),
+                         tuple(rng.uniform(-1.0, -0.2 if k == 0 else 1.0, size=3).tolist()))
+            for k in range(3)))
+        for _ in range(4))
+    return ProblemSpec(events=events, L=3, z_max=1.0, B=math.sqrt(3.0), V=100.0)
+
+
 # ---------------------------------------------------------------------------
 # the scalar decision rule, one action at a time in the pinned float order
 # (V*z0, then += q[l]*z[l] for l ascending).  The package's score tensor and

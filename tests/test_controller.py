@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from helpers import (action_score, drift, exact_conditional_dpp_expectation,
-                     exact_conditional_truncated_expectation, select_action)
+                     exact_conditional_truncated_expectation, non_lattice_spec, select_action)
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpp_lab import controller
 from dpp_lab.analysis import constants_for_horizon
 from dpp_lab.controller import pick_actions, run_path
 from dpp_lab.core import ActionVector, EventOutcome, ProblemSpec, verify_trace_dynamics
@@ -64,23 +65,79 @@ def test_step_single_action_drain():
     assert tr.q[1].tolist() == [0.0]
 
 
-def test_run_path_matches_step_loop(sv_spec):
+def _spec(request, name):
+    return non_lattice_spec() if name == "non_lattice" else request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("chaos", [None, "worst-action", "skip-minimization"])
+@pytest.mark.parametrize("block", [controller.RUN_PATH_BLOCK, 7])
+@pytest.mark.parametrize("name", ["sv_spec", "sq_spec", "non_lattice"])
+def test_run_path_matches_step_loop(request, monkeypatch, name, block, chaos):
     # every slot of the trace against the scalar references: the decision,
-    # the queue update and the drift
+    # the queue update and the drift; 7-slot blocks hand over to the
+    # slot-by-slot loop early, the default ones late or never
+    spec = _spec(request, name)
+    monkeypatch.setattr(controller, "RUN_PATH_BLOCK", block)
     T = 400
-    tr = run_path(sv_spec, seed=17, T=T)
-    ids = sample_block(sv_spec, 17, T)
+    tr = run_path(spec, seed=17, T=T, chaos=chaos)
+    ids = sample_block(spec, 17, T)
     assert np.array_equal(tr.event_ids, ids)
     for i in range(T):
-        event = sv_spec.events[int(ids[i])]
+        event = spec.events[int(ids[i])]
         q = tr.q[i].tolist()
-        k, _ = select_action(q, event, sv_spec.V)
+        if chaos is None:
+            k, _ = select_action(q, event, spec.V)
+        else:
+            scores = [[action_score(q, a, spec.V) for a in event.actions]]
+            k = int(pick_actions(np.array(scores), chaos)[0])
         a = event.actions[k]
         assert int(tr.action_indices[i]) == k
         assert tr.z0[i] == a.z0 and tuple(tr.z[i].tolist()) == a.z
         q_after = np.maximum(np.add(q, a.z), 0.0)
         assert tr.q[i + 1].tolist() == q_after.tolist()
         assert tr.drift[i] == drift(q, q_after)
+
+
+@pytest.mark.parametrize("name", ["sv_spec", "sq_spec"])
+def test_run_path_tables_then_hands_over(request, monkeypatch, name):
+    # 21 slots of the last event (no arrival) keep the queues empty, so the
+    # first three 7-slot blocks replay one decision; the sampled events
+    # after them bring new states, so a block of mostly fresh decisions
+    # hands the rest of the path to the slot-by-slot loop
+    spec = _spec(request, name)
+    T, B = 400, 7
+    events = np.concatenate([np.full(21, len(spec.events) - 1), sample_block(spec, 5, T - 21)])
+    monkeypatch.setattr(controller, "sample_block", lambda spec, seed, T: events.copy())
+    full = run_path(spec, seed=17, T=T)  # one table for the whole path
+    calls = []
+    rule = controller._step_rule
+
+    def counted_rule(spec, chaos):
+        step = rule(spec, chaos)
+
+        def counted(e, q):
+            calls.append(e)
+            return step(e, q)
+        return counted
+    monkeypatch.setattr(controller, "_step_rule", counted_rule)
+    monkeypatch.setattr(controller, "RUN_PATH_BLOCK", B)
+    tr = run_path(spec, seed=17, T=T)
+    for f in ("event_ids", "action_indices", "z0", "z", "q", "drift"):
+        assert np.array_equal(getattr(tr, f), getattr(full, f)), f
+    # the decisions the rule asks for: each fresh (event, state) pair of a
+    # tabled block, then every slot after the first mostly-fresh block
+    seen, fresh, t = set(), 0, 0
+    while t < T:
+        new = 0
+        for i in range(t, min(t + B, T)):
+            pair = (int(tr.event_ids[i]), tuple(tr.q[i].tolist()))
+            new += pair not in seen
+            seen.add(pair)
+        fresh, t = fresh + new, min(t + B, T)
+        if 2 * new > B:
+            break
+    assert 21 < t < T and fresh < t
+    assert len(calls) == fresh + T - t
 
 
 scores_st = st.lists(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.5]),

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import (build_trace_from_z, drift, norm_sq, ragged_spec,
+from helpers import (build_trace_from_z, drift, non_lattice_spec, norm_sq, ragged_spec,
                      reference_write_trace_csv, unchecked_spec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -343,8 +343,12 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_run_path_memory_and_array_layout(sv_spec):
-    tr, peak = _traced_peak(lambda: run_path(sv_spec, seed=1, T=50_000))
+@pytest.mark.parametrize("name", ["sv_spec", "non_lattice"])
+def test_run_path_memory_and_array_layout(request, name):
+    # the non-lattice spec's states never repeat, so run_path tables a whole
+    # block of fresh states before it hands over
+    spec = non_lattice_spec() if name == "non_lattice" else request.getfixturevalue(name)
+    tr, peak = _traced_peak(lambda: run_path(spec, seed=1, T=50_000))
     arrays = (tr.event_ids, tr.action_indices, tr.z0, tr.z, tr.q, tr.drift)
     assert peak <= 1.5 * sum(a.nbytes for a in arrays)
     for a, dtype in zip(arrays, (np.int64,) * 2 + (np.float64,) * 4):
