@@ -134,7 +134,7 @@ def queue_tail_vacuity_crossover(constants: BoundConstants) -> float:
 def xtail_bound(constants: BoundConstants, T: int, lam: float) -> float:
     """Deviation bound for the cumulative process at horizon T: the stopped
     process tail plus T times the per-slot queue excursion probability."""
-    per_slot = constants.D * math.exp(-constants.r * constants.c1)
+    per_slot = queue_tail_bound(constants, constants.c1)
     return min(1.0, azuma_bound(T, constants.c2, lam) + T * per_slot)
 
 

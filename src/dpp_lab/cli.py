@@ -142,26 +142,28 @@ def cmd_verify(cfg: RunConfig, out_dir: str, dump_traces: bool,
         # a theorem check runs at its own horizon and V; name V when it differs
         v_note = "" if e.V == spec.V else f" V={e.V!r}"
         print(f"replay: seed={e.path_seed} slot={e.slot} T={e.T}{v_note}", file=sys.stderr)
-        return EXIT_INVARIANT
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "batch.json")
-    _write_json(path, summary.to_json_dict(), "batch_summary")
-    print(f"wrote {path}")
-    print(f"{'check':<14} {'bound':>12} {'empirical':>12} {'wilson_hi':>12} verdict")
-    for name, res in summary.checks.items():
-        verdict = "pass" if res.passed else "FAIL"
-        print(f"{name:<14} {res.theoretical_bound:>12.6g} "
-              f"{res.empirical_frequency:>12.6g} {res.wilson_upper:>12.6g} {verdict}")
+        code = EXIT_INVARIANT
+    else:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, "batch.json")
+        _write_json(path, summary.to_json_dict(), "batch_summary")
+        print(f"wrote {path}")
+        print(f"{'check':<14} {'bound':>12} {'empirical':>12} {'wilson_hi':>12} verdict")
+        for name, res in summary.checks.items():
+            verdict = "pass" if res.passed else "FAIL"
+            print(f"{name:<14} {res.theoretical_bound:>12.6g} "
+                  f"{res.empirical_frequency:>12.6g} {res.wilson_upper:>12.6g} {verdict}")
+        code = EXIT_OK if summary.all_passed else EXIT_STATISTICAL
     if dump_traces:
+        # the main batch's paths, also when the batch aborted: a failing run
+        # is the one most worth inspecting
         tdir = os.path.join(out_dir, "traces")
         os.makedirs(tdir, exist_ok=True)
         for i, seed in enumerate(batch.seeds.tolist()):
             tr = run_path(spec, seed, batch.T, chaos=chaos)
             write_trace_csv(tr, os.path.join(tdir, f"path_{i:06d}.csv"))
         print(f"dumped {batch.num_paths} per-path traces under {tdir}")
-    if not summary.all_passed:
-        return EXIT_STATISTICAL
-    return EXIT_OK
+    return code
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:

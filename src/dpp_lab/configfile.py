@@ -16,7 +16,9 @@ Inline problem instances spell out every event and action::
     problem.events.0.actions.1 = 1.0, 0.0
 
 Event and action indices run from 0 without gaps: the spec and its traces
-name each event and action by its position.
+name each event and action by its position.  A missing key or a row of the
+wrong length is reported here; every other rule on the instance (nonempty
+events and action sets, say) is ``ProblemSpec``'s: "inline problem rejected".
 
 Builtin instances are named instead: ``problem = server-scheduling-3x2``
 with a top-level ``V``.
@@ -75,34 +77,26 @@ class RunConfig:
     def _build_inline(self) -> ProblemSpec:
         d = self.inline
         try:
-            L = int(d["L"])
-            z_max = float(d["z_max"])
-            B = float(d["B"])
+            L, z_max, B = d["L"], d["z_max"], d["B"]
         except KeyError as e:
             raise ConfigError(f"inline problem is missing problem.{e.args[0]}") from None
         V = self.V if self.V is not None else d.get("V")
         if V is None:
             raise ConfigError("inline problem needs problem.V or a top-level V")
-        ev_tree = d.get("events", {})
-        if not ev_tree:
-            raise ConfigError("inline problem has no events")
         events = []
-        for eid, node in enumerate(_in_order(ev_tree, "problem.events")):
+        for eid, node in enumerate(_in_order(d.get("events", {}), "problem.events")):
             if "probability" not in node:
                 raise ConfigError(f"problem.events.{eid} has no probability")
-            acts = node.get("actions", {})
-            if not acts:
-                raise ConfigError(f"problem.events.{eid} has no actions")
             actions = []
-            for k, row in enumerate(_in_order(acts, f"problem.events.{eid}.actions")):
+            for k, row in enumerate(_in_order(node.get("actions", {}),
+                                              f"problem.events.{eid}.actions")):
                 if len(row) != L + 1:
                     raise ConfigError(
                         f"problem.events.{eid}.actions.{k} needs {L + 1} values, got {len(row)}")
                 actions.append(ActionVector(row[0], tuple(row[1:])))
             events.append(EventOutcome(node["probability"], tuple(actions)))
         try:
-            return ProblemSpec(events=tuple(events), L=L, z_max=z_max, B=B,
-                               V=float(V))
+            return ProblemSpec(events=tuple(events), L=L, z_max=z_max, B=B, V=V)
         except ValueError as e:
             raise ConfigError(f"inline problem rejected: {e}") from None
 

@@ -4,7 +4,8 @@ Sampling is counter based: the draw for slot t is a pure function of
 (seed, t), so any slot of any path can be regenerated in isolation and
 batches can be split across workers without coordination.  The generator is
 the splitmix64 output function evaluated at counter t, which is bit-exact
-across platforms.
+across platforms.  The finalizer is written once, over uint64 arrays; its
+scalar reference ``mix64`` lives in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -23,18 +24,11 @@ _G, _M1, _M2 = (np.uint64(c) for c in (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB13
 _S11, _S27, _S30, _S31 = (np.uint64(c) for c in (11, 27, 30, 31))
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer."""
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def derive_seeds(master: int, start: int, count: int) -> np.ndarray:
     """Seeds of substreams ``start .. start+count-1`` of ``master``, one per
-    path: those outputs of the stream ``mix64(master ^ _STREAM_SALT)``."""
-    return u64_block(mix64(master ^ _STREAM_SALT), start, count)
+    path: those outputs of the stream keyed by output 0 of the stream
+    keyed by ``master ^ _STREAM_SALT``."""
+    return u64_block(int(u64_block(master ^ _STREAM_SALT, 0, 1)[0]), start, count)
 
 
 def _mix64_block(x: np.ndarray) -> np.ndarray:
@@ -65,11 +59,9 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     return (u64_block(seed, start, count) >> _S11) * 2.0 ** -53
 
 
-def uniform_across(seeds: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def uniform_across(seeds: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """Uniform double of output n of many streams at once (one per path in a
-    lockstep batch), written into the float64 array ``out`` when given."""
-    if out is None:
-        out = np.empty(seeds.shape)
+    lockstep batch), written into the float64 array ``out``."""
     bits = out.view(np.uint64)  # the integer steps run in out's own memory
     np.add(seeds, np.uint64((n * _GOLDEN) & _MASK64), out=bits)
     _mix64_block(bits)

@@ -83,15 +83,15 @@ class InvariantViolation(Exception):
             + (f": {detail}" if detail else ""))
 
 
-def wilson_interval(k: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Score confidence interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one observation")
     p = k / n
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
+    half = WILSON_Z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 

@@ -144,13 +144,6 @@ def solve_max_slackness(spec: ProblemSpec) -> float:
 # grid-search oracles
 # ---------------------------------------------------------------------------
 
-def _check_grid_args(n_actions: int, resolution: int) -> None:
-    if n_actions < 1:
-        raise ValueError(f"n_actions must be at least 1, got {n_actions!r}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
-
-
 def simplex_grid(n_actions: int, resolution: int) -> np.ndarray:
     """All probability vectors over ``n_actions`` whose coordinates are
     multiples of 1/resolution; shape (count, n_actions).
@@ -164,14 +157,13 @@ def simplex_grid(n_actions: int, resolution: int) -> np.ndarray:
     divided by ``resolution`` in place, so the output and one column of
     temporaries are all that is ever held at full size.
     """
-    _check_grid_args(n_actions, resolution)
+    out = np.empty((simplex_grid_size(n_actions, resolution), n_actions))
     cols = [np.array([resolution], dtype=np.int64)]
     for _ in range(n_actions - 2):
         reps = cols[-1] + 1
         placed = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
         cols = [np.repeat(c, reps) for c in cols]
         cols[-1:] = [placed, cols[-1] - placed]
-    out = np.empty((simplex_grid_size(n_actions, resolution), n_actions))
     if n_actions == 1:
         out[:, 0] = cols[0]
     else:
@@ -195,7 +187,10 @@ def grid_points_budget(spec: ProblemSpec, resolution: int) -> int:
 
 
 def simplex_grid_size(n_actions: int, resolution: int) -> int:
-    _check_grid_args(n_actions, resolution)
+    if n_actions < 1:
+        raise ValueError(f"n_actions must be at least 1, got {n_actions!r}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
     return math.comb(resolution + n_actions - 1, n_actions - 1)
 
 

@@ -2,10 +2,11 @@
 reference grid oracle, the scalar references the engines and the vectorized
 RNG are checked against (the decision rule, the exact conditional
 expectations, the KeyFeature loop, the squared norm and drift, and the
-splitmix64 stream and seed rule), the law table evaluated over a stored
-trace (``check_trace_laws``, which matches the lockstep engine bit for bit),
-unvalidated spec copies for negative controls, bare constants parameters,
-the reference trace CSV writer, and tail helpers."""
+splitmix64 finalizer, stream and seed rule), the law table evaluated over a
+stored trace (``check_trace_laws``, which matches the lockstep engine bit
+for bit), unvalidated spec copies for negative controls, specs of fixed
+shape (a ragged one, a non-lattice one, one whose drift law is tight), bare
+constants parameters, the reference trace CSV writer, and tail helpers."""
 
 import copy
 import itertools
@@ -20,7 +21,7 @@ from dpp_lab.analysis import BoundConstants, convergence_time_multi
 from dpp_lab.controller import ScoreTensor, pick_actions
 from dpp_lab.core import (ActionVector, EventOutcome, PathTrace, ProblemSpec, law_problems,
                           laws_for, trace_csv_header, trace_law_values)
-from dpp_lab.events import _GOLDEN, _MASK64, _STREAM_SALT, mix64
+from dpp_lab.events import _GOLDEN, _MASK64, _STREAM_SALT
 from dpp_lab.montecarlo import wilson_interval
 from dpp_lab.oracle import StationarySolution, grid_points_budget
 
@@ -86,11 +87,31 @@ def unchecked_spec(spec: ProblemSpec, **changes) -> ProblemSpec:
     return out
 
 
+def tight_step_spec(step: float, V: float) -> ProblemSpec:
+    """One constraint, two equally likely events with actions {(0, step),
+    (1, -step)} and {(0, 0), (1, -step)}, and B = step.  In exact
+    arithmetic the quadratic drift bound holds with equality on every slot
+    whose action has ||z|| = B and whose queue stays positive."""
+    events = (
+        EventOutcome(0.5, (ActionVector(0.0, (step,)), ActionVector(1.0, (-step,)))),
+        EventOutcome(0.5, (ActionVector(0.0, (0.0,)), ActionVector(1.0, (-step,)))),
+    )
+    return ProblemSpec(events=events, L=1, z_max=1.0, B=step, V=V)
+
+
 # ---------------------------------------------------------------------------
 # scalar references for the splitmix64 stream, the seed rule and the queue
 # norm.  events.u64_block, uniform_block, uniform_across and derive_seeds,
 # and core.row_norm_sq, must reproduce them bit for bit.
 # ---------------------------------------------------------------------------
+
+def mix64(x: int) -> int:
+    """splitmix64 finalizer."""
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
 
 def u64_at(seed: int, n: int) -> int:
     """The n-th 64-bit output of the stream keyed by ``seed``."""

@@ -171,6 +171,9 @@ def test_convergence_time_single_values():
                     <= convergence_time_multi(eps, delta))
     with pytest.raises(ValueError):
         convergence_time_single(c.C0 / c.B * 1.01, 0.05, c)  # past the valid range
+    for delta in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+            convergence_time_single(0.1, delta, c)
 
 
 def test_convergence_times_fail_closed():

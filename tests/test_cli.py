@@ -161,11 +161,23 @@ def test_verify_dump_traces(tmp_path):
     dumped = sorted((tmp_path / "out" / "traces").glob("path_*.csv"))
     assert len(dumped) == 4
     # path i of the batch takes seed derive_seed(seed, i)
+    spec = builtin_spec("single-queue-serve-idle", 10.0)
     want = tmp_path / "want.csv"
-    write_trace_csv(run_path(builtin_spec("single-queue-serve-idle", 10.0),
-                             derive_seed(7, 3), 300), str(want))
+    write_trace_csv(run_path(spec, derive_seed(7, 3), 300), str(want))
     assert dumped[3].name == "path_000003.csv"
     assert dumped[3].read_bytes() == want.read_bytes()
+    # a batch that aborts on a violation (exit 2) still dumps every path
+    chaos = "worst-action"
+    out = tmp_path / "chaos"
+    cfg = _write(tmp_path, body.replace("GTail, Telescoping, QueueTail", "KeyFeature"), "kf.cfg")
+    assert main(["verify", "--config", cfg, "--dump-traces", "--chaos", chaos,
+                 "--out", str(out)]) == 2
+    dumped = sorted((out / "traces").glob("path_*.csv"))
+    assert [p.name for p in dumped] == [f"path_{i:06d}.csv" for i in range(4)]
+    for i, path in enumerate(dumped):
+        write_trace_csv(run_path(spec, derive_seed(7, i), 300, chaos=chaos), str(want))
+        assert path.read_bytes() == want.read_bytes()
+    assert not (out / "batch.json").exists()
 
 
 def test_sweep_rows_and_monotone_checkpoints(tmp_path):

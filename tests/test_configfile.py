@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from dpp_lab.cli import main
 from dpp_lab.configfile import ConfigError, parse_config_text
 
 BUILTIN = """
@@ -176,3 +179,28 @@ def test_unknown_builtin_name():
     cfg = parse_config_text("problem = warp-drive\nV = 1.0\n")
     with pytest.raises(ConfigError):
         cfg.build_spec()
+
+
+@pytest.mark.parametrize("body, message", [
+    (INLINE.replace("problem.L = 1\n", ""), "inline problem is missing problem.L"),
+    (INLINE.replace("problem.z_max = 1.0\n", ""), "inline problem is missing problem.z_max"),
+    (INLINE.replace("problem.B = 1.0\n", ""), "inline problem is missing problem.B"),
+    (INLINE.replace("problem.V = 4.0\n", ""),
+     "inline problem needs problem.V or a top-level V"),
+    (INLINE.split("problem.events")[0],
+     "inline problem rejected: event support must be nonempty"),
+    (INLINE.replace("problem.events.1.probability = 0.5\n", ""),
+     "problem.events.1 has no probability"),
+    (re.sub(r"problem\.events\.1\.actions.*\n", "", INLINE),
+     "inline problem rejected: event 1: action set must be nonempty"),
+    (INLINE.replace("problem.events.1.probability = 0.5", "problem.events.1.probability = 0.4"),
+     "inline problem rejected: event probabilities sum to 0.9, not 1"),
+    (INLINE + "T =\n", "line 12: empty value for T"),
+], ids=["no-L", "no-z_max", "no-B", "no-V", "no-events", "no-probability", "no-actions",
+        "rejected-spec", "empty-value"])
+def test_bad_config_exits_1_naming_the_problem(tmp_path, capsys, body, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body + f"output = {tmp_path / 'out'}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import derive_seed, u64_at, uniform_at
+from helpers import derive_seed, mix64, u64_at, uniform_at
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
@@ -10,7 +10,7 @@ from scipy import stats as scipy_stats
 from dpp_lab.core import PROB_TOL, ActionVector, EventOutcome, ProblemSpec
 from dpp_lab.events import (build_server_scheduling_spec, build_single_queue_spec,
                             builtin_spec, cumulative_probabilities, derive_seeds, event_ids,
-                            mix64, sample_block, u64_block, uniform_across, uniform_block)
+                            sample_block, u64_block, uniform_across, uniform_block)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -46,11 +46,9 @@ def test_uniform_across_matches_per_path():
     seeds = np.asarray([derive_seed(5, i) for i in range(16)], dtype=np.uint64)
     buf = np.empty(16)
     for t in (1, 2, 100, (1 << 64) - 1):
-        col = uniform_across(seeds, t)
         assert uniform_across(seeds, t, out=buf) is buf
-        assert buf.tobytes() == col.tobytes()
         for i in range(16):
-            assert col[i] == uniform_at(int(seeds[i]), t)
+            assert buf[i] == uniform_at(int(seeds[i]), t)
     assert seeds.tobytes() == np.asarray([derive_seed(5, i) for i in range(16)],
                                          dtype=np.uint64).tobytes()
 
@@ -191,6 +189,8 @@ def test_builder_rejects_bad_means():
         build_server_scheduling_spec(arrival_means=(0.5, 1.0, 0.5), V=1.0)
     with pytest.raises(ValueError):
         build_single_queue_spec(arrival_mean=1.0, V=1.0)
+    with pytest.raises(ValueError, match="^serve cost must be positive$"):
+        build_single_queue_spec(serve_cost=0.0)
 
 
 def test_builtin_lookup():

@@ -8,7 +8,7 @@ from helpers import (check_trace_laws, derive_seed, empirical_tail,
                      exact_conditional_dpp_expectation,
                      exact_conditional_truncated_expectation, ragged_spec,
                      reference_dpp_expectation, reference_kf_expectations,
-                     reference_truncated_expectation, unchecked_spec)
+                     reference_truncated_expectation, tight_step_spec, unchecked_spec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -368,6 +368,17 @@ def test_violation_message_prints_plain_floats(sv_spec):
     assert msg.endswith(f": {err.value.detail}")
     value = float(err.value.detail.removeprefix("value "))
     assert err.value.detail == f"value {value!r}" and value > 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                   reason="fl(q + z) rounds by up to half an ulp of q, so on a queue near "
+                          "3.4e3 the drift exceeds B^2/2 + q*z by more than LAW_TOL")
+def test_quadratic_drift_bound_survives_queue_update_rounding():
+    # an honest batch: the law is tight (||z|| = B) and the data are not integers;
+    # path 10 (seed 9337564633507329004) fails at slot 177 by about 1.3e-9
+    cfg = BatchConfig(spec=tight_step_spec(33.3, V=4e5), num_paths=11, T=200,
+                      master_seed=1, checks=("QueueTail",))
+    run_batch(cfg)
 
 
 def _engine_violation(spec, consts, z_opt, *, key_feature=False):

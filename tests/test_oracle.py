@@ -177,10 +177,12 @@ def test_simplex_grid_memory_stays_near_its_output():
 
 
 def test_grid_rejects_invalid_arguments(sq_spec):
-    for n_actions, resolution in ((3, 0), (3, -1), (0, 5), (-2, 5)):
-        with pytest.raises(ValueError):
+    # simplex_grid checks before numpy sees a negative count
+    for n_actions, resolution, name in ((3, 0, "resolution"), (3, -1, "resolution"),
+                                        (0, 5, "n_actions"), (-2, 5, "n_actions")):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
             simplex_grid(n_actions, resolution)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
             simplex_grid_size(n_actions, resolution)
     with pytest.raises(ValueError, match="resolution"):
         grid_stationary_optimum(sq_spec, resolution=0)
@@ -345,6 +347,18 @@ def test_solution_serialization_schema(sv_solution):
     for key, value in (("z_opt", None), ("lp_status", "Infeasible")):
         with pytest.raises(SchemaError):
             validate({**payload, key: value}, load_schema("stationary_solution"))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("policy"), "$: missing required key 'policy'"),
+    (lambda d: d.update(solver="simplex"), "$: unexpected keys ['solver']"),
+], ids=["missing", "unexpected"])
+def test_schema_rejects_a_missing_or_unexpected_key(sv_solution, edit, message):
+    payload = sv_solution.to_json_dict()
+    edit(payload)
+    with pytest.raises(SchemaError) as err:
+        validate(payload, load_schema("stationary_solution"))
+    assert str(err.value) == message
 
 
 def test_single_queue_oracle(sq_spec, sq_solution):

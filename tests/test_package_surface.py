@@ -1,8 +1,8 @@
-"""Every public top-level function and class of the package has a caller
-outside the tests: another package module, a later statement of its own
-module, or the benchmark under perfbench/.  Code that only tests call
-belongs in tests/helpers.py.  Each name has one home, its defining module:
-the package ``__init__`` lists none of them again."""
+"""Every top-level function and class of the package, private ones
+included, has a caller outside the tests: another package module, another
+statement of its own module, or the benchmark under perfbench/.  Code that
+only tests call belongs in tests/helpers.py.  Each name has one home, its
+defining module: the package ``__init__`` lists none of them again."""
 
 import ast
 import os
@@ -63,7 +63,6 @@ def unused_names():
             for m, tree in modules.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
             and (m, node.name) not in used
             and not _loaded_elsewhere(tree, node.name, node)}
 

@@ -27,6 +27,26 @@ def test_mixed_constraints():
     assert res.objective == pytest.approx(1.0, abs=1e-10)  # x = (0, 1)
 
 
+def test_no_constraints_rejected():
+    with pytest.raises(ValueError, match="^no constraints$"):
+        solve_lp([1.0, 2.0])
+
+
+@pytest.mark.parametrize("c, A_eq, b_eq, optimum", [
+    # an artificial left basic at level zero after phase 1 is pivoted out
+    ([-1.0, -1.0, 1.0], [[1.0, -1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]],
+     [1.0, 1.0, 1.0], -1.0),
+    # an all-zero row keeps its artificial and is dropped as redundant
+    ([1.0, 0.0], [[-1.0, -1.0], [0.0, 0.0], [0.0, -1.0]], [0.0, 0.0, 0.0], 0.0),
+], ids=["pivot-out", "drop-row"])
+def test_phase_one_cleanup_against_reference(c, A_eq, b_eq, optimum):
+    res = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
+    ref = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * len(c), method="highs")
+    assert res.status is LpStatus.OPTIMAL and ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert res.objective == pytest.approx(optimum, abs=1e-9)
+
+
 def test_infeasible_lp():
     res = solve_lp([1.0], A_eq=[[1.0]], b_eq=[-1.0])
     assert res.status is LpStatus.INFEASIBLE
