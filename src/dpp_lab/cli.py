@@ -4,8 +4,8 @@ Every command is deterministic given its config file and flags, and writes
 machine-readable artifacts (CSV traces, JSON reports) under the output
 directory.  Exit codes: 0 success, 1 config or usage error (a bad flag goes
 through the same config-key rule as the line it overrides; an infeasible
-instance exits 1 too), 2 deterministic invariant violation, 3 statistical
-check failure.
+instance and an output path that cannot be written exit 1 too), 2
+deterministic invariant violation, 3 statistical check failure.
 
 The --chaos flag deliberately breaks the decision rule and exists only so the
 verification harness can prove it detects a broken controller; never use it
@@ -241,7 +241,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, SlacknessError, analysis.ConsistencyError) as e:
+    except (OSError, ValueError, SlacknessError, analysis.ConsistencyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

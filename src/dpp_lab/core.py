@@ -6,10 +6,10 @@ Events and actions are named by their positions: event i is
 records these positions in its ``event_id`` and ``action_index`` columns.
 A trace holds only its columns; it is read against the spec it came from.
 
-Everything here is 64-bit floating point.  Per-slot law assertions, and the
-stored drift against its recomputed value, use an absolute tolerance of
-:data:`LAW_TOL` (1e-9); the queue update is an identity and is checked
-exactly.
+Everything here is 64-bit floating point.  A per-path law holds up to its
+float slack :attr:`Law.tol`, at least :data:`LAW_TOL` (1e-9); the stored
+drift against its recomputed value uses :data:`LAW_TOL`, and the queue
+update is an identity and is checked exactly.
 """
 
 from __future__ import annotations
@@ -181,30 +181,62 @@ def row_norm_sq(x: np.ndarray) -> np.ndarray:
 #
 # One ordered table serves the lockstep engine (evaluated each slot over the
 # paths of a chunk) and stored traces (evaluated over the slots of one path).
-# A law holds where lhs <= rhs + LAW_TOL, so a NaN on either side fails.
-# Both sides read one namespace:
+# A law holds where lhs <= rhs + tol, so a NaN on either side fails.  All
+# three read one namespace:
 #   norm_before, norm_after  queue norm at the start and the end of the slot
+#   nb2, na2                 their squares, as summed
 #   drift, qz                quadratic drift, and q.z for the chosen increments
 #   dy, dg                   one-step differences of the stopped process and,
 #                            for one constraint, of the truncated process
 #   nJ, tele_gap, tele_avg   telescoping quantities of a path at its horizon
-#   B, c2, V, z_max, C0      constants
+#   L, B, c2, V, z_max, C0   constants
 # Failures are reported in table order.
 # ---------------------------------------------------------------------------
 
 class Law(NamedTuple):
+    """One per-path law: it holds where ``lhs(v) <= rhs(v) + tol(v)``."""
+
     name: str
     lhs: Callable[[Any], Any]
     rhs: Callable[[Any], Any]
     single: bool = False  # single-constraint problems only
     final: bool = False   # once per path at the horizon, and only if C0*V >= B
+    tol: Callable[[Any], Any] = lambda v: LAW_TOL  # the float slack, never below LAW_TOL
+
+    def violations(self, v) -> tuple[Any, Any, Any]:
+        """``(lhs, rhs, bad)``: ``bad`` marks lhs > rhs + tol (NaN included),
+        or is None where the law holds.  ``tol`` is evaluated only where
+        ``LAW_TOL`` fails; as it is never smaller, the verdict is the same."""
+        lhs, rhs = self.lhs(v), self.rhs(v)
+        if np.less_equal(lhs, rhs + LAW_TOL).all():
+            return lhs, rhs, None
+        bad = ~np.less_equal(lhs, rhs + self.tol(v))
+        return lhs, rhs, (bad if bad.any() else None)
+
+
+def _rounding_tol(v, scale):
+    """LAW_TOL plus (L+3) machine epsilons (2**-52) of ``scale``.  With
+    u = 2**-53, q >= 0, ||z|| <= B and q' = max(q + z, 0), in exact arithmetic
+    (||q'||^2 - ||q||^2)/2 <= q.z + ||z||^2/2 and | ||q'|| - ||q|| | <= B.
+    Each computed max(fl(q_l + z_l), 0) is within u q'_l of q'_l, and a sum
+    of L rounded products from zero within L u of its magnitudes.  To first
+    order the drift overshoots by u((L+3)||q'||^2 + (L+1)||q||^2)/2 (update,
+    sums, subtraction), and B*B/2 + q.z plus the slack falls short by
+    u((L+2)||q||^2 + (L+5)B^2)/2, as ||q||B <= (||q||^2 + B^2)/2: at most
+    (L+3)u(na2 + nb2 + B^2) together.  The norm step overshoots by
+    u((L/2+3)||q'|| + (L/2+2)||q||) (update, sums, roots, subtraction), at
+    most (L+3)u(norm_before + norm_after).  Twice these covers the
+    higher-order terms."""
+    return LAW_TOL + (v.L + 3) * 2.0 ** -52 * scale
 
 
 LAWS = (
     Law("queue norm step bound",
-        lambda v: np.abs(v.norm_after - v.norm_before), lambda v: v.B),
+        lambda v: np.abs(v.norm_after - v.norm_before), lambda v: v.B,
+        tol=lambda v: _rounding_tol(v, v.norm_before + v.norm_after)),
     Law("quadratic drift bound",
-        lambda v: v.drift, lambda v: v.B * v.B / 2.0 + v.qz),
+        lambda v: v.drift, lambda v: v.B * v.B / 2.0 + v.qz,
+        tol=lambda v: _rounding_tol(v, v.nb2 + v.na2 + v.B * v.B)),
     Law("stopped process difference bound",
         lambda v: np.abs(v.dy), lambda v: v.c2),
     Law("truncated process difference bound",
@@ -235,7 +267,7 @@ def trace_law_values(trace: PathTrace) -> SimpleNamespace:
     nb2, na2, qz = n2[:-1], n2[1:], np.zeros(trace.T)
     for l in range(trace.L):
         qz += qb[:, l] * z[:, l]
-    return SimpleNamespace(nb2=nb2, na2=na2, norm_before=np.sqrt(nb2),
+    return SimpleNamespace(L=trace.L, nb2=nb2, na2=na2, norm_before=np.sqrt(nb2),
                            norm_after=np.sqrt(na2), drift=trace.drift, qz=qz)
 
 
@@ -245,13 +277,12 @@ def law_problems(laws: Sequence[Law], v: SimpleNamespace, T: int) -> dict[str, l
     first five failing slots."""
     out: dict[str, list[str]] = {}
     for law in laws:
-        lhs, rhs = law.lhs(v), law.rhs(v)
-        bad = ~np.atleast_1d(lhs <= rhs + LAW_TOL)  # NaN counts as a violation
-        if np.any(bad):
+        lhs, rhs, bad = law.violations(v)
+        if bad is not None:
             lhs, rhs = np.broadcast_arrays(np.atleast_1d(lhs), rhs)
             out[law.name] = [f"slot {T if law.final else i + 1}: "
                              f"{float(lhs[i])!r} exceeds {float(rhs[i])!r}"
-                             for i in np.nonzero(bad)[0][:5]]
+                             for i in np.nonzero(np.atleast_1d(bad))[0][:5]]
     return out
 
 
@@ -331,7 +362,7 @@ def write_trace_csv(trace: PathTrace, path: str) -> None:
             f.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
-def _first_true_row(bad: np.ndarray) -> int:
+def first_true_row(bad: np.ndarray) -> int:
     """First row of a C-contiguous boolean array that holds a True, or its
     length if none does; ``argmax`` stops at the first True."""
     i = int(bad.argmax())
@@ -362,10 +393,10 @@ def read_trace_csv(path: str) -> PathTrace:
     T = raw.shape[0]
     ids = np.ascontiguousarray(raw[:, 1:3])  # event_id, action_index
     rules = (  # (what is wrong, first row where it is), checked in this order per row
-        ("a value is not finite", _first_true_row(~np.isfinite(raw))),
-        ("t is not the row number", _first_true_row(raw[:, 0] != np.arange(1, T + 1))),
+        ("a value is not finite", first_true_row(~np.isfinite(raw))),
+        ("t is not the row number", first_true_row(raw[:, 0] != np.arange(1, T + 1))),
         ("event_id or action_index is not an integer in 0..2**53",
-         _first_true_row(~((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids))))),
+         first_true_row(~((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids))))),
     )
     row, i = min((row, i) for i, (_, row) in enumerate(rules))
     if row < T:

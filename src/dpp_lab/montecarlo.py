@@ -17,15 +17,14 @@ scalar path engine's, so the two engines agree bit for bit on every
 per-path quantity.
 
 The deterministic per-path laws of :data:`dpp_lab.core.LAWS` (and, for the
-KeyFeature check, the exact conditional expectations) are enforced on every
-slot with zero tolerance for statistical slack (absolute float tolerance
-1e-9): any violation aborts the batch with the offending path's seed and slot
-for replay.  The batch reports its earliest violation, whatever the chunk
-size: the smallest slot, then the engine's check order at that slot (the
-KeyFeature laws, then the per-slot laws and the end-of-path laws in table
-order), then the lowest path index.  Identities that no input can break (the minimality of the
-chosen action, the queue update, the stopped process agreeing with the
-unstopped one until the stop) are covered by property tests instead.
+KeyFeature check, the exact conditional expectations) hold on every slot up
+to float slack only (:attr:`dpp_lab.core.Law.tol`, 1e-9 for the
+expectations), or the batch aborts with the offending path's seed and slot
+for replay: its earliest violation by slot, then check order (KeyFeature,
+then the law table), then path index, whatever the chunk size.  Identities
+that no input can break (the minimality of the chosen action, the queue
+update, the stopped process agreeing with the unstopped one until the stop)
+are covered by property tests instead.
 
 Statistical checks compare the Wilson interval of an empirical frequency
 against the theoretical bound and fail only when the interval excludes the
@@ -47,7 +46,7 @@ from .analysis import (BoundConstants, calibrated_deviation_level,
                        convergence_time_multi, convergence_time_single,
                        g_tail_bound, queue_tail_bound, xtail_bound)
 from .controller import ScoreTensor
-from .core import LAW_TOL, LAWS, ProblemSpec, laws_for
+from .core import LAW_TOL, LAWS, ProblemSpec, first_true_row, laws_for
 from .events import cumulative_probabilities, derive_seeds, event_ids, uniform_across
 from .oracle import solve_stationary_optimum
 
@@ -107,7 +106,6 @@ class ChunkStats:
     y_final: np.ndarray
     g_final: np.ndarray | None
     max_qnorm: np.ndarray
-    stopped: np.ndarray           # bool: queue norm ever exceeded c1
     tele_gap: np.ndarray | None
     tele_bound: np.ndarray | None
     tele_avg: np.ndarray | None
@@ -120,10 +118,6 @@ class ChunkStats:
             items = [getattr(p, f.name) for p in parts]
             out[f.name] = None if items[0] is None else np.concatenate(items)
         return ChunkStats(**out)
-
-
-def _first_bad(mask: np.ndarray) -> int:
-    return int(np.nonzero(mask)[0][0])
 
 
 def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: int,
@@ -141,7 +135,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     trunc_kf = key_feature and single and cap >= B
     slot_laws = laws_for(L, final=False)
     # the law inputs; the per-slot arrays are rebound on every slot
-    v = SimpleNamespace(B=B, c2=constants.c2, V=V, z_max=spec.z_max, C0=constants.C0)
+    v = SimpleNamespace(L=L, B=B, c2=constants.c2, V=V, z_max=spec.z_max, C0=constants.C0)
 
     q = [np.zeros(N) for _ in range(L)]
     nb2 = np.zeros(N)
@@ -150,7 +144,6 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     sum_z = [np.zeros(N) for _ in range(L)]
     x_val = np.zeros(N)
     y_val = np.zeros(N)
-    stopped = np.zeros(N, dtype=bool)
     max_qnorm = np.zeros(N)
     if single:
         g_val = np.zeros(N)
@@ -160,19 +153,16 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         s_at_nJ = np.zeros(N)
         q1_at_nJ = np.zeros(N)
 
-    def fail(law: str, mask: np.ndarray, t: int, detail: str = "") -> None:
-        i = _first_bad(mask)
+    def fail(law: str, i: int, t: int, detail: str) -> None:
         raise InvariantViolation(law, path_offset + i, int(seeds[i]), t, detail, T=T, V=V)
 
     def enforce(laws, t: int) -> None:
         for law in laws:
-            lhs, rhs = law.lhs(v), law.rhs(v)
-            ok = lhs <= rhs + LAW_TOL  # core.law_problems' form: NaN fails
-            if not ok.all():
-                bad = ~ok
-                i = _first_bad(bad)
-                fail(law.name, bad, t, f"{float(lhs[i])!r} exceeds "
-                                       f"{float(np.broadcast_to(rhs, bad.shape)[i])!r}")
+            lhs, rhs, bad = law.violations(v)  # core.law_problems' rule: NaN fails
+            if bad is not None:
+                i = first_true_row(bad)
+                fail(law.name, i, t, f"{float(lhs[i])!r} exceeds "
+                                     f"{float(np.broadcast_to(rhs, bad.shape)[i])!r}")
 
     u = np.empty(N)
     for t in range(1, T + 1):
@@ -182,7 +172,6 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         z0_sel, *z_sel = tensor.realized(ids)
 
         np.maximum(max_qnorm, norm, out=max_qnorm)
-        stopped |= norm > c1
         if single:
             trunc = np.minimum(q[0], cap)
 
@@ -192,8 +181,8 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
                 if value is not None:
                     ok = value <= LAW_TOL
                     if not ok.all():
-                        bad = ~ok
-                        fail(law, bad, t, f"value {float(value[_first_bad(bad)])!r}")
+                        i = first_true_row(~ok)
+                        fail(law, i, t, f"value {float(value[i])!r}")
 
         dot = np.zeros(N)
         na2 = np.zeros(N)
@@ -208,8 +197,8 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         penalty = V * (z0_sel - z_opt)
         dx = penalty + dot
         v.norm_before, v.norm_after = norm, np.sqrt(na2)
-        v.drift, v.qz = 0.5 * (na2 - nb2), dot
-        v.dy = np.where(stopped, 0.0, dx)
+        v.nb2, v.na2, v.drift, v.qz = nb2, na2, 0.5 * (na2 - nb2), dot
+        v.dy = np.where(max_qnorm > c1, 0.0, dx)  # max_qnorm includes this slot's start
         if single:
             tz = trunc * z_sel[0]
             v.dg = penalty + tz
@@ -244,7 +233,6 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         y_final=y_val,
         g_final=g_out,
         max_qnorm=max_qnorm,
-        stopped=stopped,
         tele_gap=tele_gap,
         tele_bound=tele_bound,
         tele_avg=tele_avg,
@@ -340,7 +328,6 @@ class BatchSummary:
     checks: dict[str, CheckResult]
     objective_quantiles: list[list[float]]
     constraint_violation_quantiles: list[list[float]]
-    invariant_violations: int
 
     @property
     def all_passed(self) -> bool:
@@ -358,6 +345,7 @@ class BatchSummary:
         out["checks"] = {k: v.to_json_dict() for k, v in self.checks.items()}
         out["fitted_M"] = self.fitted_M
         out["all_pass"] = self.all_passed
+        out["invariant_violations"] = 0  # a violation raises before any summary exists
         return out
 
 
@@ -492,5 +480,4 @@ def run_batch(config: BatchConfig) -> BatchSummary:
         checks=checks,
         objective_quantiles=_quantile_rows(stats.avg_obj),
         constraint_violation_quantiles=_quantile_rows(np.max(stats.avg_cons, axis=1)),
-        invariant_violations=0,
     )

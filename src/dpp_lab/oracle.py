@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemSpec
-from .simplex import LpStatus, solve_lp
+from .simplex import InfeasibleError, solve_lp
 
 POLICY_TOL = 1e-9
 
@@ -57,7 +57,7 @@ class StationarySolution:
             "z_opt": self.z_opt,
             "xi_star": self.xi_star,
             "policy": [list(row) for row in self.policy],
-            "lp_status": LpStatus.OPTIMAL.value,  # only a solved LP gives a solution
+            "lp_status": "Optimal",  # only a solved LP gives a solution
         }
 
     @property
@@ -93,19 +93,20 @@ def solve_stationary_optimum(spec: ProblemSpec) -> StationarySolution:
     :class:`SlacknessError` when no stationary policy meets the
     constraints."""
     n, cost, A_ub, A_eq = _lp_matrices(spec)
-    res = solve_lp(cost, A_ub=A_ub, b_ub=np.zeros(spec.L),
-                   A_eq=A_eq, b_eq=np.ones(len(spec.events)))
-    if res.status is not LpStatus.OPTIMAL:
+    try:
+        x, z_opt = solve_lp(cost, A_ub=A_ub, b_ub=np.zeros(spec.L),
+                            A_eq=A_eq, b_eq=np.ones(len(spec.events)))
+    except InfeasibleError:
         raise SlacknessError("instance is infeasible; no stationary policy meets "
-                             "the constraints")
+                             "the constraints") from None
     policy = []
-    for row in np.split(res.x, np.cumsum([len(e.actions) for e in spec.events])[:-1]):
+    for row in np.split(x, np.cumsum([len(e.actions) for e in spec.events])[:-1]):
         s = float(np.sum(row))
         if abs(s - 1.0) > POLICY_TOL:
             raise AssertionError(f"policy block sums to {s!r}")
         policy.append(tuple(float(v) for v in row))
     xi_star = _max_slackness_value(spec)
-    return StationarySolution(z_opt=float(res.objective), policy=tuple(policy),
+    return StationarySolution(z_opt=z_opt, policy=tuple(policy),
                               xi_star=xi_star)
 
 
@@ -124,11 +125,9 @@ def _max_slackness_value(spec: ProblemSpec) -> float:
     A[:, n] = 1.0  # E[z_l] + (xi + B) <= B
     Ae = np.zeros((len(spec.events), n + 1))
     Ae[:, :n] = A_eq
-    res = solve_lp(cost, A_ub=A, b_ub=np.full(spec.L, B),
-                   A_eq=Ae, b_eq=np.ones(len(spec.events)))
-    if res.status is not LpStatus.OPTIMAL:
-        raise AssertionError(f"slackness LP ended {res.status}")
-    return float(res.x[n] - B)
+    x, _ = solve_lp(cost, A_ub=A, b_ub=np.full(spec.L, B),
+                    A_eq=Ae, b_eq=np.ones(len(spec.events)))
+    return float(x[n] - B)
 
 
 def solve_max_slackness(spec: ProblemSpec) -> float:

@@ -1,16 +1,15 @@
 """Small dense two-phase simplex solver.
 
-Minimizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.  Entering and
-leaving variables follow Bland's rule, so the iteration cannot cycle even on
-the degenerate right-hand sides this package produces (constraint rows with
-b = 0).  Pivot tolerance is 1e-10.  Problems here are desk scale (tens of
-variables), so no factorization or sparsity is attempted.
+Minimizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, and returns
+the optimal x with its objective, or raises :class:`InfeasibleError` or
+:class:`UnboundedError`.  Entering and leaving variables follow Bland's
+rule, so the iteration cannot cycle even on the degenerate right-hand sides
+this package produces (constraint rows with b = 0).  Pivot tolerance is
+1e-10.  Problems here are desk scale (tens of variables), so no
+factorization or sparsity is attempted.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -18,21 +17,12 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
 
 
-class LpStatus(Enum):
-    OPTIMAL = "Optimal"
-    INFEASIBLE = "Infeasible"
-    UNBOUNDED = "Unbounded"
+class InfeasibleError(Exception):
+    """No point satisfies every constraint."""
 
 
 class UnboundedError(Exception):
     """The feasible region allows the objective to decrease without limit."""
-
-
-@dataclass(frozen=True)
-class LpResult:
-    status: LpStatus
-    x: np.ndarray | None      # values of the original variables
-    objective: float | None
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -71,74 +61,54 @@ def _iterate(tab: np.ndarray, basis: np.ndarray, ncols: int) -> None:
         _pivot(tab, basis, leave, enter)
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:
-    """Two-phase dense simplex over nonnegative variables."""
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[np.ndarray, float]:
+    """Two-phase dense simplex over nonnegative variables: the optimal values
+    of the original variables and the optimal objective."""
     c = np.asarray(c, dtype=np.float64)
     n = c.shape[0]
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    slack_of_row: list[int] = []
-    if A_ub is not None:
-        A_ub = np.asarray(A_ub, dtype=np.float64).reshape(-1, n)
-        b_ub = np.asarray(b_ub, dtype=np.float64).ravel()
-        for i in range(A_ub.shape[0]):
-            rows.append(A_ub[i])
-            rhs.append(float(b_ub[i]))
-            slack_of_row.append(i)
-    n_slack = len(rows)
-    if A_eq is not None:
-        A_eq = np.asarray(A_eq, dtype=np.float64).reshape(-1, n)
-        b_eq = np.asarray(b_eq, dtype=np.float64).ravel()
-        for i in range(A_eq.shape[0]):
-            rows.append(A_eq[i])
-            rhs.append(float(b_eq[i]))
-            slack_of_row.append(-1)
-    m = len(rows)
+
+    def block(A, b):
+        if A is None:
+            return np.zeros((0, n)), np.zeros(0)
+        return (np.asarray(A, dtype=np.float64).reshape(-1, n),
+                np.asarray(b, dtype=np.float64).ravel())
+
+    (A_ub, b_ub), (A_eq, b_eq) = block(A_ub, b_ub), block(A_eq, b_eq)
+    n_slack, m = len(A_ub), len(A_ub) + len(A_eq)
     if m == 0:
         raise ValueError("no constraints")
 
+    # inequality rows first, each with its own slack column, then equality
+    # rows; a row whose rhs is negative is negated
     width = n + n_slack
     A = np.zeros((m, width), dtype=np.float64)
-    b = np.zeros(m, dtype=np.float64)
-    for i, (row, bi) in enumerate(zip(rows, rhs)):
-        A[i, :n] = row
-        if slack_of_row[i] >= 0:
-            A[i, n + slack_of_row[i]] = 1.0
-        b[i] = bi
-        if b[i] < 0.0:
-            A[i] *= -1.0
-            b[i] = -b[i]
+    A[:, :n] = np.vstack([A_ub, A_eq])
+    A[np.arange(n_slack), n + np.arange(n_slack)] = 1.0
+    b = np.concatenate([b_ub, b_eq])
+    flip = b < 0.0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
 
-    # initial basis: usable slack columns, artificials elsewhere
-    basis = np.full(m, -1, dtype=np.int64)
-    need_art = []
-    for i in range(m):
-        j = n + slack_of_row[i] if slack_of_row[i] >= 0 else -1
-        if j >= 0 and A[i, j] == 1.0:
-            basis[i] = j
-        else:
-            need_art.append(i)
+    # initial basis: the slack columns of rows not negated, artificials elsewhere
+    basis = np.where((np.arange(m) < n_slack) & ~flip, n + np.arange(m), -1)
+    need_art = np.nonzero(basis < 0)[0]
     n_art = len(need_art)
     total = width + n_art
     tab = np.zeros((m + 1, total + 1), dtype=np.float64)
     tab[:m, :width] = A
     tab[:m, total] = b
-    for k, i in enumerate(need_art):
-        tab[i, width + k] = 1.0
-        basis[i] = width + k
+    tab[need_art, width + np.arange(n_art)] = 1.0
+    basis[need_art] = width + np.arange(n_art)
 
     if n_art:
-        # phase 1: minimize the artificial sum
+        # phase 1: minimize the artificial sum, which is bounded below by 0
         tab[-1, width:total] = 1.0
         for i in range(m):
             if basis[i] >= width:
                 tab[-1] -= tab[i]
-        try:
-            _iterate(tab, basis, total)
-        except UnboundedError:  # cannot happen: phase-1 objective is bounded below by 0
-            return LpResult(LpStatus.INFEASIBLE, None, None)
+        _iterate(tab, basis, total)
         if -tab[-1, total] > FEAS_TOL:
-            return LpResult(LpStatus.INFEASIBLE, None, None)
+            raise InfeasibleError(f"phase 1 ends at artificial sum {-tab[-1, total]!r}")
         # drive leftover artificials out of the basis
         drop_rows = []
         for i in range(m):
@@ -167,13 +137,9 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:
         bj = int(basis[i])
         if tab2[-1, bj] != 0.0:
             tab2[-1] -= tab2[-1, bj] * tab2[i]
-    try:
-        _iterate(tab2, basis, width)
-    except UnboundedError:
-        return LpResult(LpStatus.UNBOUNDED, None, None)
+    _iterate(tab2, basis, width)
 
     x = np.zeros(width, dtype=np.float64)
     for i in range(m):
         x[int(basis[i])] = tab2[i, width]
-    obj = float(c @ x[:n])
-    return LpResult(LpStatus.OPTIMAL, x[:n].copy(), obj)
+    return x[:n].copy(), float(c @ x[:n])

@@ -127,7 +127,7 @@ def test_criterion_3_per_path_laws(big_benchmark_batch, big_single_queue_batch,
     # IEEE identity, property-tested in test_core)
     for summary, label in ((big_benchmark_batch, "benchmark"),
                            (big_single_queue_batch, "single queue")):
-        assert summary.invariant_violations == 0
+        assert summary.to_json_dict()["invariant_violations"] == 0
         assert summary.num_paths == BIG_PATHS and summary.T == BIG_T
     tele = big_single_queue_batch.checks["Telescoping"]
     assert tele.passed

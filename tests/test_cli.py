@@ -285,6 +285,22 @@ def test_infeasible_instance_exits_1(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("below, reason", [(None, "File exists"), ("sub", "Not a directory")])
+def test_an_output_path_that_cannot_be_created_exits_1(tmp_path, capsys, command, below,
+                                                       reason):
+    # --out names an existing file, or a directory under one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out = blocker if below is None else blocker / below
+    cfg = _write(tmp_path, SQ_CFG)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert reason in err and f"'{out}'" in err
+    assert blocker.read_text() == "a file\n"
+
+
 def test_bounds_without_slack_prints_the_certificate(tmp_path, capsys):
     # feasible, but only at zero slack: the bound constants are undefined
     cfg = _write(tmp_path, INFEASIBLE_CFG.replace("actions.0 = 0.0, 0.5", "actions.0 = 0.0, 0.0"))

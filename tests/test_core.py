@@ -89,13 +89,43 @@ def test_drift_upper_bound_examples():
                                   "slot 2: -2.5 exceeds -2.875"]}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="fl(q + z) rounds by up to half an ulp of q, so near q = 870 "
-                          "the drift exceeds B^2/2 + q*z by more than LAW_TOL")
 def test_trace_drift_law_survives_queue_update_rounding():
     # an honest trace: the law is tight (||z|| = B) and the data are not
-    # integers; the first of 5 reports is slot 19005, over by about 1.3e-9
+    # integers; fl(q + z) rounds by up to half an ulp of q, so near q = 870
+    # the drift exceeds B^2/2 + q*z by more than LAW_TOL (first at slot 19005,
+    # by about 1.3e-9), but not by more than the law's rounding slack
     assert verify_trace_dynamics(run_path(tight_step_spec(0.3, V=1e4), 1, 20000), 0.3) == []
+
+
+@pytest.mark.parametrize("step,V,T", [
+    (0.3, 1e4, 200_000), (0.3, 1e6, 200_000), (33.3, 4e5, 200_000),
+    (0.1, 1e7, 200_000), (1 / 3, 1e5, 200_000),
+    (33.3, 1e9, 400_000),  # the queue norm reaches about 6.6e6
+])
+def test_long_tight_traces_report_no_violation(step, V, T):
+    # both rounding-prone laws are tight here and the queues grow large: the
+    # drift overshoots B^2/2 + q*z by up to about 0.44 machine epsilons of
+    # ||q||^2 + ||q'||^2 + B^2 (2.7e-3 absolute at the largest queue), and the
+    # norm step overshoots B by about 0.2 epsilons of ||q|| + ||q'||
+    assert verify_trace_dynamics(run_path(tight_step_spec(step, V), 1, T), step) == []
+
+
+def test_a_slightly_understated_B_still_trips_the_drift_law_on_a_tight_trace():
+    # B lowered by a relative 1e-6 lowers the rhs by about 1.1e-3, while the
+    # rounding slack stays below 1e-7 up to the largest queue (about 6e3), so
+    # the drift law fails on exactly the slots that are tight in exact
+    # arithmetic, at every queue size
+    step = 33.3
+    tr = run_path(tight_step_spec(step, V=4e5), 1, 200_000)
+    v = trace_law_values(tr)
+    v.B = step * (1.0 - 1e-6)
+    _, _, bad = LAWS[1].violations(v)
+    tight = np.abs(tr.z[:, 0]) == step
+    assert np.array_equal(bad, tight)
+    assert tr.q_before[bad, 0].max() > 6e3
+    problems = verify_trace_dynamics(tr, v.B)
+    assert "quadratic drift bound: slot 4: 554.4449999999999 exceeds 554.4438911105544" \
+        in problems
 
 
 def test_drift_upper_bound_holds_on_simulated_path(sv_spec):

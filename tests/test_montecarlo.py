@@ -370,12 +370,11 @@ def test_violation_message_prints_plain_floats(sv_spec):
     assert err.value.detail == f"value {value!r}" and value > 1e-9
 
 
-@pytest.mark.xfail(strict=True, raises=InvariantViolation,
-                   reason="fl(q + z) rounds by up to half an ulp of q, so on a queue near "
-                          "3.4e3 the drift exceeds B^2/2 + q*z by more than LAW_TOL")
 def test_quadratic_drift_bound_survives_queue_update_rounding():
     # an honest batch: the law is tight (||z|| = B) and the data are not integers;
-    # path 10 (seed 9337564633507329004) fails at slot 177 by about 1.3e-9
+    # fl(q + z) rounds by up to half an ulp of q, so on path 10 (seed
+    # 9337564633507329004) at slot 177 the drift exceeds B^2/2 + q*z by about
+    # 1.3e-9, past LAW_TOL alone but within the law's rounding slack
     cfg = BatchConfig(spec=tight_step_spec(33.3, V=4e5), num_paths=11, T=200,
                       master_seed=1, checks=("QueueTail",))
     run_batch(cfg)
@@ -477,7 +476,7 @@ def test_trace_checker_matches_engine_finals(name, c1):
     consts = (constants_for_horizon(spec, xi, T, 0.05) if c1 is None
               else compute_constants(spec, xi, c1))
     stats = simulate_paths(spec, derive_seeds(17, 0, N), T, sol.z_opt, consts)
-    assert np.all(stats.stopped) == (c1 is not None)
+    assert np.all(stats.max_qnorm > consts.c1) == (c1 is not None)
     for i in range(N):
         rep = check_trace_laws(run_path(spec, derive_seed(17, i), T), sol.z_opt, consts)
         assert rep.violated == ()
@@ -497,8 +496,7 @@ def test_stopped_process_differs_only_after_a_stop(sv_spec, sv_solution, seed, c
     # the stopping-time divergence law is an identity of how Y is built
     consts = compute_constants(sv_spec, sv_solution.xi_star / 2.0, c1)
     stats = simulate_paths(sv_spec, derive_seeds(seed, 0, 16), 200, sv_solution.z_opt, consts)
-    assert np.all((stats.x_final == stats.y_final) | stats.stopped)
-    assert np.all(stats.stopped == (stats.max_qnorm > c1))
+    assert np.all((stats.x_final == stats.y_final) | (stats.max_qnorm > c1))
 
 
 def test_ragged_action_sets_run_clean():
@@ -507,7 +505,7 @@ def test_ragged_action_sets_run_clean():
     cfg = BatchConfig(spec=spec, num_paths=50, T=500, master_seed=4,
                       checks=("KeyFeature", "QueueTail", "GTail", "Telescoping"))
     summary = run_batch(cfg)
-    assert summary.invariant_violations == 0
+    assert summary.to_json_dict()["invariant_violations"] == 0
     # scalar engine agrees on a sample path
     consts = constants_for_horizon(spec, summary.xi, 500, 0.05)
     stats = simulate_paths(spec, derive_seeds(4, 0, 8), 500, summary.z_opt, consts)

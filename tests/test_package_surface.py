@@ -1,8 +1,9 @@
-"""Every top-level function and class of the package, private ones
-included, has a caller outside the tests: another package module, another
-statement of its own module, or the benchmark under perfbench/.  Code that
-only tests call belongs in tests/helpers.py.  Each name has one home, its
-defining module: the package ``__init__`` lists none of them again."""
+"""Every top-level function, class and assigned name of the package,
+private ones included, has a reader outside the tests: another package
+module, another statement of its own module, or the benchmark under
+perfbench/.  Code that only tests call belongs in tests/helpers.py.  Each
+name has one home, its defining module: the package ``__init__`` lists none
+of them again."""
 
 import ast
 import os
@@ -46,6 +47,17 @@ def _loaded_elsewhere(tree, name, own):
                for node in ast.walk(stmt))
 
 
+def _defined_names(stmt):
+    """The function or class that a top-level statement defines, or the
+    names that its assignment targets bind."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+
+
 def unused_names():
     modules = {name[:-3]: _parse(os.path.join(SRC, name))
                for name in os.listdir(SRC)
@@ -59,12 +71,11 @@ def unused_names():
     for name in os.listdir(PERFBENCH):
         if name.endswith(".py") and not name.startswith("test_"):
             used |= _module_uses(_parse(os.path.join(PERFBENCH, name)), 0, "dpp_lab")
-    return {f"{m}.{node.name}"
+    return {f"{m}.{name}"
             for m, tree in modules.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and (m, node.name) not in used
-            and not _loaded_elsewhere(tree, node.name, node)}
+            for stmt in tree.body
+            for name in _defined_names(stmt)
+            if (m, name) not in used and not _loaded_elsewhere(tree, name, stmt)}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
