@@ -158,10 +158,16 @@ def cmd_verify(cfg: RunConfig, out_dir: str, dump_traces: bool,
         # the main batch's paths, also when the batch aborted: a failing run
         # is the one most worth inspecting
         tdir = os.path.join(out_dir, "traces")
-        os.makedirs(tdir, exist_ok=True)
-        for i, seed in enumerate(batch.seeds.tolist()):
-            tr = run_path(spec, seed, batch.T, chaos=chaos)
-            write_trace_csv(tr, os.path.join(tdir, f"path_{i:06d}.csv"))
+        try:
+            os.makedirs(tdir, exist_ok=True)
+            for i, seed in enumerate(batch.seeds.tolist()):
+                tr = run_path(spec, seed, batch.T, chaos=chaos)
+                write_trace_csv(tr, os.path.join(tdir, f"path_{i:06d}.csv"))
+        except OSError as e:
+            if code != EXIT_INVARIANT:
+                raise
+            print(f"error: {e}", file=sys.stderr)  # the violation's exit code stands
+            return code
         print(f"dumped {batch.num_paths} per-path traces under {tdir}")
     return code
 

@@ -6,8 +6,9 @@ distribution live in :mod:`dpp_lab.oracle`.
 
 Float evaluation order is pinned: an action's score is ``V*z0`` followed by
 ``+= q[l]*z[l]`` for l ascending.  :class:`ScoreTensor`, the one vectorized
-scorer, keeps that order for a batch of queue states: the lockstep engine's
-paths or :func:`run_path`'s chaos rule.
+scorer, keeps that order for a batch of queue states: the new states of the
+lockstep engine's transition table, its paths once a chunk hands over, or
+:func:`run_path`'s chaos rule.
 :func:`run_path`'s honest rule replays it in plain Python, so the engines
 agree bit for bit.
 
@@ -58,9 +59,9 @@ def pick_actions(scores: np.ndarray, chaos: str | None = None) -> np.ndarray:
 
 
 class ScoreTensor:
-    """Every (event, action) score of N queue states (a chunk's paths, or one
-    queue vector), shape (W, K, N) with the states contiguous, rebuilt in
-    buffers allocated once, and the action each event would get from it.
+    """Every (event, action) score of N queue states (a chunk's paths, its
+    table's new states, or one queue vector), shape (W, K, N), states
+    contiguous, in buffers allocated once, and each event's action from it.
     The +inf z0 padding of :attr:`ProblemSpec.action_table` never wins."""
 
     def __init__(self, spec: ProblemSpec, N: int):
@@ -109,6 +110,11 @@ class ScoreTensor:
         np.multiply(ids, K, out=sel)
         sel += chosen
         return self.flat.take(sel, axis=1, out=self._decision, mode="clip")
+
+    def every_event(self) -> np.ndarray:
+        """z0 and every z_l, shape (1+L, W*N), of the action chosen for each
+        (event, state) pair, event-major: every event's decision."""
+        return self.flat.take((self.picks + self._first).ravel(), axis=1, mode="clip")
 
     def expectations(self, z_opt: float,
                      trunc: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:

@@ -7,14 +7,14 @@ statistics are invariant to chunking.  A batch runs its fixed-size chunks
 in order.  A theorem check's calibration and validation paths run as one
 batch, so the engine's fixed per-slot cost is paid once per theorem.
 
-Each slot, :class:`dpp_lab.controller.ScoreTensor` scores every (event,
-action) pair of every path once, into one (event, action, path) tensor with
-the paths contiguous, and picks each event's action from it.  The realized
-event's pick is the decision; with the KeyFeature check on, the
-probability-weighted picks of all events give both exact conditional
-expectations, so nothing is scored twice.  The tensor's float order is the
-scalar path engine's, so the two engines agree bit for bit on every
-per-path quantity.
+A decision and every per-slot law input depend only on the queue vector and
+the realized event, so a chunk runs over a transition table: each new
+queue vector is scored once under every event by
+:class:`dpp_lab.controller.ScoreTensor`, and a slot gathers each path's
+(state, event) entry.  Once new states come too fast, the chunk hands over
+to scoring every event of every path each slot.  The tensor's float order
+is the scalar path engine's, so the engines agree bit for bit on every
+per-path quantity, in either phase.
 
 The deterministic per-path laws of :data:`dpp_lab.core.LAWS` (and, for the
 KeyFeature check, the exact conditional expectations) hold on every slot up
@@ -46,7 +46,7 @@ from .analysis import (BoundConstants, calibrated_deviation_level,
                        convergence_time_multi, convergence_time_single,
                        g_tail_bound, queue_tail_bound, xtail_bound)
 from .controller import ScoreTensor
-from .core import LAW_TOL, LAWS, ProblemSpec, first_true_row, laws_for
+from .core import LAW_TOL, LAWS, ProblemSpec, first_true_row, laws_for, row_norm_sq
 from .events import cumulative_probabilities, derive_seeds, event_ids, uniform_across
 from .oracle import solve_stationary_optimum
 
@@ -120,26 +120,148 @@ class ChunkStats:
         return ChunkStats(**out)
 
 
+TABLE_STATES = 1 << 13  # the most queue vectors a chunk's table scores
+TABLE_BLOCK = 16        # slots per block of the table's hand-over rule
+
+
+def _decide(tensor: ScoreTensor, q, nb2, norm, ids, c) -> SimpleNamespace:
+    """A slot's decision and law inputs for (queue vector, event) pairs: the
+    tensor's N queue vectors ``q`` (an array per constraint; squared norms
+    ``nb2``, norms ``norm``) under their events ``ids`` or, with ``ids``
+    None, under every event (W*N pairs, event-major).  ``c`` holds the laws'
+    constants and the run's switches.  The result's ``q`` is the next queue
+    vector; with KeyFeature on, ``expect`` and ``etr`` are the queue
+    vectors' exact conditional expectations."""
+    tensor.choose(q, c.chaos)
+    v = SimpleNamespace(**vars(c))
+    trunc = np.minimum(q[0], c.cap) if c.L == 1 else None
+    if c.key_feature:
+        v.expect, v.etr = tensor.expectations(c.z_opt, trunc if c.trunc_kf else None)
+    if ids is None:
+        W = tensor.scores.shape[0]
+        z0, *z = tensor.every_event()
+        q, nb2, norm = [np.tile(ql, W) for ql in q], np.tile(nb2, W), np.tile(norm, W)
+        trunc = None if trunc is None else np.tile(trunc, W)
+    else:
+        z0, *z = tensor.realized(ids)
+    dot, na2, v.q = np.zeros(len(z0)), np.zeros(len(z0)), []
+    for ql, zl in zip(q, z):
+        dot += ql * zl
+        v.q.append(np.maximum(ql + zl, 0.0))
+        na2 += v.q[-1] * v.q[-1]
+    penalty = c.V * (z0 - c.z_opt)
+    v.z0, v.z, v.dx = z0, z, penalty + dot
+    v.norm_before, v.norm_after = norm, np.sqrt(na2)
+    v.nb2, v.na2, v.drift, v.qz = nb2, na2, 0.5 * (na2 - nb2), dot
+    if trunc is not None:
+        v.tz = trunc * z[0]
+        v.dg = penalty + v.tz
+    return v
+
+
+def _room(a: np.ndarray, n: int) -> np.ndarray:
+    """``a``, or a copy of it whose last axis is at least doubled to hold ``n``."""
+    if a.shape[-1] >= n:
+        return a
+    out = np.empty(a.shape[:-1] + (max(n, 2 * a.shape[-1]),), a.dtype)
+    out[..., :a.shape[-1]] = a
+    return out
+
+
+class _Table:
+    """A chunk's transition table: queue vectors numbered as first visited,
+    keyed by their bytes (state 0 is the empty queue), and entry s*W + e for
+    state s under event e, filled for new states by one :func:`_decide`.
+
+    Rows of ``st`` (per state): norm, squared norm, the two KeyFeature
+    expectations, q_1..q_L.  Rows of ``ev`` (per entry): the next queue
+    vector, q.z, drift, z0, z_1..z_L, dx and, for one constraint, dg and tz;
+    ``nxt`` is the next state (-1 until a path takes the entry).  Rows of
+    ``bad``: whether a slot law or the state's KeyFeature expectation fails
+    there for a running path, and for a stopped one (dy = 0)."""
+
+    def __init__(self, spec: ProblemSpec, c: SimpleNamespace, laws):
+        self.spec, self.c, self.laws, L = spec, c, laws, spec.L
+        self.number = {np.zeros(L).tobytes(): 0}
+        self.n_scored = 0
+        self.flagged = False
+        self.st = np.zeros((4 + L, 1))
+        self.ev = np.zeros((2 * L + (6 if L == 1 else 4), 0))
+        self.nxt = np.zeros(0, dtype=np.int64)
+        self.bad = np.zeros((2, 0), dtype=bool)
+
+    def resolve(self, ent: np.ndarray) -> np.ndarray:
+        """Number the next states of the entries ``ent`` taken for the first
+        time, and return every entry's next state."""
+        lo, L, new = len(self.number), self.spec.L, []
+        for e in np.unique(ent[self.nxt.take(ent) < 0]).tolist():
+            self.nxt[e] = s = self.number.setdefault(self.ev[:L, e].tobytes(), len(self.number))
+            if s == lo + len(new):
+                new.append(e)
+        self.st = _room(self.st, lo + len(new))
+        st = self.st[:, lo:lo + len(new)]
+        st[4:] = self.ev[:L, new]
+        st[1] = row_norm_sq(st[4:].T)
+        st[0] = np.sqrt(st[1])
+        return self.nxt.take(ent)
+
+    def score(self) -> None:
+        """Fill the entries of every state not yet scored."""
+        lo, hi, W, c = self.n_scored, len(self.number), len(self.spec.events), self.c
+        st, n = self.st[:, lo:hi], hi - lo
+        v = _decide(ScoreTensor(self.spec, n), list(st[4:]), st[1], st[0], None, c)
+        kf_bad = np.zeros(n, dtype=bool)
+        if c.key_feature:
+            for row, value in zip((2, 3), (v.expect, v.etr)):
+                if value is not None:
+                    st[row] = value
+                    kf_bad |= ~(value <= LAW_TOL)
+        bad = np.zeros((2, W * n), dtype=bool)
+        for flags, dy in zip(bad, (v.dx, np.zeros(W * n))):  # a running path, a stopped one
+            v.dy = dy
+            for law in self.laws:
+                law_bad = law.violations(v)[2]
+                if law_bad is not None:
+                    flags |= law_bad
+        self.flagged |= bool(bad.any() or kf_bad.any())
+        self.ev, self.nxt, self.bad = (_room(a, hi * W) for a in (self.ev, self.nxt, self.bad))
+        for a, rows in ((self.ev, (*v.q, v.qz, v.drift, v.z0, *v.z, v.dx,
+                                   *((v.dg, v.tz) if c.L == 1 else ()))),
+                        (self.nxt, np.full(W * n, -1)),
+                        (self.bad, bad.reshape(2, W, n) | kf_bad)):
+            # event-major pairs into state-major entries
+            a[..., lo * W:hi * W] = np.reshape(rows, (-1, W, n)).swapaxes(1, 2).reshape(-1, n * W)
+        self.n_scored = hi
+
+
 def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: int,
                    z_opt: float, constants: BoundConstants, *,
                    chaos: str | None = None, key_feature: bool = False) -> ChunkStats:
     """Run a chunk of paths in lockstep, enforcing every deterministic
-    per-path law as it goes.  ``seeds`` must be uint64."""
+    per-path law as it goes.  ``seeds`` must be uint64.
+
+    Each slot adds every path's :class:`_Table` entry to the path's sums,
+    and evaluates the laws only when some path takes a flagged entry (a
+    stopped-process flag counts while ``max_qnorm <= c1``).  The states the
+    paths enter are scored before the next slot, unless the entries scored
+    since the start of a :data:`TABLE_BLOCK`-slot block would pass half the
+    chunk's N paths, or the table :data:`TABLE_STATES` states: the chunk
+    then hands over, from the paths' queue vectors, to deciding each path's
+    slot afresh, every event scored.  The table's arrays stay below
+    2*(TABLE_STATES*W*(16L + 58) + (TABLE_STATES + N)*(8L + 32)) bytes,
+    15 MiB at W = 8, L = 3, N = 4096.  Both phases give the same bits."""
     N = seeds.shape[0]
     cum = cumulative_probabilities(spec)
-    tensor = ScoreTensor(spec, N)
-    L, V, B = spec.L, spec.V, spec.B
+    L, V, B, W = spec.L, spec.V, spec.B, len(spec.events)
     c1 = constants.c1
     cap = constants.C0 * V
     single = L == 1
-    trunc_kf = key_feature and single and cap >= B
     slot_laws = laws_for(L, final=False)
-    # the law inputs; the per-slot arrays are rebound on every slot
-    v = SimpleNamespace(L=L, B=B, c2=constants.c2, V=V, z_max=spec.z_max, C0=constants.C0)
+    # what the laws read, and the switches of _decide
+    c = SimpleNamespace(L=L, B=B, c2=constants.c2, V=V, z_max=spec.z_max, C0=constants.C0,
+                        z_opt=z_opt, cap=cap, chaos=chaos, key_feature=key_feature,
+                        trunc_kf=key_feature and single and cap >= B)
 
-    q = [np.zeros(N) for _ in range(L)]
-    nb2 = np.zeros(N)
-    norm = np.zeros(N)  # the queue norm at the start of the slot
     sum_z0 = np.zeros(N)
     sum_z = [np.zeros(N) for _ in range(L)]
     x_val = np.zeros(N)
@@ -156,7 +278,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     def fail(law: str, i: int, t: int, detail: str) -> None:
         raise InvariantViolation(law, path_offset + i, int(seeds[i]), t, detail, T=T, V=V)
 
-    def enforce(laws, t: int) -> None:
+    def enforce(laws, v, t: int) -> None:
         for law in laws:
             lhs, rhs, bad = law.violations(v)  # core.law_problems' rule: NaN fails
             if bad is not None:
@@ -164,66 +286,90 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
                 fail(law.name, i, t, f"{float(lhs[i])!r} exceeds "
                                      f"{float(np.broadcast_to(rhs, bad.shape)[i])!r}")
 
-    u = np.empty(N)
-    for t in range(1, T + 1):
-        # through the module name, which perfbench's tracer patches
-        ids = event_ids(cum, uniform_across(seeds, t, out=u))
-        tensor.choose(q, chaos)
-        z0_sel, *z_sel = tensor.realized(ids)
-
-        np.maximum(max_qnorm, norm, out=max_qnorm)
-        if single:
-            trunc = np.minimum(q[0], cap)
-
+    def check(v, t: int) -> None:
         if key_feature:
-            expect, etr = tensor.expectations(z_opt, trunc if trunc_kf else None)
-            for law, value in zip(_KF_LAWS, (expect, etr)):
+            for law, value in zip(_KF_LAWS, (v.expect, v.etr)):
                 if value is not None:
                     ok = value <= LAW_TOL
                     if not ok.all():
                         i = first_true_row(~ok)
                         fail(law, i, t, f"value {float(value[i])!r}")
+        enforce(slot_laws, v, t)
 
-        dot = np.zeros(N)
-        na2 = np.zeros(N)
-        for l in range(L):
-            ql, zl = q[l], z_sel[l]
-            dot += ql * zl
-            nq = np.maximum(ql + zl, 0.0)
-            q[l] = nq
-            na2 += nq * nq
-            sum_z[l] += zl
+    table = _Table(spec, c, slot_laws)
+    state = np.zeros(N, dtype=np.int64)  # every path starts at state 0
+    ent = np.empty(N, dtype=np.int64)
+    u = np.empty(N)
+    for t in range(1, T + 1):
+        if (t - 1) % TABLE_BLOCK == 0:
+            scored = 0  # entries scored in this block
+        if table is not None and len(table.number) > table.n_scored:
+            scored += W * (len(table.number) - table.n_scored)
+            if 2 * scored > N or len(table.number) > TABLE_STATES:
+                st = table.st.take(state, axis=1)
+                q, nb2, norm = list(st[4:]), st[1], st[0]
+                table, tensor = None, ScoreTensor(spec, N)
+            else:
+                table.score()
+        # through the module name, which perfbench's tracer patches
+        ids = event_ids(cum, uniform_across(seeds, t, out=u))
+        if table is None:
+            v = _decide(tensor, q, nb2, norm, ids, c)
+        else:
+            np.multiply(state, W, out=ent)
+            ent += ids
+            nxt = table.nxt.take(ent)
+            if nxt.min() < 0:
+                nxt = table.resolve(ent)
+            g = table.ev[L + 2:].take(ent, axis=1)  # z0, z, dx, and dg, tz
+            v = SimpleNamespace(z0=g[0], z=g[1:L + 1], dx=g[L + 1],
+                                norm_before=table.st[0].take(state))
+            if single:
+                v.dg, v.tz = g[L + 2], g[L + 3]
 
-        penalty = V * (z0_sel - z_opt)
-        dx = penalty + dot
-        v.norm_before, v.norm_after = norm, np.sqrt(na2)
-        v.nb2, v.na2, v.drift, v.qz = nb2, na2, 0.5 * (na2 - nb2), dot
-        v.dy = np.where(max_qnorm > c1, 0.0, dx)  # max_qnorm includes this slot's start
-        if single:
-            tz = trunc * z_sel[0]
-            v.dg = penalty + tz
-        enforce(slot_laws, t)
-        x_val += dx
+        np.maximum(max_qnorm, v.norm_before, out=max_qnorm)
+        stopped = max_qnorm > c1  # max_qnorm includes this slot's start
+        v.dy = np.where(stopped, 0.0, v.dx)
+        if table is None:
+            check(v, t)
+        elif table.flagged and np.where(stopped, table.bad[1].take(ent),
+                                        table.bad[0].take(ent)).any():
+            # the laws over every path's inputs, gathered
+            before, after, g = (table.st.take(state, axis=1), table.st.take(nxt, axis=1),
+                                table.ev.take(ent, axis=1))
+            vars(v).update(vars(c), norm_before=before[0], nb2=before[1], expect=before[2],
+                           etr=before[3] if c.trunc_kf else None, norm_after=after[0],
+                           na2=after[1], qz=g[L], drift=g[L + 1])
+            check(v, t)
+        x_val += v.dx
         y_val += v.dy
+        for l in range(L):
+            sum_z[l] += v.z[l]
+        sum_z0 += v.z0
         if single:
             g_val += v.dg
-            s_trunc += tz
-            visit = q[0] <= cap  # slot t+1 starts at or below the cap
+            s_trunc += v.tz
+            q1 = v.q[0] if table is None else table.st[4].take(nxt)
+            visit = q1 <= cap  # slot t+1 starts at or below the cap
             np.putmask(nJ, visit, t + 1)
             np.putmask(s_at_nJ, visit, s_trunc)
-            np.putmask(q1_at_nJ, visit, q[0])
-        sum_z0 += z0_sel
-        nb2, norm = na2, v.norm_after
+            np.putmask(q1_at_nJ, visit, q1)
+        if table is None:
+            q, nb2, norm = v.q, v.na2, v.norm_after
+        else:
+            state = nxt
+        del v  # so that the next slot's arrays can reuse this slot's memory
+    norm = table.st[0].take(state) if table is not None else norm
 
     tele_gap = tele_bound = tele_avg = g_out = None
     if single:
         tele_gap = np.abs(s_at_nJ - 0.5 * q1_at_nJ * q1_at_nJ)
         tele_avg = s_trunc / T
-        vars(v).update(nJ=nJ, tele_gap=tele_gap, tele_avg=tele_avg)
+        v = SimpleNamespace(**vars(c), nJ=nJ, tele_gap=tele_gap, tele_avg=tele_avg)
         final_laws = laws_for(1, final=True)
         tele_bound = final_laws[0].rhs(v)  # the telescoping partial-sum law
         if cap >= B:  # the telescoping laws assume the cap clears one step
-            enforce(final_laws, T)
+            enforce(final_laws, v, T)
         g_out = g_val
 
     return ChunkStats(

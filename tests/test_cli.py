@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -178,6 +179,25 @@ def test_verify_dump_traces(tmp_path):
         write_trace_csv(run_path(spec, derive_seed(7, i), 300, chaos=chaos), str(want))
         assert path.read_bytes() == want.read_bytes()
     assert not (out / "batch.json").exists()
+
+
+def test_dump_error_does_not_mask_a_violation(tmp_path, capsys):
+    # --out names an existing file: the traces cannot be dumped, yet the run
+    # exits 2 for its violation and reports the dump failure on one line
+    body = SQ_CFG.replace("batch.num_paths = 60", "batch.num_paths = 4").replace(
+        "GTail, Telescoping, QueueTail", "KeyFeature")
+    cfg = _write(tmp_path, body)
+    out = tmp_path / "F"
+    out.write_text("")
+    assert main(["verify", "--config", cfg, "--dump-traces", "--chaos", "worst-action",
+                 "--out", str(out)]) == 2
+    seed = derive_seed(7, 0)
+    assert capsys.readouterr().err.splitlines() == [
+        f"INVARIANT VIOLATION: exact conditional expectation violated on path 0 (seed {seed}) "
+        "at slot 1: value 5.0",
+        f"replay: seed={seed} slot=1 T=300",
+        f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out / 'traces'}'",
+    ]
 
 
 def test_sweep_rows_and_monotone_checkpoints(tmp_path):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from helpers import (check_trace_laws, derive_seed, empirical_tail,
                      exact_conditional_dpp_expectation,
-                     exact_conditional_truncated_expectation, ragged_spec,
-                     reference_dpp_expectation, reference_kf_expectations,
+                     exact_conditional_truncated_expectation, non_lattice_spec,
+                     ragged_spec, reference_dpp_expectation, reference_kf_expectations,
                      reference_truncated_expectation, tight_step_spec, unchecked_spec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +16,7 @@ from dpp_lab import montecarlo
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
                               constants_for_horizon, convergence_time_multi)
 from dpp_lab.controller import ScoreTensor, run_path
-from dpp_lab.core import ProblemSpec
+from dpp_lab.core import LAW_TOL, ProblemSpec, trace_law_values
 from dpp_lab.events import builtin_spec, derive_seeds
 from dpp_lab.montecarlo import (CHUNK, BatchConfig, ChunkStats, InvariantViolation,
                                 run_batch, simulate_chunk, simulate_paths,
@@ -262,6 +262,132 @@ def test_lockstep_matches_scalar_engine_bitwise(name, key_feature, chaos):
         assert stats.final_qnorm[i] == np.sqrt(na2)
 
 
+class _ScoreLog:
+    """Wraps ``montecarlo.ScoreTensor`` for one chunk of ``n`` paths: the
+    queue vectors its transition table scored, and whether it handed over
+    (built the n-path tensor of the per-slot loop; a table batch holds fewer
+    than n states, as it hands over past n/2 entries)."""
+
+    def __init__(self, monkeypatch, n: int):
+        self.rows, self.handed_over = [], False
+        log = self
+
+        class Tensor(ScoreTensor):
+            def __init__(self, spec, N):
+                super().__init__(spec, N)
+                log.handed_over |= N == n
+
+            def choose(self, q, chaos):
+                if self.scores.shape[2] != n:
+                    log.rows += [row.tobytes() for row in np.column_stack(q)]
+                super().choose(q, chaos)
+        monkeypatch.setattr(montecarlo, "ScoreTensor", Tensor)
+
+
+def _outcome(spec, seeds, T, z_opt, consts, **kwargs):
+    """Every ChunkStats field's bytes, or the violation's replay fields."""
+    try:
+        stats = simulate_chunk(spec, seeds, 0, T, z_opt, consts, **kwargs)
+    except InvariantViolation as e:
+        return e.law, e.path_index, e.path_seed, e.slot, e.detail
+    return {f.name: None if getattr(stats, f.name) is None else getattr(stats, f.name).tobytes()
+            for f in fields(ChunkStats)}
+
+
+TABLE_SPECS = {**ENGINE_SPECS, "non_lattice": non_lattice_spec,
+               "tight": lambda: tight_step_spec(33.3, V=4e5)}
+VARIANTS = {"bare": {}, "KeyFeature": {"key_feature": True},
+            "skip-minimization": {"chaos": "skip-minimization"},
+            "worst-action": {"chaos": "worst-action"}}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+def test_table_matches_per_slot_loop(name, variant, monkeypatch):
+    # the chunk's own hand-over rule, a state cap of half its table (a
+    # mid-run hand-over) and a cap of 0 (the per-slot loop from slot 1) give
+    # the same bits
+    spec = TABLE_SPECS[name]()
+    sol = solve_stationary_optimum(spec)
+    N, T = 1024, 150
+    consts = constants_for_horizon(spec, sol.xi, T, 0.05)
+    seeds = derive_seeds(6, 0, N)
+    logs, outcomes = [], []
+    for cap in (montecarlo.TABLE_STATES, None, 0):
+        if cap is None:  # half the states the unforced run scored, rounded up
+            cap = half = (len(logs[0].rows) + 1) // 2
+        monkeypatch.setattr(montecarlo, "TABLE_STATES", cap)
+        logs.append(_ScoreLog(monkeypatch, N))
+        outcomes.append(_outcome(spec, seeds, T, sol.z_opt, consts, **VARIANTS[variant]))
+        assert len(logs[-1].rows) == len(set(logs[-1].rows)) <= cap
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    assert logs[1].handed_over == (logs[0].handed_over or len(logs[0].rows) > half)
+    assert logs[1].rows and logs[2].handed_over and not logs[2].rows
+
+
+def test_non_lattice_table_matches_per_slot_loop_without_hand_over(monkeypatch):
+    # four slots of a spec whose queue vectors do not repeat fit the table
+    spec = non_lattice_spec()
+    sol = solve_stationary_optimum(spec)
+    N, T = 1024, 4
+    consts = constants_for_horizon(spec, sol.xi, T, 0.05)
+    seeds = derive_seeds(6, 0, N)
+    log = _ScoreLog(monkeypatch, N)
+    table = _outcome(spec, seeds, T, sol.z_opt, consts, key_feature=True)
+    assert not log.handed_over and 64 < len(log.rows) == len(set(log.rows))
+    monkeypatch.setattr(montecarlo, "TABLE_STATES", 0)
+    assert _outcome(spec, seeds, T, sol.z_opt, consts, key_feature=True) == table
+
+
+@pytest.mark.parametrize("name", ["server", "single"])
+def test_builtin_chunk_scores_each_state_once(name, monkeypatch):
+    # a full chunk on a builtin runs over its table to the end, scoring each
+    # of a few hundred queue vectors once, so it never pays per-slot scoring
+    spec = ENGINE_SPECS[name]()
+    sol = solve_stationary_optimum(spec)
+    T = 500
+    log = _ScoreLog(monkeypatch, CHUNK)
+    simulate_chunk(spec, derive_seeds(2, 0, CHUNK), 0, T, sol.z_opt,
+                   constants_for_horizon(spec, sol.xi, T, 0.05), key_feature=True)
+    assert not log.handed_over
+    assert len(log.rows) == len(set(log.rows)) <= 300
+
+
+def test_non_lattice_chunk_hands_over_within_the_cap(monkeypatch):
+    spec = non_lattice_spec()
+    sol = solve_stationary_optimum(spec)
+    T = 200
+    log = _ScoreLog(monkeypatch, CHUNK)
+    simulate_chunk(spec, derive_seeds(2, 0, CHUNK), 0, T, sol.z_opt,
+                   constants_for_horizon(spec, sol.xi, T, 0.05))
+    assert log.handed_over
+    assert len(log.rows) == len(set(log.rows)) <= min(montecarlo.TABLE_STATES, CHUNK // 2)
+
+
+def test_stopped_flag_counts_only_before_the_stop(sv_spec, sv_solution, monkeypatch):
+    # with c2 understated to 10.5 and c1 = 13.1, path 930 takes a (state,
+    # event) entry with |dX| = 11 after its stop, at slot 52, and path 864
+    # takes the same entry before its stop, at slot 56: only the latter fails
+    T, N = 80, 1024
+    consts = replace(constants_for_horizon(sv_spec, sv_solution.xi, T, 0.05),
+                     c1=13.1, c2=10.5)
+    seeds = derive_seeds(11, 0, N)
+    taken = []
+    for i, t in ((930, 52), (864, 56)):
+        tr = run_path(sv_spec, int(seeds[i]), t)
+        dx = sv_spec.V * (tr.z0[-1] - sv_solution.z_opt) + trace_law_values(tr).qz[-1]
+        stopped = bool(np.max(np.sqrt(np.sum(tr.q_before ** 2, axis=1))) > consts.c1)
+        taken.append((tr.q_before[-1].tolist(), int(tr.event_ids[-1]), float(dx), stopped))
+    assert taken[0][:3] == taken[1][:3] and abs(taken[0][2]) > consts.c2 + LAW_TOL
+    assert [stopped for *_, stopped in taken] == [True, False]
+    for cap in (montecarlo.TABLE_STATES, 0):
+        monkeypatch.setattr(montecarlo, "TABLE_STATES", cap)
+        log = _ScoreLog(monkeypatch, N)
+        assert _outcome(sv_spec, seeds, T, sv_solution.z_opt, consts) == (
+            "stopped process difference bound", 864, int(seeds[864]), 56, "11.0 exceeds 10.5")
+        assert log.handed_over == (cap == 0)
+
+
 @pytest.mark.parametrize("chaos", [None, "skip-minimization", "worst-action"])
 @pytest.mark.parametrize("name", sorted(ENGINE_SPECS))
 def test_score_tensor_expectations_match_per_event_loop(name, chaos):
@@ -381,9 +507,22 @@ def test_quadratic_drift_bound_survives_queue_update_rounding():
 
 
 def _engine_violation(spec, consts, z_opt, *, key_feature=False):
-    seeds = np.asarray([derive_seed(5, i) for i in range(64)], dtype=np.uint64)
-    with pytest.raises(InvariantViolation) as err:
-        simulate_chunk(spec, seeds, 0, 300, z_opt, consts, key_feature=key_feature)
+    """The violation of a 64-path chunk.  It and that of a 4096-path chunk,
+    whose table lasts to the violation, are the same with the table and
+    with the per-slot loop from slot 1."""
+    for n in (4096, 64):
+        seeds = np.asarray([derive_seed(5, i) for i in range(n)], dtype=np.uint64)
+        found = []
+        for cap in (montecarlo.TABLE_STATES, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(montecarlo, "TABLE_STATES", cap)
+                log = _ScoreLog(mp, n)
+                with pytest.raises(InvariantViolation) as err:
+                    simulate_chunk(spec, seeds, 0, 300, z_opt, consts, key_feature=key_feature)
+            e = err.value
+            found.append((e.law, e.path_index, e.path_seed, e.slot, e.detail))
+            assert log.handed_over == (cap == 0) or n == 64
+        assert found[0] == found[1]
     assert err.value.path_seed == int(seeds[err.value.path_index])
     return err.value
 
