@@ -7,7 +7,7 @@ distribution live in :mod:`dpp_lab.oracle`.
 Float evaluation order is pinned: an action's score is ``V*z0`` followed by
 ``+= q[l]*z[l]`` for l ascending.  :class:`ScoreTensor`, the one vectorized
 scorer, keeps that order for a batch of queue states: the new states of the
-lockstep engine's transition table, its paths once a chunk hands over, or
+lockstep engine's transition table, its paths once a batch hands over, or
 :func:`run_path`'s chaos rule.
 :func:`run_path`'s honest rule replays it in plain Python, so the engines
 agree bit for bit.
@@ -59,7 +59,7 @@ def pick_actions(scores: np.ndarray, chaos: str | None = None) -> np.ndarray:
 
 
 class ScoreTensor:
-    """Every (event, action) score of N queue states (a chunk's paths, its
+    """Every (event, action) score of N queue states (a batch's paths, its
     table's new states, or one queue vector), shape (W, K, N), states
     contiguous, in buffers allocated once, and each event's action from it.
     The +inf z0 padding of :attr:`ProblemSpec.action_table` never wins."""

@@ -180,7 +180,7 @@ def row_norm_sq(x: np.ndarray) -> np.ndarray:
 # the deterministic per-path laws
 #
 # One ordered table serves the lockstep engine (evaluated each slot over the
-# paths of a chunk) and stored traces (evaluated over the slots of one path).
+# paths of a batch) and stored traces (evaluated over the slots of one path).
 # A law holds where lhs <= rhs + tol, so a NaN on either side fails.  All
 # three read one namespace:
 #   norm_before, norm_after  queue norm at the start and the end of the slot

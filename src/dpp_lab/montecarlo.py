@@ -1,17 +1,17 @@
 """Batch execution of independent sample paths with online law checking.
 
-Paths run in lockstep inside fixed-size chunks: one numpy step per slot,
-vectorized over the paths of the chunk.  Per-path seeds derive from the
-master seed by a splittable hash and no path depends on another, so batch
-statistics are invariant to chunking.  A batch runs its fixed-size chunks
-in order.  A theorem check's calibration and validation paths run as one
-batch, so the engine's fixed per-slot cost is paid once per theorem.
+A batch's paths run in lockstep: one numpy step per slot, vectorized over
+every path of the batch.  Per-path seeds derive from the master seed by a
+splittable hash and no path depends on another, so a path's results do not
+depend on which other seeds share its batch.  A theorem check's calibration
+and validation paths run as one batch, so the engine's fixed per-slot cost
+is paid once per theorem.
 
 A decision and every per-slot law input depend only on the queue vector and
-the realized event, so a chunk runs over a transition table: each new
+the realized event, so a batch runs over a transition table: each new
 queue vector is scored once under every event by
 :class:`dpp_lab.controller.ScoreTensor`, and a slot gathers each path's
-(state, event) entry.  Once new states come too fast, the chunk hands over
+(state, event) entry.  Once new states come too fast, the batch hands over
 to scoring every event of every path each slot.  The tensor's float order
 is the scalar path engine's, so the engines agree bit for bit on every
 per-path quantity, in either phase.
@@ -21,10 +21,10 @@ KeyFeature check, the exact conditional expectations) hold on every slot up
 to float slack only (:attr:`dpp_lab.core.Law.tol`, 1e-9 for the
 expectations), or the batch aborts with the offending path's seed and slot
 for replay: its earliest violation by slot, then check order (KeyFeature,
-then the law table), then path index, whatever the chunk size.  Identities
-that no input can break (the minimality of the chosen action, the queue
-update, the stopped process agreeing with the unstopped one until the stop)
-are covered by property tests instead.
+then the law table), then path index.  Identities that no input can break
+(the minimality of the chosen action, the queue update, the stopped process
+agreeing with the unstopped one until the stop) are covered by property
+tests instead.
 
 Statistical checks compare the Wilson interval of an empirical frequency
 against the theoretical bound and fail only when the interval excludes the
@@ -46,20 +46,17 @@ from .analysis import (BoundConstants, calibrated_deviation_level,
                        convergence_time_multi, convergence_time_single,
                        g_tail_bound, queue_tail_bound, xtail_bound)
 from .controller import ScoreTensor
-from .core import LAW_TOL, LAWS, ProblemSpec, first_true_row, laws_for, row_norm_sq
+from .core import LAW_TOL, ProblemSpec, first_true_row, laws_for, row_norm_sq
 from .events import cumulative_probabilities, derive_seeds, event_ids, uniform_across
 from .oracle import solve_stationary_optimum
 
 WILSON_Z = 1.96  # 95 percent score interval
-CHUNK = 4096
 
 ALL_CHECKS = ("KeyFeature", "QueueTail", "XTail", "GTail", "Telescoping",
               "Theorem2", "Theorem3")
 _SINGLE_ONLY = {"GTail", "Telescoping", "Theorem3"}
 _KF_LAWS = ("exact conditional expectation",
             "exact truncated conditional expectation")
-# the order in which the engine checks the laws of one slot
-_LAW_ORDER = _KF_LAWS + tuple(law.name for law in LAWS)
 
 
 class InvariantViolation(Exception):
@@ -68,8 +65,8 @@ class InvariantViolation(Exception):
     horizon ``T`` and ``V`` of the run that raised it (a theorem check runs at
     its own horizon with V = 1/epsilon)."""
 
-    def __init__(self, law: str, path_index: int, path_seed: int, slot: int, detail: str = "",
-                 *, T: int | None = None, V: float | None = None):
+    def __init__(self, law: str, path_index: int, path_seed: int, slot: int, detail: str,
+                 *, T: int, V: float):
         self.law = law
         self.path_index = path_index
         self.path_seed = path_seed
@@ -78,8 +75,7 @@ class InvariantViolation(Exception):
         self.T = T
         self.V = V
         super().__init__(
-            f"{law} violated on path {path_index} (seed {path_seed}) at slot {slot}"
-            + (f": {detail}" if detail else ""))
+            f"{law} violated on path {path_index} (seed {path_seed}) at slot {slot}: {detail}")
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
@@ -111,16 +107,8 @@ class ChunkStats:
     tele_avg: np.ndarray | None
     final_qnorm: np.ndarray
 
-    @staticmethod
-    def concat(parts: list["ChunkStats"]) -> "ChunkStats":
-        out = {}
-        for f in fields(ChunkStats):
-            items = [getattr(p, f.name) for p in parts]
-            out[f.name] = None if items[0] is None else np.concatenate(items)
-        return ChunkStats(**out)
 
-
-TABLE_STATES = 1 << 13  # the most queue vectors a chunk's table scores
+TABLE_STATES = 1 << 13  # the most queue vectors a batch's table scores
 TABLE_BLOCK = 16        # slots per block of the table's hand-over rule
 
 
@@ -169,7 +157,7 @@ def _room(a: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Table:
-    """A chunk's transition table: queue vectors numbered as first visited,
+    """A batch's transition table: queue vectors numbered as first visited,
     keyed by their bytes (state 0 is the empty queue), and entry s*W + e for
     state s under event e, filled for new states by one :func:`_decide`.
 
@@ -234,10 +222,10 @@ class _Table:
         self.n_scored = hi
 
 
-def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: int,
-                   z_opt: float, constants: BoundConstants, *,
+def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
+                   constants: BoundConstants, *,
                    chaos: str | None = None, key_feature: bool = False) -> ChunkStats:
-    """Run a chunk of paths in lockstep, enforcing every deterministic
+    """Run the paths of ``seeds`` in lockstep, enforcing every deterministic
     per-path law as it goes.  ``seeds`` must be uint64.
 
     Each slot adds every path's :class:`_Table` entry to the path's sums,
@@ -245,11 +233,14 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
     stopped-process flag counts while ``max_qnorm <= c1``).  The states the
     paths enter are scored before the next slot, unless the entries scored
     since the start of a :data:`TABLE_BLOCK`-slot block would pass half the
-    chunk's N paths, or the table :data:`TABLE_STATES` states: the chunk
-    then hands over, from the paths' queue vectors, to deciding each path's
-    slot afresh, every event scored.  The table's arrays stay below
-    2*(TABLE_STATES*W*(16L + 58) + (TABLE_STATES + N)*(8L + 32)) bytes,
-    15 MiB at W = 8, L = 3, N = 4096.  Both phases give the same bits."""
+    N paths, or the table :data:`TABLE_STATES` states: the run then hands
+    over, from the paths' queue vectors, to deciding each path's slot
+    afresh, every event scored.  Both phases give the same bits.  The
+    table's arrays stay below 2*(TABLE_STATES*W*(16L + 58) + (TABLE_STATES
+    + N)*(8L + 32)) bytes, 15 MiB at W = 8, L = 3, N = 10^4.  Besides, peak
+    RSS grows by about 220 bytes per path in the table phase (the server
+    builtin) and 700 in the per-slot phase (``tests/helpers.non_lattice_spec``),
+    measured at 10^4 and 10^5 paths."""
     N = seeds.shape[0]
     cum = cumulative_probabilities(spec)
     L, V, B, W = spec.L, spec.V, spec.B, len(spec.events)
@@ -276,7 +267,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
         q1_at_nJ = np.zeros(N)
 
     def fail(law: str, i: int, t: int, detail: str) -> None:
-        raise InvariantViolation(law, path_offset + i, int(seeds[i]), t, detail, T=T, V=V)
+        raise InvariantViolation(law, i, int(seeds[i]), t, detail, T=T, V=V)
 
     def enforce(laws, v, t: int) -> None:
         for law in laws:
@@ -389,21 +380,11 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, path_offset: int, T: in
 def simulate_paths(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
                    constants: BoundConstants, *, chaos: str | None = None,
                    key_feature: bool = False) -> ChunkStats:
-    """All paths of a batch, path i from ``seeds[i]`` (uint64), run in chunks
-    of :data:`CHUNK` paths in order.  A chunk stops at its own first
-    violation, and a later chunk may fail at an earlier slot, so all chunks
-    run before the earliest is raised."""
-    parts, first = [], None
-    for lo in range(0, len(seeds), CHUNK):
-        try:
-            parts.append(simulate_chunk(spec, seeds[lo:lo + CHUNK], lo, T, z_opt,
-                                        constants, chaos=chaos, key_feature=key_feature))
-        except InvariantViolation as e:
-            # keep only the earliest, freeing the other chunks; a tie keeps the lower path
-            first = min((first or e, e), key=lambda v: (v.slot, _LAW_ORDER.index(v.law)))
-    if first is not None:
-        raise first
-    return ChunkStats.concat(parts)
+    """All paths of a batch, path i from ``seeds[i]`` (uint64), in one
+    lockstep run, which raises the batch's earliest violation."""
+    # a name of its own, called once, as perfbench's tracer patches both by name
+    return simulate_chunk(spec, seeds, T, z_opt, constants, chaos=chaos,
+                          key_feature=key_feature)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
 from dpp_lab.controller import ScoreTensor, run_path
 from dpp_lab.core import LAW_TOL, ProblemSpec, trace_law_values
 from dpp_lab.events import builtin_spec, derive_seeds
-from dpp_lab.montecarlo import (CHUNK, BatchConfig, ChunkStats, InvariantViolation,
-                                run_batch, simulate_chunk, simulate_paths,
-                                wilson_interval)
+from dpp_lab.montecarlo import (BatchConfig, ChunkStats, InvariantViolation, run_batch,
+                                simulate_paths, wilson_interval)
 from dpp_lab.oracle import solve_stationary_optimum
 from dpp_lab.schema import load_schema, validate
 
@@ -85,75 +84,56 @@ ENGINE_SPECS = {
 }
 
 
-def _split_run(spec, master_seed, cuts, T, z_opt, consts):
-    """simulate_paths' paths run as simulate_chunk pieces cut at ``cuts``."""
-    seeds = np.asarray([derive_seed(master_seed, i) for i in range(cuts[-1])],
-                       dtype=np.uint64)
-    return ChunkStats.concat([simulate_chunk(spec, seeds[lo:hi], lo, T, z_opt, consts)
-                              for lo, hi in zip(cuts, cuts[1:])])
-
-
-def _assert_stats_equal(a, b):
+def _assert_rows_equal(whole, lo, part):
+    """Every ChunkStats field of ``part`` is bit-equal to rows ``lo:`` of
+    ``whole``'s."""
     for f in fields(ChunkStats):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        assert (x is None and y is None) or x.tobytes() == y.tobytes(), f.name
+        x, y = getattr(whole, f.name), getattr(part, f.name)
+        assert (x is None and y is None) or x[lo:lo + len(y)].tobytes() == y.tobytes(), f.name
 
 
-CUTS = (0, 1000, 7000, 2 * CHUNK + 17)  # a split other than simulate_paths' own
+CUTS = (0, 1000, 7000, 8209)  # a split of the seeds into uneven pieces
 
 
 @pytest.mark.parametrize("name", ["server", "single"])
 def test_batch_is_invariant_to_chunking(name):
+    # each piece of a split of the seeds, run as its own batch, gives the
+    # whole batch's per-path bits
     spec = ENGINE_SPECS[name]()
     sol = solve_stationary_optimum(spec)
     T = 52
     consts = constants_for_horizon(spec, sol.xi_star / 2, T, 0.05)
-    whole = simulate_paths(spec, derive_seeds(1, 0, CUTS[-1]), T, sol.z_opt, consts)
-    _assert_stats_equal(whole, _split_run(spec, 1, CUTS, T, sol.z_opt, consts))
+    seeds = derive_seeds(1, 0, CUTS[-1])
+    whole = simulate_paths(spec, seeds, T, sol.z_opt, consts)
+    for lo, hi in zip(CUTS, CUTS[1:]):
+        _assert_rows_equal(whole, lo, simulate_paths(spec, seeds[lo:hi], T, sol.z_opt, consts))
 
 
 def test_violation_path_index_is_invariant_to_chunking(sv_spec, sv_solution):
-    # a B understated by 0.1% trips on one rare path of the second chunk of
-    # 4096 and the third piece of CUTS: both runs name the same global path
+    # a B understated by 0.1% trips on one rare path of the third piece of
+    # CUTS: that piece names the same seed, slot and detail, with the path's
+    # index counted within the piece, and the other pieces run clean
     T = 52
     consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2, T, 0.05)
     spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.999)
-    found = []
     seeds = derive_seeds(1, 0, CUTS[-1])
-    for run in (lambda: simulate_paths(spec, seeds, T, sv_solution.z_opt, consts),
-                lambda: _split_run(spec, 1, CUTS, T, sv_solution.z_opt, consts)):
-        with pytest.raises(InvariantViolation) as err:
-            run()
-        e = err.value
-        found.append((e.law, e.path_index, e.path_seed, e.slot, e.detail))
-    assert found[0] == found[1]
-    assert found[0][:4] == ("quadratic drift bound", 7121, derive_seed(1, 7121), 51)
+    with pytest.raises(InvariantViolation) as err:
+        simulate_paths(spec, seeds, T, sv_solution.z_opt, consts)
+    e = err.value
+    whole = (e.law, e.path_index, e.path_seed, e.slot, e.detail)
+    assert whole[:4] == ("quadratic drift bound", 7121, derive_seed(1, 7121), 51)
+    for lo, hi in zip(CUTS[:2], CUTS[1:3]):
+        simulate_paths(spec, seeds[lo:hi], T, sv_solution.z_opt, consts)
+    with pytest.raises(InvariantViolation) as err:
+        simulate_paths(spec, seeds[CUTS[2]:], T, sv_solution.z_opt, consts)
+    e = err.value
+    assert (e.law, CUTS[2] + e.path_index, e.path_seed, e.slot, e.detail) == whole
 
 
-def test_earliest_violation_is_invariant_to_chunk_size(sv_spec, sv_solution, monkeypatch):
-    # with B understated by 1%, paths 0-999 first fail at slot 57 (path 911)
-    # but path 2001 fails at slot 55: every chunk size must report path 2001
-    T = 60
-    consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2, T, 0.05)
-    spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.99)
-    found = set()
-    for chunk in (1000, 2000, 4096, 8192):
-        monkeypatch.setattr(montecarlo, "CHUNK", chunk)
-        with pytest.raises(InvariantViolation) as err:
-            simulate_paths(spec, derive_seeds(8, 0, 8192), T, sv_solution.z_opt, consts)
-        e = err.value
-        found.add((e.law, e.path_index, e.path_seed, e.slot, e.detail))
-    assert len(found) == 1
-    assert next(iter(found))[:4] == ("quadratic drift bound", 2001, derive_seed(8, 2001), 55)
-
-
-@pytest.mark.parametrize("chunk", [CHUNK, 7])
 @pytest.mark.parametrize("name", sorted(ENGINE_SPECS))
-def test_merged_seed_sets_match_separate_calls(name, chunk, monkeypatch):
-    # a theorem check's calibration and validation seeds run as one batch,
-    # also with a chunk that straddles the two; each set's per-path results
-    # are bit-equal to its own call
-    monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+def test_merged_seed_sets_match_separate_calls(name):
+    # a theorem check's calibration and validation seeds run as one batch;
+    # each set's per-path results are bit-equal to its own call
     spec = ENGINE_SPECS[name]()
     sol = solve_stationary_optimum(spec)
     T = 120
@@ -162,10 +142,7 @@ def test_merged_seed_sets_match_separate_calls(name, chunk, monkeypatch):
     both = simulate_paths(spec, np.concatenate(sets), T, sol.z_opt, consts)
     assert both.avg_obj.shape == (16,)
     for lo, seeds in zip((0, 5), sets):
-        alone = simulate_paths(spec, seeds, T, sol.z_opt, consts)
-        for f in fields(ChunkStats):
-            x, y = getattr(both, f.name), getattr(alone, f.name)
-            assert (x is None and y is None) or x[lo:lo + len(seeds)].tobytes() == y.tobytes()
+        _assert_rows_equal(both, lo, simulate_paths(spec, seeds, T, sol.z_opt, consts))
 
 
 @pytest.mark.parametrize("seed,expected", [
@@ -198,19 +175,31 @@ def test_theorem_violation_names_its_own_set(sv_spec, monkeypatch, seed, expecte
     assert str(alone.value) == str(e)
 
 
-def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, monkeypatch):
-    raised = {0: InvariantViolation("quadratic drift bound", 1, 0, 7),
-              2: InvariantViolation("queue norm step bound", 2, 0, 7),
-              4: InvariantViolation("queue norm step bound", 5, 0, 7),
-              6: InvariantViolation("exact conditional expectation", 6, 0, 8)}
-
-    def fail(spec, seeds, path_offset, *args, **kwargs):
-        raise raised[path_offset]
-    monkeypatch.setattr(montecarlo, "CHUNK", 2)
-    monkeypatch.setattr(montecarlo, "simulate_chunk", fail)
-    with pytest.raises(InvariantViolation) as err:
-        simulate_paths(sv_spec, derive_seeds(1, 0, 8), 10, 0.0, None)
-    assert err.value is raised[2]
+def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, sv_solution):
+    # slot first: with B understated by 1%, path 911 alone fails at slot 57
+    # and path 2001 alone at slot 55, and an 8192-path batch names path 2001
+    T = 60
+    consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2, T, 0.05)
+    spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.99)
+    seeds = derive_seeds(8, 0, 8192)
+    drift = "quadratic drift bound"
+    for i, slot in ((911, 57), (2001, 55)):
+        assert _outcome(spec, seeds[i:i + 1], T, sv_solution.z_opt, consts)[:4] == (
+            drift, 0, int(seeds[i]), slot)
+    assert _outcome(spec, seeds, T, sv_solution.z_opt, consts)[:4] == (
+        drift, 2001, int(seeds[2001]), 55)
+    # then law, then path: with B halved and z_max a hundredth, path 0 alone
+    # fails the stopped process difference bound at slot 1, and paths 1 and 7
+    # the earlier queue norm step bound there; the batch names path 1
+    spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.5, z_max=sv_spec.z_max / 100.0)
+    consts = compute_constants(spec, sv_solution.xi_star / 2.0, c1=0.01)
+    seeds = derive_seeds(5, 0, 16)
+    step = "queue norm step bound"
+    for i, law in ((0, "stopped process difference bound"), (1, step), (7, step)):
+        assert _outcome(spec, seeds[i:i + 1], T, sv_solution.z_opt, consts)[:4] == (
+            law, 0, int(seeds[i]), 1)
+    assert _outcome(spec, seeds, T, sv_solution.z_opt, consts)[:4] == (
+        step, 1, int(seeds[1]), 1)
 
 
 def test_single_path_batch_matches_direct_run(sv_spec, sv_solution):
@@ -263,7 +252,7 @@ def test_lockstep_matches_scalar_engine_bitwise(name, key_feature, chaos):
 
 
 class _ScoreLog:
-    """Wraps ``montecarlo.ScoreTensor`` for one chunk of ``n`` paths: the
+    """Wraps ``montecarlo.ScoreTensor`` for one batch of ``n`` paths: the
     queue vectors its transition table scored, and whether it handed over
     (built the n-path tensor of the per-slot loop; a table batch holds fewer
     than n states, as it hands over past n/2 entries)."""
@@ -287,7 +276,7 @@ class _ScoreLog:
 def _outcome(spec, seeds, T, z_opt, consts, **kwargs):
     """Every ChunkStats field's bytes, or the violation's replay fields."""
     try:
-        stats = simulate_chunk(spec, seeds, 0, T, z_opt, consts, **kwargs)
+        stats = simulate_paths(spec, seeds, T, z_opt, consts, **kwargs)
     except InvariantViolation as e:
         return e.law, e.path_index, e.path_seed, e.slot, e.detail
     return {f.name: None if getattr(stats, f.name) is None else getattr(stats, f.name).tobytes()
@@ -304,7 +293,7 @@ VARIANTS = {"bare": {}, "KeyFeature": {"key_feature": True},
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("name", sorted(TABLE_SPECS))
 def test_table_matches_per_slot_loop(name, variant, monkeypatch):
-    # the chunk's own hand-over rule, a state cap of half its table (a
+    # the batch's own hand-over rule, a state cap of half its table (a
     # mid-run hand-over) and a cap of 0 (the per-slot loop from slot 1) give
     # the same bits
     spec = TABLE_SPECS[name]()
@@ -341,27 +330,29 @@ def test_non_lattice_table_matches_per_slot_loop_without_hand_over(monkeypatch):
 
 @pytest.mark.parametrize("name", ["server", "single"])
 def test_builtin_chunk_scores_each_state_once(name, monkeypatch):
-    # a full chunk on a builtin runs over its table to the end, scoring each
-    # of a few hundred queue vectors once, so it never pays per-slot scoring
+    # a batch on a builtin runs over one table to the end, scoring each of a
+    # few hundred queue vectors once, so it never pays per-slot scoring; on
+    # the server builtin, an 8192-path batch too
     spec = ENGINE_SPECS[name]()
     sol = solve_stationary_optimum(spec)
     T = 500
-    log = _ScoreLog(monkeypatch, CHUNK)
-    simulate_chunk(spec, derive_seeds(2, 0, CHUNK), 0, T, sol.z_opt,
-                   constants_for_horizon(spec, sol.xi, T, 0.05), key_feature=True)
-    assert not log.handed_over
-    assert len(log.rows) == len(set(log.rows)) <= 300
+    consts = constants_for_horizon(spec, sol.xi, T, 0.05)
+    for n in (4096, 8192) if name == "server" else (4096,):
+        log = _ScoreLog(monkeypatch, n)
+        simulate_paths(spec, derive_seeds(2, 0, n), T, sol.z_opt, consts, key_feature=True)
+        assert not log.handed_over
+        assert len(log.rows) == len(set(log.rows)) <= 300
 
 
 def test_non_lattice_chunk_hands_over_within_the_cap(monkeypatch):
     spec = non_lattice_spec()
     sol = solve_stationary_optimum(spec)
-    T = 200
-    log = _ScoreLog(monkeypatch, CHUNK)
-    simulate_chunk(spec, derive_seeds(2, 0, CHUNK), 0, T, sol.z_opt,
+    N, T = 4096, 200
+    log = _ScoreLog(monkeypatch, N)
+    simulate_paths(spec, derive_seeds(2, 0, N), T, sol.z_opt,
                    constants_for_horizon(spec, sol.xi, T, 0.05))
     assert log.handed_over
-    assert len(log.rows) == len(set(log.rows)) <= min(montecarlo.TABLE_STATES, CHUNK // 2)
+    assert len(log.rows) == len(set(log.rows)) <= min(montecarlo.TABLE_STATES, N // 2)
 
 
 def test_stopped_flag_counts_only_before_the_stop(sv_spec, sv_solution, monkeypatch):
@@ -394,7 +385,7 @@ def test_score_tensor_expectations_match_per_event_loop(name, chaos):
     # random queue states, integer-valued ones too (exact score ties), and
     # random truncation caps: the tensor gives the reference loop's
     # expectations bit for bit, and so does a 1-state tensor on each state,
-    # so the event sums do not depend on the chunk size
+    # so the event sums do not depend on the number of states
     spec = ENGINE_SPECS[name]()
     rng = np.random.default_rng(2024)
     N, z_opt = 500, solve_stationary_optimum(spec).z_opt
@@ -507,7 +498,7 @@ def test_quadratic_drift_bound_survives_queue_update_rounding():
 
 
 def _engine_violation(spec, consts, z_opt, *, key_feature=False):
-    """The violation of a 64-path chunk.  It and that of a 4096-path chunk,
+    """The violation of a 64-path batch.  It and that of a 4096-path batch,
     whose table lasts to the violation, are the same with the table and
     with the per-slot loop from slot 1."""
     for n in (4096, 64):
@@ -518,7 +509,7 @@ def _engine_violation(spec, consts, z_opt, *, key_feature=False):
                 mp.setattr(montecarlo, "TABLE_STATES", cap)
                 log = _ScoreLog(mp, n)
                 with pytest.raises(InvariantViolation) as err:
-                    simulate_chunk(spec, seeds, 0, 300, z_opt, consts, key_feature=key_feature)
+                    simulate_paths(spec, seeds, 300, z_opt, consts, key_feature=key_feature)
             e = err.value
             found.append((e.law, e.path_index, e.path_seed, e.slot, e.detail))
             assert log.handed_over == (cap == 0) or n == 64
