@@ -175,9 +175,11 @@ def test_theorem_violation_names_its_own_set(sv_spec, monkeypatch, seed, expecte
     assert str(alone.value) == str(e)
 
 
-def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, sv_solution):
+def test_earliest_violation_is_invariant_to_chunk_size(sv_spec, sv_solution):
     # slot first: with B understated by 1%, path 911 alone fails at slot 57
-    # and path 2001 alone at slot 55, and an 8192-path batch names path 2001
+    # and path 2001 alone at slot 55; paths 0-999 as a batch name path 911,
+    # and every batch that holds path 2001 names it, however many paths
+    # follow it in the one lockstep run
     T = 60
     consts = constants_for_horizon(sv_spec, sv_solution.xi_star / 2, T, 0.05)
     spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.99)
@@ -186,11 +188,20 @@ def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, sv_solution):
     for i, slot in ((911, 57), (2001, 55)):
         assert _outcome(spec, seeds[i:i + 1], T, sv_solution.z_opt, consts)[:4] == (
             drift, 0, int(seeds[i]), slot)
-    assert _outcome(spec, seeds, T, sv_solution.z_opt, consts)[:4] == (
-        drift, 2001, int(seeds[2001]), 55)
+    assert _outcome(spec, seeds[:1000], T, sv_solution.z_opt, consts)[:4] == (
+        drift, 911, int(seeds[911]), 57)
+    found = {_outcome(spec, seeds[:n], T, sv_solution.z_opt, consts)
+             for n in (2002, 4096, 8192)}
+    assert len(found) == 1
+    assert next(iter(found))[:4] == (drift, 2001, derive_seed(8, 2001), 55)
+
+
+def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, sv_solution):
+    # slot order is test_earliest_violation_is_invariant_to_chunk_size's;
     # then law, then path: with B halved and z_max a hundredth, path 0 alone
     # fails the stopped process difference bound at slot 1, and paths 1 and 7
     # the earlier queue norm step bound there; the batch names path 1
+    T = 60
     spec = unchecked_spec(sv_spec, B=sv_spec.B * 0.5, z_max=sv_spec.z_max / 100.0)
     consts = compute_constants(spec, sv_solution.xi_star / 2.0, c1=0.01)
     seeds = derive_seeds(5, 0, 16)
