@@ -11,10 +11,11 @@ A decision and every per-slot law input depend only on the queue vector and
 the realized event, so a batch runs over a transition table: each new
 queue vector is scored once under every event by
 :class:`dpp_lab.controller.ScoreTensor`, and a slot gathers each path's
-(state, event) entry.  Once new states come too fast, the batch hands over
-to scoring every event of every path each slot.  The tensor's float order
-is the scalar path engine's, so the engines agree bit for bit on every
-per-path quantity, in either phase.
+(state, event) entry.  Once new states come too fast, or a path takes an
+entry where a law fails, the batch hands over to scoring every event of
+every path each slot, the one loop that reports a violation.  The tensor's
+float order is the scalar path engine's, so the engines agree bit for bit
+on every per-path quantity, in either phase.
 
 The deterministic per-path laws of :data:`dpp_lab.core.LAWS` (and, for the
 KeyFeature check, the exact conditional expectations) hold on every slot up
@@ -46,7 +47,7 @@ from .analysis import (BoundConstants, calibrated_deviation_level,
                        convergence_time_multi, convergence_time_single,
                        g_tail_bound, queue_tail_bound, xtail_bound)
 from .controller import ScoreTensor
-from .core import LAW_TOL, ProblemSpec, first_true_row, laws_for, row_norm_sq
+from .core import LAW_TOL, Law, ProblemSpec, first_true_row, laws_for, row_norm_sq
 from .events import cumulative_probabilities, derive_seeds, event_ids, uniform_across
 from .oracle import solve_stationary_optimum
 
@@ -55,8 +56,10 @@ WILSON_Z = 1.96  # 95 percent score interval
 ALL_CHECKS = ("KeyFeature", "QueueTail", "XTail", "GTail", "Telescoping",
               "Theorem2", "Theorem3")
 _SINGLE_ONLY = {"GTail", "Telescoping", "Theorem3"}
-_KF_LAWS = ("exact conditional expectation",
-            "exact truncated conditional expectation")
+# the KeyFeature laws: a state's expectation (truncated, when the cap clears
+# one step) at most 0 up to LAW_TOL
+_KF_LAWS = (Law("exact conditional expectation", lambda v: v.expect, lambda v: 0.0),
+            Law("exact truncated conditional expectation", lambda v: v.etr, lambda v: 0.0))
 
 
 class InvariantViolation(Exception):
@@ -95,7 +98,7 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ChunkStats:
+class PathStats:
     avg_obj: np.ndarray
     avg_cons: np.ndarray          # (N, L)
     x_final: np.ndarray
@@ -118,32 +121,38 @@ def _decide(tensor: ScoreTensor, q, nb2, norm, ids, c) -> SimpleNamespace:
     ``nb2``, norms ``norm``) under their events ``ids`` or, with ``ids``
     None, under every event (W*N pairs, event-major).  ``c`` holds the laws'
     constants and the run's switches.  The result's ``q`` is the next queue
-    vector; with KeyFeature on, ``expect`` and ``etr`` are the queue
-    vectors' exact conditional expectations."""
+    vector and ``sums`` what the slot adds to the path sums, one row each:
+    z0, z_1..z_L, dx and, for one constraint, dg and tz.  With KeyFeature
+    on, ``expect`` and ``etr`` are the queue vectors' exact conditional
+    expectations."""
     tensor.choose(q, c.chaos)
     v = SimpleNamespace(**vars(c))
     trunc = np.minimum(q[0], c.cap) if c.L == 1 else None
     if c.key_feature:
-        v.expect, v.etr = tensor.expectations(c.z_opt, trunc if c.trunc_kf else None)
+        v.expect, v.etr = tensor.expectations(c.z_opt, trunc if c.cap_clears_step else None)
     if ids is None:
         W = tensor.scores.shape[0]
-        z0, *z = tensor.every_event()
+        decision = tensor.every_event()
         q, nb2, norm = [np.tile(ql, W) for ql in q], np.tile(nb2, W), np.tile(norm, W)
         trunc = None if trunc is None else np.tile(trunc, W)
     else:
-        z0, *z = tensor.realized(ids)
+        decision = tensor.realized(ids)
+    z0, *z = decision
     dot, na2, v.q = np.zeros(len(z0)), np.zeros(len(z0)), []
     for ql, zl in zip(q, z):
         dot += ql * zl
         v.q.append(np.maximum(ql + zl, 0.0))
         na2 += v.q[-1] * v.q[-1]
     penalty = c.V * (z0 - c.z_opt)
-    v.z0, v.z, v.dx = z0, z, penalty + dot
+    v.dx = penalty + dot
+    rows = [decision, v.dx]
+    if trunc is not None:
+        tz = trunc * z[0]
+        v.dg = penalty + tz
+        rows += [v.dg, tz]
+    v.sums = np.vstack(rows)
     v.norm_before, v.norm_after = norm, np.sqrt(na2)
     v.nb2, v.na2, v.drift, v.qz = nb2, na2, 0.5 * (na2 - nb2), dot
-    if trunc is not None:
-        v.tz = trunc * z[0]
-        v.dg = penalty + v.tz
     return v
 
 
@@ -157,24 +166,24 @@ def _room(a: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Table:
-    """A batch's transition table: queue vectors numbered as first visited,
-    keyed by their bytes (state 0 is the empty queue), and entry s*W + e for
-    state s under event e, filled for new states by one :func:`_decide`.
+    """A batch's transition table, a cache of :func:`_decide`: queue vectors
+    numbered as first visited, keyed by their bytes (state 0 is the empty
+    queue), and entry s*W + e for state s under event e, filled for all new
+    states by one call.
 
-    Rows of ``st`` (per state): norm, squared norm, the two KeyFeature
-    expectations, q_1..q_L.  Rows of ``ev`` (per entry): the next queue
-    vector, q.z, drift, z0, z_1..z_L, dx and, for one constraint, dg and tz;
+    Rows of ``st`` (per state): norm, squared norm, q_1..q_L.  Rows of
+    ``ev`` (per entry): the next queue vector, then the slot's ``sums``;
     ``nxt`` is the next state (-1 until a path takes the entry).  Rows of
-    ``bad``: whether a slot law or the state's KeyFeature expectation fails
-    there for a running path, and for a stopped one (dy = 0)."""
+    ``bad``: whether one of ``laws`` fails there for a running path, and for
+    a stopped one (dy = 0)."""
 
     def __init__(self, spec: ProblemSpec, c: SimpleNamespace, laws):
         self.spec, self.c, self.laws, L = spec, c, laws, spec.L
         self.number = {np.zeros(L).tobytes(): 0}
         self.n_scored = 0
         self.flagged = False
-        self.st = np.zeros((4 + L, 1))
-        self.ev = np.zeros((2 * L + (6 if L == 1 else 4), 0))
+        self.st = np.zeros((2 + L, 1))
+        self.ev = np.zeros((2 * L + (4 if L == 1 else 2), 0))
         self.nxt = np.zeros(0, dtype=np.int64)
         self.bad = np.zeros((2, 0), dtype=bool)
 
@@ -188,35 +197,27 @@ class _Table:
                 new.append(e)
         self.st = _room(self.st, lo + len(new))
         st = self.st[:, lo:lo + len(new)]
-        st[4:] = self.ev[:L, new]
-        st[1] = row_norm_sq(st[4:].T)
+        st[2:] = self.ev[:L, new]
+        st[1] = row_norm_sq(st[2:].T)
         st[0] = np.sqrt(st[1])
         return self.nxt.take(ent)
 
     def score(self) -> None:
         """Fill the entries of every state not yet scored."""
-        lo, hi, W, c = self.n_scored, len(self.number), len(self.spec.events), self.c
+        lo, hi, W = self.n_scored, len(self.number), len(self.spec.events)
         st, n = self.st[:, lo:hi], hi - lo
-        v = _decide(ScoreTensor(self.spec, n), list(st[4:]), st[1], st[0], None, c)
-        kf_bad = np.zeros(n, dtype=bool)
-        if c.key_feature:
-            for row, value in zip((2, 3), (v.expect, v.etr)):
-                if value is not None:
-                    st[row] = value
-                    kf_bad |= ~(value <= LAW_TOL)
-        bad = np.zeros((2, W * n), dtype=bool)
+        v = _decide(ScoreTensor(self.spec, n), list(st[2:]), st[1], st[0], None, self.c)
+        bad = np.zeros((2, W, n), dtype=bool)
         for flags, dy in zip(bad, (v.dx, np.zeros(W * n))):  # a running path, a stopped one
             v.dy = dy
             for law in self.laws:
                 law_bad = law.violations(v)[2]
                 if law_bad is not None:
-                    flags |= law_bad
-        self.flagged |= bool(bad.any() or kf_bad.any())
+                    flags |= law_bad.reshape(-1, n)  # a KeyFeature law's, per state
+        self.flagged |= bool(bad.any())
         self.ev, self.nxt, self.bad = (_room(a, hi * W) for a in (self.ev, self.nxt, self.bad))
-        for a, rows in ((self.ev, (*v.q, v.qz, v.drift, v.z0, *v.z, v.dx,
-                                   *((v.dg, v.tz) if c.L == 1 else ()))),
-                        (self.nxt, np.full(W * n, -1)),
-                        (self.bad, bad.reshape(2, W, n) | kf_bad)):
+        for a, rows in ((self.ev, (*v.q, *v.sums)), (self.nxt, np.full(W * n, -1)),
+                        (self.bad, bad)):
             # event-major pairs into state-major entries
             a[..., lo * W:hi * W] = np.reshape(rows, (-1, W, n)).swapaxes(1, 2).reshape(-1, n * W)
         self.n_scored = hi
@@ -224,22 +225,24 @@ class _Table:
 
 def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
                    constants: BoundConstants, *,
-                   chaos: str | None = None, key_feature: bool = False) -> ChunkStats:
+                   chaos: str | None = None, key_feature: bool = False) -> PathStats:
     """Run the paths of ``seeds`` in lockstep, enforcing every deterministic
     per-path law as it goes.  ``seeds`` must be uint64.
 
-    Each slot adds every path's :class:`_Table` entry to the path's sums,
-    and evaluates the laws only when some path takes a flagged entry (a
-    stopped-process flag counts while ``max_qnorm <= c1``).  The states the
-    paths enter are scored before the next slot, unless the entries scored
-    since the start of a :data:`TABLE_BLOCK`-slot block would pass half the
-    N paths, or the table :data:`TABLE_STATES` states: the run then hands
-    over, from the paths' queue vectors, to deciding each path's slot
-    afresh, every event scored.  Both phases give the same bits.  The
-    table's arrays stay below 2*(TABLE_STATES*W*(16L + 58) + (TABLE_STATES
-    + N)*(8L + 32)) bytes, 15 MiB at W = 8, L = 3, N = 10^4.  Besides, peak
-    RSS grows by about 220 bytes per path in the table phase (the server
-    builtin) and 700 in the per-slot phase (``tests/helpers.non_lattice_spec``),
+    Each slot adds every path's ``sums`` (of :func:`_decide`, or of its
+    :class:`_Table` entry) into one accumulator.  The states the paths enter
+    are scored before the next slot.  The run hands over, from the paths'
+    queue vectors, to deciding each path's slot afresh, every event scored,
+    when the entries scored since the start of a :data:`TABLE_BLOCK`-slot
+    block would pass half the N paths, or the table :data:`TABLE_STATES`
+    states, or when some path takes a flagged entry (a stopped-process flag
+    counts while ``max_qnorm <= c1``).  Only that per-slot loop checks the
+    laws; a flag comes from the same comparison over the same bits, so it
+    raises at the flagged slot.  Both phases give the same bits.  The
+    table's arrays stay below 2*(TABLE_STATES*W*(16L + 42) + (TABLE_STATES
+    + N)*(8L + 16)) bytes, 13 MiB at W = 8, L = 3, N = 10^4.  Besides, peak
+    RSS grows by about 200 bytes per path in the table phase (the server
+    builtin) and 680 in the per-slot phase (``tests/helpers.non_lattice_spec``),
     measured at 10^4 and 10^5 paths."""
     N = seeds.shape[0]
     cum = cumulative_probabilities(spec)
@@ -247,128 +250,95 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
     c1 = constants.c1
     cap = constants.C0 * V
     single = L == 1
-    slot_laws = laws_for(L, final=False)
-    # what the laws read, and the switches of _decide
+    # what the laws read, and the switches of _decide; the truncation
+    # argument applies when the cap clears one step
     c = SimpleNamespace(L=L, B=B, c2=constants.c2, V=V, z_max=spec.z_max, C0=constants.C0,
                         z_opt=z_opt, cap=cap, chaos=chaos, key_feature=key_feature,
-                        trunc_kf=key_feature and single and cap >= B)
+                        cap_clears_step=single and cap >= B)
+    laws = (_KF_LAWS[:1 + c.cap_clears_step] if key_feature else ()) + laws_for(L, final=False)
 
-    sum_z0 = np.zeros(N)
-    sum_z = [np.zeros(N) for _ in range(L)]
-    x_val = np.zeros(N)
+    sums = np.zeros((L + 4 if single else L + 2, N))  # the rows of _decide's sums
     y_val = np.zeros(N)
     max_qnorm = np.zeros(N)
     if single:
-        g_val = np.zeros(N)
-        s_trunc = np.zeros(N)
-        # the last slot in 1..T+1 that starts with q_1 <= C0*V; s_trunc, q_1 there
+        # the last slot in 1..T+1 that starts with q_1 <= C0*V; the sum of tz, q_1 there
         nJ = np.ones(N, dtype=np.int64)
         s_at_nJ = np.zeros(N)
         q1_at_nJ = np.zeros(N)
-
-    def fail(law: str, i: int, t: int, detail: str) -> None:
-        raise InvariantViolation(law, i, int(seeds[i]), t, detail, T=T, V=V)
 
     def enforce(laws, v, t: int) -> None:
         for law in laws:
             lhs, rhs, bad = law.violations(v)  # core.law_problems' rule: NaN fails
             if bad is not None:
                 i = first_true_row(bad)
-                fail(law.name, i, t, f"{float(lhs[i])!r} exceeds "
-                                     f"{float(np.broadcast_to(rhs, bad.shape)[i])!r}")
+                detail = (f"value {float(lhs[i])!r}" if law in _KF_LAWS else f"{float(lhs[i])!r} "
+                          f"exceeds {float(np.broadcast_to(rhs, bad.shape)[i])!r}")
+                raise InvariantViolation(law.name, i, int(seeds[i]), t, detail, T=T, V=V)
 
-    def check(v, t: int) -> None:
-        if key_feature:
-            for law, value in zip(_KF_LAWS, (v.expect, v.etr)):
-                if value is not None:
-                    ok = value <= LAW_TOL
-                    if not ok.all():
-                        i = first_true_row(~ok)
-                        fail(law, i, t, f"value {float(value[i])!r}")
-        enforce(slot_laws, v, t)
-
-    table = _Table(spec, c, slot_laws)
+    table = _Table(spec, c, laws)
     state = np.zeros(N, dtype=np.int64)  # every path starts at state 0
+    norm = np.zeros(N)
     ent = np.empty(N, dtype=np.int64)
     u = np.empty(N)
     for t in range(1, T + 1):
-        if (t - 1) % TABLE_BLOCK == 0:
-            scored = 0  # entries scored in this block
-        if table is not None and len(table.number) > table.n_scored:
-            scored += W * (len(table.number) - table.n_scored)
-            if 2 * scored > N or len(table.number) > TABLE_STATES:
-                st = table.st.take(state, axis=1)
-                q, nb2, norm = list(st[4:]), st[1], st[0]
-                table, tensor = None, ScoreTensor(spec, N)
-            else:
-                table.score()
         # through the module name, which perfbench's tracer patches
         ids = event_ids(cum, uniform_across(seeds, t, out=u))
-        if table is None:
-            v = _decide(tensor, q, nb2, norm, ids, c)
-        else:
+        np.maximum(max_qnorm, norm, out=max_qnorm)
+        stopped = max_qnorm > c1  # max_qnorm includes this slot's start
+        if table is not None:
+            if (t - 1) % TABLE_BLOCK == 0:
+                scored = 0  # entries scored in this block
+            new = len(table.number) - table.n_scored
+            scored += W * new
+            if new and 2 * scored <= N and len(table.number) <= TABLE_STATES:
+                table.score()
             np.multiply(state, W, out=ent)
             ent += ids
-            nxt = table.nxt.take(ent)
-            if nxt.min() < 0:
-                nxt = table.resolve(ent)
-            g = table.ev[L + 2:].take(ent, axis=1)  # z0, z, dx, and dg, tz
-            v = SimpleNamespace(z0=g[0], z=g[1:L + 1], dx=g[L + 1],
-                                norm_before=table.st[0].take(state))
-            if single:
-                v.dg, v.tz = g[L + 2], g[L + 3]
-
-        np.maximum(max_qnorm, v.norm_before, out=max_qnorm)
-        stopped = max_qnorm > c1  # max_qnorm includes this slot's start
-        v.dy = np.where(stopped, 0.0, v.dx)
+            # hand over when this slot's states went unscored or a path takes a flagged entry
+            if table.n_scored < len(table.number) or table.flagged and np.where(
+                    stopped, table.bad[1].take(ent), table.bad[0].take(ent)).any():
+                st = table.st.take(state, axis=1)
+                q, nb2 = list(st[2:]), st[1]
+                table, tensor = None, ScoreTensor(spec, N)
         if table is None:
-            check(v, t)
-        elif table.flagged and np.where(stopped, table.bad[1].take(ent),
-                                        table.bad[0].take(ent)).any():
-            # the laws over every path's inputs, gathered
-            before, after, g = (table.st.take(state, axis=1), table.st.take(nxt, axis=1),
-                                table.ev.take(ent, axis=1))
-            vars(v).update(vars(c), norm_before=before[0], nb2=before[1], expect=before[2],
-                           etr=before[3] if c.trunc_kf else None, norm_after=after[0],
-                           na2=after[1], qz=g[L], drift=g[L + 1])
-            check(v, t)
-        x_val += v.dx
-        y_val += v.dy
-        for l in range(L):
-            sum_z[l] += v.z[l]
-        sum_z0 += v.z0
+            v = _decide(tensor, q, nb2, norm, ids, c)
+            v.dy = dy = np.where(stopped, 0.0, v.dx)
+            enforce(laws, v, t)
+            g, q, nb2, norm = v.sums, v.q, v.na2, v.norm_after
+            del v
+        else:
+            state = table.nxt.take(ent)
+            if state.min() < 0:
+                state = table.resolve(ent)
+            g = table.ev[L:].take(ent, axis=1)
+            dy = np.where(stopped, 0.0, g[L + 1])
+            norm = table.st[0].take(state)
+        sums += g
+        y_val += dy
         if single:
-            g_val += v.dg
-            s_trunc += v.tz
-            q1 = v.q[0] if table is None else table.st[4].take(nxt)
+            q1 = q[0] if table is None else table.st[2].take(state)
             visit = q1 <= cap  # slot t+1 starts at or below the cap
             np.putmask(nJ, visit, t + 1)
-            np.putmask(s_at_nJ, visit, s_trunc)
+            np.putmask(s_at_nJ, visit, sums[L + 3])
             np.putmask(q1_at_nJ, visit, q1)
-        if table is None:
-            q, nb2, norm = v.q, v.na2, v.norm_after
-        else:
-            state = nxt
-        del v  # so that the next slot's arrays can reuse this slot's memory
-    norm = table.st[0].take(state) if table is not None else norm
+        del g, dy  # so that the next slot's arrays can reuse this slot's memory
 
-    tele_gap = tele_bound = tele_avg = g_out = None
+    tele_gap = tele_bound = tele_avg = None
     if single:
         tele_gap = np.abs(s_at_nJ - 0.5 * q1_at_nJ * q1_at_nJ)
-        tele_avg = s_trunc / T
+        tele_avg = sums[L + 3] / T
         v = SimpleNamespace(**vars(c), nJ=nJ, tele_gap=tele_gap, tele_avg=tele_avg)
         final_laws = laws_for(1, final=True)
         tele_bound = final_laws[0].rhs(v)  # the telescoping partial-sum law
-        if cap >= B:  # the telescoping laws assume the cap clears one step
+        if c.cap_clears_step:
             enforce(final_laws, v, T)
-        g_out = g_val
 
-    return ChunkStats(
-        avg_obj=sum_z0 / T,
-        avg_cons=np.stack([s / T for s in sum_z], axis=1),
-        x_final=x_val,
+    return PathStats(
+        avg_obj=sums[0] / T,
+        avg_cons=np.stack([s / T for s in sums[1:L + 1]], axis=1),
+        x_final=sums[L + 1],
         y_final=y_val,
-        g_final=g_out,
+        g_final=sums[L + 2] if single else None,
         max_qnorm=max_qnorm,
         tele_gap=tele_gap,
         tele_bound=tele_bound,
@@ -379,7 +349,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
 
 def simulate_paths(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
                    constants: BoundConstants, *, chaos: str | None = None,
-                   key_feature: bool = False) -> ChunkStats:
+                   key_feature: bool = False) -> PathStats:
     """All paths of a batch, path i from ``seeds[i]`` (uint64), in one
     lockstep run, which raises the batch's earliest violation."""
     # a name of its own, called once, as perfbench's tracer patches both by name

@@ -12,13 +12,13 @@ from helpers import (check_trace_laws, derive_seed, empirical_tail,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpp_lab import montecarlo
+from dpp_lab import events, montecarlo
 from dpp_lab.analysis import (calibrated_deviation_level, compute_constants,
                               constants_for_horizon, convergence_time_multi)
 from dpp_lab.controller import ScoreTensor, run_path
 from dpp_lab.core import LAW_TOL, ProblemSpec, trace_law_values
 from dpp_lab.events import builtin_spec, derive_seeds
-from dpp_lab.montecarlo import (BatchConfig, ChunkStats, InvariantViolation, run_batch,
+from dpp_lab.montecarlo import (BatchConfig, InvariantViolation, PathStats, run_batch,
                                 simulate_paths, wilson_interval)
 from dpp_lab.oracle import solve_stationary_optimum
 from dpp_lab.schema import load_schema, validate
@@ -85,9 +85,9 @@ ENGINE_SPECS = {
 
 
 def _assert_rows_equal(whole, lo, part):
-    """Every ChunkStats field of ``part`` is bit-equal to rows ``lo:`` of
+    """Every PathStats field of ``part`` is bit-equal to rows ``lo:`` of
     ``whole``'s."""
-    for f in fields(ChunkStats):
+    for f in fields(PathStats):
         x, y = getattr(whole, f.name), getattr(part, f.name)
         assert (x is None and y is None) or x[lo:lo + len(y)].tobytes() == y.tobytes(), f.name
 
@@ -96,7 +96,7 @@ CUTS = (0, 1000, 7000, 8209)  # a split of the seeds into uneven pieces
 
 
 @pytest.mark.parametrize("name", ["server", "single"])
-def test_batch_is_invariant_to_chunking(name):
+def test_batch_is_invariant_to_splitting(name):
     # each piece of a split of the seeds, run as its own batch, gives the
     # whole batch's per-path bits
     spec = ENGINE_SPECS[name]()
@@ -109,7 +109,7 @@ def test_batch_is_invariant_to_chunking(name):
         _assert_rows_equal(whole, lo, simulate_paths(spec, seeds[lo:hi], T, sol.z_opt, consts))
 
 
-def test_violation_path_index_is_invariant_to_chunking(sv_spec, sv_solution):
+def test_violation_path_index_is_invariant_to_splitting(sv_spec, sv_solution):
     # a B understated by 0.1% trips on one rare path of the third piece of
     # CUTS: that piece names the same seed, slot and detail, with the path's
     # index counted within the piece, and the other pieces run clean
@@ -175,7 +175,7 @@ def test_theorem_violation_names_its_own_set(sv_spec, monkeypatch, seed, expecte
     assert str(alone.value) == str(e)
 
 
-def test_earliest_violation_is_invariant_to_chunk_size(sv_spec, sv_solution):
+def test_earliest_violation_is_invariant_to_batch_size(sv_spec, sv_solution):
     # slot first: with B understated by 1%, path 911 alone fails at slot 57
     # and path 2001 alone at slot 55; paths 0-999 as a batch name path 911,
     # and every batch that holds path 2001 names it, however many paths
@@ -197,7 +197,7 @@ def test_earliest_violation_is_invariant_to_chunk_size(sv_spec, sv_solution):
 
 
 def test_batch_reports_earliest_slot_then_law_then_path(sv_spec, sv_solution):
-    # slot order is test_earliest_violation_is_invariant_to_chunk_size's;
+    # slot order is test_earliest_violation_is_invariant_to_batch_size's;
     # then law, then path: with B halved and z_max a hundredth, path 0 alone
     # fails the stopped process difference bound at slot 1, and paths 1 and 7
     # the earlier queue norm step bound there; the batch names path 1
@@ -264,34 +264,45 @@ def test_lockstep_matches_scalar_engine_bitwise(name, key_feature, chaos):
 
 class _ScoreLog:
     """Wraps ``montecarlo.ScoreTensor`` for one batch of ``n`` paths: the
-    queue vectors its transition table scored, and whether it handed over
+    queue vectors its transition table scored, and whether and at which slot
+    (that of the latest ``montecarlo.uniform_across`` call) it handed over
     (built the n-path tensor of the per-slot loop; a table batch holds fewer
     than n states, as it hands over past n/2 entries)."""
 
     def __init__(self, monkeypatch, n: int):
-        self.rows, self.handed_over = [], False
+        self.rows, self.slot, self.hand_over_slot = [], None, None
         log = self
+
+        def uniform_across(seeds, t, out):
+            log.slot = t
+            return events.uniform_across(seeds, t, out=out)
 
         class Tensor(ScoreTensor):
             def __init__(self, spec, N):
                 super().__init__(spec, N)
-                log.handed_over |= N == n
+                if N == n:
+                    log.hand_over_slot = log.slot
 
             def choose(self, q, chaos):
                 if self.scores.shape[2] != n:
                     log.rows += [row.tobytes() for row in np.column_stack(q)]
                 super().choose(q, chaos)
         monkeypatch.setattr(montecarlo, "ScoreTensor", Tensor)
+        monkeypatch.setattr(montecarlo, "uniform_across", uniform_across)
+
+    @property
+    def handed_over(self) -> bool:
+        return self.hand_over_slot is not None
 
 
 def _outcome(spec, seeds, T, z_opt, consts, **kwargs):
-    """Every ChunkStats field's bytes, or the violation's replay fields."""
+    """Every PathStats field's bytes, or the violation's replay fields."""
     try:
         stats = simulate_paths(spec, seeds, T, z_opt, consts, **kwargs)
     except InvariantViolation as e:
         return e.law, e.path_index, e.path_seed, e.slot, e.detail
     return {f.name: None if getattr(stats, f.name) is None else getattr(stats, f.name).tobytes()
-            for f in fields(ChunkStats)}
+            for f in fields(PathStats)}
 
 
 TABLE_SPECS = {**ENGINE_SPECS, "non_lattice": non_lattice_spec,
@@ -340,7 +351,7 @@ def test_non_lattice_table_matches_per_slot_loop_without_hand_over(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["server", "single"])
-def test_builtin_chunk_scores_each_state_once(name, monkeypatch):
+def test_builtin_batch_scores_each_state_once(name, monkeypatch):
     # a batch on a builtin runs over one table to the end, scoring each of a
     # few hundred queue vectors once, so it never pays per-slot scoring; on
     # the server builtin, an 8192-path batch too
@@ -355,7 +366,7 @@ def test_builtin_chunk_scores_each_state_once(name, monkeypatch):
         assert len(log.rows) == len(set(log.rows)) <= 300
 
 
-def test_non_lattice_chunk_hands_over_within_the_cap(monkeypatch):
+def test_non_lattice_batch_hands_over_within_the_cap(monkeypatch):
     spec = non_lattice_spec()
     sol = solve_stationary_optimum(spec)
     N, T = 4096, 200
@@ -387,7 +398,7 @@ def test_stopped_flag_counts_only_before_the_stop(sv_spec, sv_solution, monkeypa
         log = _ScoreLog(monkeypatch, N)
         assert _outcome(sv_spec, seeds, T, sv_solution.z_opt, consts) == (
             "stopped process difference bound", 864, int(seeds[864]), 56, "11.0 exceeds 10.5")
-        assert log.handed_over == (cap == 0)
+        assert log.hand_over_slot == (56 if cap else 1) and bool(log.rows) == bool(cap)
 
 
 @pytest.mark.parametrize("chaos", [None, "skip-minimization", "worst-action"])
@@ -523,7 +534,9 @@ def _engine_violation(spec, consts, z_opt, *, key_feature=False):
                     simulate_paths(spec, seeds, 300, z_opt, consts, key_feature=key_feature)
             e = err.value
             found.append((e.law, e.path_index, e.path_seed, e.slot, e.detail))
-            assert log.handed_over == (cap == 0) or n == 64
+            # the table batch scores states and hands over at the violation
+            assert log.hand_over_slot == (e.slot if cap else 1) and bool(log.rows) == bool(cap) \
+                or n == 64
         assert found[0] == found[1]
     assert err.value.path_seed == int(seeds[err.value.path_index])
     return err.value

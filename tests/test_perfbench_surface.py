@@ -43,7 +43,7 @@ def test_tracing_installs_and_restores(tmp_path):
     assert layers["montecarlo.chunk_kf_path_slots_per_s"] > 0
 
 
-def test_tracing_sees_one_chunk_per_theorem(tmp_path):
+def test_tracing_sees_one_batch_per_theorem(tmp_path):
     # the tracer patches montecarlo.uniform_across by name; each theorem's
     # calibration and validation paths run as one chunk
     tracing = _load("tracing")
