@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 
 from .core import ActionVector, EventOutcome, ProblemSpec
-from .events import BUILTIN_SPECS, builtin_spec
+from .events import builtin_spec
 from .montecarlo import ALL_CHECKS
 
 
@@ -66,10 +66,10 @@ class RunConfig:
         if self.problem_name is not None:
             if self.V is None:
                 raise ConfigError("builtin problems need a top-level V")
-            if self.problem_name not in BUILTIN_SPECS:
-                raise ConfigError(f"unknown builtin problem {self.problem_name!r}; "
-                                  f"choices: {sorted(BUILTIN_SPECS)}")
-            return builtin_spec(self.problem_name, V=self.V)
+            try:
+                return builtin_spec(self.problem_name, V=self.V)
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
         if not self.inline:
             raise ConfigError("no problem given; set `problem` or the problem.* tree")
         return self._build_inline()

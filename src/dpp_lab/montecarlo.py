@@ -11,11 +11,13 @@ A decision and every per-slot law input depend only on the queue vector and
 the realized event, so a batch runs over a transition table: each new
 queue vector is scored once under every event by
 :class:`dpp_lab.controller.ScoreTensor`, and a slot gathers each path's
-(state, event) entry.  Once new states come too fast, or a path takes an
-entry where a law fails, the batch hands over to scoring every event of
-every path each slot, the one loop that reports a violation.  The tensor's
-float order is the scalar path engine's, so the engines agree bit for bit
-on every per-path quantity, in either phase.
+(state, event) entry, the slot's output block.  A path carries its queue
+vector's rows, the first rows of that block, in either phase.  Once new
+states come too fast, or a path takes an entry where a law fails, the
+batch hands over to scoring every event of every path each slot, the one
+loop that reports a violation.  The tensor's float order is the scalar
+path engine's, so the engines agree bit for bit on every per-path
+quantity, in either phase.
 
 The deterministic per-path laws of :data:`dpp_lab.core.LAWS` (and, for the
 KeyFeature check, the exact conditional expectations) hold on every slot up
@@ -23,9 +25,8 @@ to float slack only (:attr:`dpp_lab.core.Law.tol`, 1e-9 for the
 expectations), or the batch aborts with the offending path's seed and slot
 for replay: its earliest violation by slot, then check order (KeyFeature,
 then the law table), then path index.  Identities that no input can break
-(the minimality of the chosen action, the queue update, the stopped process
-agreeing with the unstopped one until the stop) are covered by property
-tests instead.
+(the minimality of the chosen action, the queue update) are covered by
+property tests instead.
 
 Statistical checks compare the Wilson interval of an empirical frequency
 against the theoretical bound and fail only when the interval excludes the
@@ -47,7 +48,7 @@ from .analysis import (BoundConstants, calibrated_deviation_level,
                        convergence_time_multi, convergence_time_single,
                        g_tail_bound, queue_tail_bound, xtail_bound)
 from .controller import ScoreTensor
-from .core import LAW_TOL, Law, ProblemSpec, first_true_row, laws_for, row_norm_sq
+from .core import LAW_TOL, Law, ProblemSpec, first_true_row, laws_for
 from .events import cumulative_probabilities, derive_seeds, event_ids, uniform_across
 from .oracle import solve_stationary_optimum
 
@@ -102,7 +103,6 @@ class PathStats:
     avg_obj: np.ndarray
     avg_cons: np.ndarray          # (N, L)
     x_final: np.ndarray
-    y_final: np.ndarray
     g_final: np.ndarray | None
     max_qnorm: np.ndarray
     tele_gap: np.ndarray | None
@@ -115,44 +115,45 @@ TABLE_STATES = 1 << 13  # the most queue vectors a batch's table scores
 TABLE_BLOCK = 16        # slots per block of the table's hand-over rule
 
 
-def _decide(tensor: ScoreTensor, q, nb2, norm, ids, c) -> SimpleNamespace:
+def _decide(tensor: ScoreTensor, at: np.ndarray, ids, c) -> SimpleNamespace:
     """A slot's decision and law inputs for (queue vector, event) pairs: the
-    tensor's N queue vectors ``q`` (an array per constraint; squared norms
-    ``nb2``, norms ``norm``) under their events ``ids`` or, with ``ids``
-    None, under every event (W*N pairs, event-major).  ``c`` holds the laws'
-    constants and the run's switches.  The result's ``q`` is the next queue
-    vector and ``sums`` what the slot adds to the path sums, one row each:
-    z0, z_1..z_L, dx and, for one constraint, dg and tz.  With KeyFeature
-    on, ``expect`` and ``etr`` are the queue vectors' exact conditional
-    expectations."""
-    tensor.choose(q, c.chaos)
+    tensor's N queue vectors, whose rows in ``at`` are q_1..q_L, the squared
+    norm and the norm, under their events ``ids`` or, with ``ids`` None,
+    under every event (W*N pairs, event-major).  ``c`` holds the laws'
+    constants and the run's switches.  The result's ``out`` holds the next
+    queue vector's rows, as in ``at``, then what the slot adds to the path
+    sums: z0, z_1..z_L, dx and, for one constraint, dg and tz.  With
+    KeyFeature on, ``expect`` and ``etr`` are the queue vectors' exact
+    conditional expectations."""
+    L = c.L
+    tensor.choose(at[:L], c.chaos)
     v = SimpleNamespace(**vars(c))
-    trunc = np.minimum(q[0], c.cap) if c.L == 1 else None
+    trunc = np.minimum(at[0], c.cap) if L == 1 else None
     if c.key_feature:
         v.expect, v.etr = tensor.expectations(c.z_opt, trunc if c.cap_clears_step else None)
     if ids is None:
         W = tensor.scores.shape[0]
         decision = tensor.every_event()
-        q, nb2, norm = [np.tile(ql, W) for ql in q], np.tile(nb2, W), np.tile(norm, W)
+        at = np.tile(at, W)
         trunc = None if trunc is None else np.tile(trunc, W)
     else:
         decision = tensor.realized(ids)
     z0, *z = decision
-    dot, na2, v.q = np.zeros(len(z0)), np.zeros(len(z0)), []
-    for ql, zl in zip(q, z):
-        dot += ql * zl
-        v.q.append(np.maximum(ql + zl, 0.0))
-        na2 += v.q[-1] * v.q[-1]
+    v.out = out = np.empty((2 * L + (6 if L == 1 else 4), len(z0)))
+    dot, out[L] = np.zeros(len(z0)), 0.0
+    for l, zl in enumerate(z):
+        dot += at[l] * zl
+        np.maximum(at[l] + zl, 0.0, out=out[l])
+        out[L] += out[l] * out[l]
+    np.sqrt(out[L], out=out[L + 1])
+    out[L + 2:2 * L + 3] = decision
     penalty = c.V * (z0 - c.z_opt)
-    v.dx = penalty + dot
-    rows = [decision, v.dx]
+    v.dx = np.add(penalty, dot, out=out[2 * L + 3])
     if trunc is not None:
-        tz = trunc * z[0]
-        v.dg = penalty + tz
-        rows += [v.dg, tz]
-    v.sums = np.vstack(rows)
-    v.norm_before, v.norm_after = norm, np.sqrt(na2)
-    v.nb2, v.na2, v.drift, v.qz = nb2, na2, 0.5 * (na2 - nb2), dot
+        tz = np.multiply(trunc, z[0], out=out[2 * L + 5])
+        v.dg = np.add(penalty, tz, out=out[2 * L + 4])
+    v.norm_before, v.norm_after, v.nb2, v.na2 = at[L + 1], out[L + 1], at[L], out[L]
+    v.drift, v.qz = 0.5 * (out[L] - at[L]), dot
     return v
 
 
@@ -171,19 +172,19 @@ class _Table:
     queue), and entry s*W + e for state s under event e, filled for all new
     states by one call.
 
-    Rows of ``st`` (per state): norm, squared norm, q_1..q_L.  Rows of
-    ``ev`` (per entry): the next queue vector, then the slot's ``sums``;
-    ``nxt`` is the next state (-1 until a path takes the entry).  Rows of
+    Rows of ``ev`` (per entry): the slot's ``out``, unchanged; ``nxt`` is
+    the next state (-1 until a path takes the entry).  A state owns no rows:
+    ``pending`` holds the input rows of the states numbered since the last
+    :meth:`score`, each the first rows of the entry that reached it.  Rows of
     ``bad``: whether one of ``laws`` fails there for a running path, and for
     a stopped one (dy = 0)."""
 
     def __init__(self, spec: ProblemSpec, c: SimpleNamespace, laws):
         self.spec, self.c, self.laws, L = spec, c, laws, spec.L
         self.number = {np.zeros(L).tobytes(): 0}
-        self.n_scored = 0
+        self.pending = np.zeros((L + 2, 1))  # state 0's
         self.flagged = False
-        self.st = np.zeros((2 + L, 1))
-        self.ev = np.zeros((2 * L + (4 if L == 1 else 2), 0))
+        self.ev = np.zeros((2 * L + (6 if L == 1 else 4), 0))
         self.nxt = np.zeros(0, dtype=np.int64)
         self.bad = np.zeros((2, 0), dtype=bool)
 
@@ -195,18 +196,14 @@ class _Table:
             self.nxt[e] = s = self.number.setdefault(self.ev[:L, e].tobytes(), len(self.number))
             if s == lo + len(new):
                 new.append(e)
-        self.st = _room(self.st, lo + len(new))
-        st = self.st[:, lo:lo + len(new)]
-        st[2:] = self.ev[:L, new]
-        st[1] = row_norm_sq(st[2:].T)
-        st[0] = np.sqrt(st[1])
+        self.pending = np.concatenate((self.pending, self.ev[:L + 2, new]), axis=1)
         return self.nxt.take(ent)
 
     def score(self) -> None:
-        """Fill the entries of every state not yet scored."""
-        lo, hi, W = self.n_scored, len(self.number), len(self.spec.events)
-        st, n = self.st[:, lo:hi], hi - lo
-        v = _decide(ScoreTensor(self.spec, n), list(st[2:]), st[1], st[0], None, self.c)
+        """Fill the entries of the pending states."""
+        n, hi, W = self.pending.shape[1], len(self.number), len(self.spec.events)
+        lo = hi - n
+        v = _decide(ScoreTensor(self.spec, n), self.pending, None, self.c)
         bad = np.zeros((2, W, n), dtype=bool)
         for flags, dy in zip(bad, (v.dx, np.zeros(W * n))):  # a running path, a stopped one
             v.dy = dy
@@ -216,11 +213,10 @@ class _Table:
                     flags |= law_bad.reshape(-1, n)  # a KeyFeature law's, per state
         self.flagged |= bool(bad.any())
         self.ev, self.nxt, self.bad = (_room(a, hi * W) for a in (self.ev, self.nxt, self.bad))
-        for a, rows in ((self.ev, (*v.q, *v.sums)), (self.nxt, np.full(W * n, -1)),
-                        (self.bad, bad)):
+        for a, rows in ((self.ev, v.out), (self.nxt, np.full(W * n, -1)), (self.bad, bad)):
             # event-major pairs into state-major entries
             a[..., lo * W:hi * W] = np.reshape(rows, (-1, W, n)).swapaxes(1, 2).reshape(-1, n * W)
-        self.n_scored = hi
+        self.pending = self.pending[:, :0]
 
 
 def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
@@ -229,21 +225,21 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
     """Run the paths of ``seeds`` in lockstep, enforcing every deterministic
     per-path law as it goes.  ``seeds`` must be uint64.
 
-    Each slot adds every path's ``sums`` (of :func:`_decide`, or of its
-    :class:`_Table` entry) into one accumulator.  The states the paths enter
-    are scored before the next slot.  The run hands over, from the paths'
-    queue vectors, to deciding each path's slot afresh, every event scored,
-    when the entries scored since the start of a :data:`TABLE_BLOCK`-slot
-    block would pass half the N paths, or the table :data:`TABLE_STATES`
-    states, or when some path takes a flagged entry (a stopped-process flag
-    counts while ``max_qnorm <= c1``).  Only that per-slot loop checks the
-    laws; a flag comes from the same comparison over the same bits, so it
-    raises at the flagged slot.  Both phases give the same bits.  The
-    table's arrays stay below 2*(TABLE_STATES*W*(16L + 42) + (TABLE_STATES
-    + N)*(8L + 16)) bytes, 13 MiB at W = 8, L = 3, N = 10^4.  Besides, peak
-    RSS grows by about 200 bytes per path in the table phase (the server
-    builtin) and 680 in the per-slot phase (``tests/helpers.non_lattice_spec``),
-    measured at 10^4 and 10^5 paths."""
+    Each slot gives every path an ``out`` block (of :func:`_decide`, or its
+    :class:`_Table` entry): the path carries the first rows, its queue
+    vector's, to the next slot, and adds the rest into one accumulator.  The
+    states the paths enter are scored before the next slot.  The run hands
+    over to deciding each path's slot afresh, every event scored, when the
+    entries scored since the start of a :data:`TABLE_BLOCK`-slot block would
+    pass half the N paths, or the table :data:`TABLE_STATES` states, or when
+    some path takes a flagged entry (a stopped-process flag counts while
+    ``max_qnorm <= c1``).  Only that per-slot loop checks the laws; a flag
+    comes from the same comparison over the same bits, so it raises at the
+    flagged slot.  Both phases give the same bits.  The table's arrays stay
+    below 2*TABLE_STATES*W*(16L + 58) + N*(8L + 16) bytes, 14 MiB at W = 8,
+    L = 3, N = 10^4.  Besides, peak RSS grows by about 260 bytes per path in
+    the table phase (the server builtin) and 730 in the per-slot phase
+    (``tests/helpers.non_lattice_spec``), measured at 10^4 and 10^5 paths."""
     N = seeds.shape[0]
     cum = cumulative_probabilities(spec)
     L, V, B, W = spec.L, spec.V, spec.B, len(spec.events)
@@ -257,8 +253,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
                         cap_clears_step=single and cap >= B)
     laws = (_KF_LAWS[:1 + c.cap_clears_step] if key_feature else ()) + laws_for(L, final=False)
 
-    sums = np.zeros((L + 4 if single else L + 2, N))  # the rows of _decide's sums
-    y_val = np.zeros(N)
+    sums = np.zeros((L + 4 if single else L + 2, N))  # the sums rows of _decide's out
     max_qnorm = np.zeros(N)
     if single:
         # the last slot in 1..T+1 that starts with q_1 <= C0*V; the sum of tz, q_1 there
@@ -276,52 +271,45 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
                 raise InvariantViolation(law.name, i, int(seeds[i]), t, detail, T=T, V=V)
 
     table = _Table(spec, c, laws)
+    at = np.zeros((L + 2, N))  # each path's queue vector rows, as _decide reads them
     state = np.zeros(N, dtype=np.int64)  # every path starts at state 0
-    norm = np.zeros(N)
     ent = np.empty(N, dtype=np.int64)
     u = np.empty(N)
     for t in range(1, T + 1):
         # through the module name, which perfbench's tracer patches
         ids = event_ids(cum, uniform_across(seeds, t, out=u))
-        np.maximum(max_qnorm, norm, out=max_qnorm)
-        stopped = max_qnorm > c1  # max_qnorm includes this slot's start
+        np.maximum(max_qnorm, at[L + 1], out=max_qnorm)  # a path stops once past c1
         if table is not None:
             if (t - 1) % TABLE_BLOCK == 0:
                 scored = 0  # entries scored in this block
-            new = len(table.number) - table.n_scored
+            new = table.pending.shape[1]
             scored += W * new
             if new and 2 * scored <= N and len(table.number) <= TABLE_STATES:
                 table.score()
             np.multiply(state, W, out=ent)
             ent += ids
             # hand over when this slot's states went unscored or a path takes a flagged entry
-            if table.n_scored < len(table.number) or table.flagged and np.where(
-                    stopped, table.bad[1].take(ent), table.bad[0].take(ent)).any():
-                st = table.st.take(state, axis=1)
-                q, nb2 = list(st[2:]), st[1]
+            if table.pending.shape[1] or table.flagged and np.where(
+                    max_qnorm > c1, table.bad[1].take(ent), table.bad[0].take(ent)).any():
                 table, tensor = None, ScoreTensor(spec, N)
         if table is None:
-            v = _decide(tensor, q, nb2, norm, ids, c)
-            v.dy = dy = np.where(stopped, 0.0, v.dx)
+            v = _decide(tensor, at, ids, c)
+            v.dy = np.where(max_qnorm > c1, 0.0, v.dx)
             enforce(laws, v, t)
-            g, q, nb2, norm = v.sums, v.q, v.na2, v.norm_after
+            out = v.out
             del v
         else:
             state = table.nxt.take(ent)
             if state.min() < 0:
                 state = table.resolve(ent)
-            g = table.ev[L:].take(ent, axis=1)
-            dy = np.where(stopped, 0.0, g[L + 1])
-            norm = table.st[0].take(state)
-        sums += g
-        y_val += dy
+            out = table.ev.take(ent, axis=1)
+        at = out[:L + 2]
+        sums += out[L + 2:]
         if single:
-            q1 = q[0] if table is None else table.st[2].take(state)
-            visit = q1 <= cap  # slot t+1 starts at or below the cap
+            visit = at[0] <= cap  # slot t+1 starts at or below the cap
             np.putmask(nJ, visit, t + 1)
             np.putmask(s_at_nJ, visit, sums[L + 3])
-            np.putmask(q1_at_nJ, visit, q1)
-        del g, dy  # so that the next slot's arrays can reuse this slot's memory
+            np.putmask(q1_at_nJ, visit, at[0])
 
     tele_gap = tele_bound = tele_avg = None
     if single:
@@ -337,13 +325,12 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
         avg_obj=sums[0] / T,
         avg_cons=np.stack([s / T for s in sums[1:L + 1]], axis=1),
         x_final=sums[L + 1],
-        y_final=y_val,
         g_final=sums[L + 2] if single else None,
         max_qnorm=max_qnorm,
         tele_gap=tele_gap,
         tele_bound=tele_bound,
         tele_avg=tele_avg,
-        final_qnorm=norm,
+        final_qnorm=at[L + 1],
     )
 
 

@@ -176,9 +176,11 @@ def test_inline_action_arity_checked():
 
 
 def test_unknown_builtin_name():
-    cfg = parse_config_text("problem = warp-drive\nV = 1.0\n")
-    with pytest.raises(ConfigError):
+    cfg = parse_config_text("problem = nope\nV = 1.0\n")
+    with pytest.raises(ConfigError) as err:
         cfg.build_spec()
+    assert str(err.value) == ("unknown builtin problem 'nope'; "
+                              "choices: ['server-scheduling-3x2', 'single-queue-serve-idle']")
 
 
 @pytest.mark.parametrize("body, message", [
