@@ -212,7 +212,9 @@ def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> 
     The decision, and so the next queue vector, is a pure function of the
     realized event and the queue vector, so the path is first run over a
     table: queue vectors are numbered as first visited, each (state, event)
-    pair is decided once, and later visits replay it.  The path runs in
+    pair is decided once, and later visits replay it.  A slot records only
+    its pair's table index; its action and queue vector are read off those
+    indices once the table is done.  The path runs in
     blocks of :data:`RUN_PATH_BLOCK` slots; after a block in which more than
     half the slots were decided afresh, the rest of the path decides every
     slot.  Only a slot decided afresh adds a state, at most half the slots
@@ -227,39 +229,44 @@ def run_path(spec: ProblemSpec, seed: int, T: int, chaos: str | None = None) -> 
     ids = sample_block(spec, seed, T)
     step = _step_rule(spec, chaos)
     table = spec.action_table
-    a_idx = array("q")
     # tabled phase.  A sum is -0.0 only when both terms are, and the queues
     # start at +0.0, so they never hold -0.0 and equal tuples have equal bits.
     states = [(0.0,) * L]
     number = {states[0]: 0}
-    trans: list[tuple[int, int] | None] = [None] * W  # [s*W + e]: (k, s_next*W)
-    visits = array("q", [0])  # s*W of the queues before each slot, then the last
+    nxt = [-1] * W  # [j = s*W + e]: s_next*W after event e at state s, or -1 if undecided
+    act = [0] * W   # [j]: the action decided there
+    js = array("q")  # j of each tabled slot
     events = iter(ids.tolist())
-    s = 0
+    s = 0  # s*W of the queues before the slot
     for block in iter(lambda: list(islice(events, RUN_PATH_BLOCK)), []):
         misses = 0
         for e in block:
-            hit = trans[s + e]
-            if hit is None:
+            j = s + e
+            s = nxt[j]
+            if s < 0:
                 misses += 1
-                q = list(states[s // W])
-                k = step(e, q)
+                q = list(states[j // W])
+                act[j] = step(e, q)
                 nq = tuple(q)
                 n = number.setdefault(nq, len(states))
                 if n == len(states):
                     states.append(nq)
-                    trans.extend([None] * W)
-                hit = trans[s + e] = (k, n * W)
-            k, s = hit
-            a_idx.append(k)
-            visits.append(s)
+                    nxt.extend([-1] * W)
+                    act.extend([0] * W)
+                s = nxt[j] = n * W
+            js.append(j)
         if 2 * misses > len(block):
             break
-    visited = np.frombuffer(visits, dtype=np.int64)
-    visited //= W
+    jv = np.frombuffer(js, dtype=np.int64)
+    a_idx = array("q")
+    a_idx.frombytes(memoryview(np.array(act, dtype=np.int64)[jv]).cast("B"))
+    visited = np.empty(len(jv) + 1, dtype=np.int64)  # the queues before each slot, then the last
+    np.floor_divide(jv, W, out=visited[:-1])
+    visited[-1] = s // W
+    del jv, js, act, nxt, number
     q_buf = array("d")  # row-major (T+1, L): the queues before each slot, then the last
     q_buf.frombytes(memoryview(np.array(states).reshape(-1, L)[visited]).cast("B"))
-    del trans, number, states, visits, visited
+    del states, visited
     # plain phase: decide every remaining slot
     q = q_buf[-L:].tolist()
     for e in events:

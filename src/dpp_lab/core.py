@@ -18,6 +18,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -337,29 +338,76 @@ def _text_rows(values: np.ndarray) -> list[list[str]]:
     out = []
     for row in values:
         distinct, inv = np.unique(row.view(np.uint64), return_inverse=True)
-        text = np.array([repr(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+        text = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
         out.append(text[inv].tolist())
     return out
 
 
+def _row_keys(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """A 64-bit key per slot of the equal-length uint64 trace columns
+    ``cols``: a multiply-xor fold across them.  Equal rows get equal keys;
+    different rows can share one, so a caller checks the rows that do."""
+    key = cols[0].copy()
+    for c in cols[1:]:
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key ^= key >> np.uint64(29)  # so that high bits reach the low ones
+        key ^= c
+    return key
+
+
+def _distinct_rows(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct rows of 2-D 64-bit ``blocks`` (a trace column per array
+    row, a slot per array column), compared by bits, as ``(rep, inv)``: slot
+    ``rep[inv[i]]`` holds the bits of slot ``i`` in every column.  Slots are
+    grouped by :func:`_row_keys` and each is checked against its group's
+    representative.  None if two different rows share a key, or if no two
+    slots share a row: then every slot is rendered."""
+    cols = [c for b in blocks for c in b.view(np.uint64)]
+    key = _row_keys(cols)
+    groups, inv = np.unique(key, return_inverse=True)
+    if len(groups) == len(key):
+        return None
+    rep = np.empty(len(groups), dtype=np.intp)
+    rep[inv] = np.arange(len(key))  # some slot of each group
+    each = rep[inv]
+    if not all(np.array_equal(c[each], c) for c in cols):
+        return None
+    return rep, inv
+
+
+def _block_text(trace: PathTrace, lo: int, hi: int) -> str:
+    """The CSV lines of slots lo+1..hi.  Each distinct row (all columns but
+    ``t``, compared by bits) is rendered once, through each distinct number
+    of a column once, so that per slot only ``t`` is new text.  A block's
+    strings are freed on return: kept while the next block's were made,
+    they left some 4 MiB more resident after the write."""
+    ints = np.vstack((trace.event_ids[lo:hi], trace.action_indices[lo:hi]), dtype=np.int64)
+    # z0, each z_l, each q_l at the start of the slot, drift
+    floats = np.vstack((trace.z0[lo:hi], trace.z[lo:hi].T, trace.q[lo:hi].T,
+                        trace.drift[lo:hi]), dtype=np.float64)
+    distinct = _distinct_rows((ints, floats))
+    if distinct is not None:
+        rep, inv = distinct
+        ints, floats = ints[:, rep], floats[:, rep]
+    # ",event_id,...,drift" of each distinct row, then of each slot
+    tails = list(map(",".join, zip(repeat(""), *_text_rows(ints), *_text_rows(floats))))
+    if distinct is not None:
+        tails = np.array(tails, dtype=object)[inv].tolist()
+    lines = ["\n"] * (3 * (hi - lo))  # t, its row's tail, "\n"
+    lines[::3] = map(str, range(lo + 1, hi + 1))
+    lines[1::3] = tails
+    return "".join(lines)
+
+
 def write_trace_csv(trace: PathTrace, path: str) -> None:
     """One row per slot; queue columns hold the vector at the start of the
-    slot.  Floats use shortest round-trip decimals.  Rows are rendered a
-    block at a time, each distinct number of a column's block once."""
-    T = trace.T
+    slot.  Floats use shortest round-trip decimals.  Rows are rendered
+    :data:`TRACE_CSV_BLOCK` slots at a time, each distinct row of a block
+    once (see :func:`_block_text`)."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(trace_csv_header(trace.L) + "\n")
-        for lo in range(0, T, TRACE_CSV_BLOCK):
-            hi = min(lo + TRACE_CSV_BLOCK, T)
-            cols = [map(str, range(lo + 1, hi + 1))]
-            cols.extend(_text_rows(np.vstack((trace.event_ids[lo:hi],
-                                              trace.action_indices[lo:hi]),
-                                             dtype=np.int64)))
-            # z0, each z_l, each q_l at the start of the slot, drift
-            cols.extend(_text_rows(np.vstack((trace.z0[lo:hi], trace.z[lo:hi].T,
-                                              trace.q[lo:hi].T, trace.drift[lo:hi]),
-                                             dtype=np.float64)))
-            f.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        for lo in range(0, trace.T, TRACE_CSV_BLOCK):
+            f.write(_block_text(trace, lo, min(lo + TRACE_CSV_BLOCK, trace.T)))
 
 
 def first_true_row(bad: np.ndarray) -> int:
@@ -385,8 +433,10 @@ def read_trace_csv(path: str) -> PathTrace:
         L = (ncol - 5) // 2
         if trace_csv_header(L) != header:
             raise ValueError(f"unrecognized trace header {header!r}")
-        start = f.tell()
-        if not f.readline().strip():
+        start, line = f.tell(), f.readline()
+        while line and not line.strip():  # numpy skips blank lines too
+            start, line = f.tell(), f.readline()
+        if not line:
             raise ValueError("trace has no slots")
         f.seek(start)
         raw = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2)

@@ -297,6 +297,21 @@ def test_read_trace_csv_counts_data_rows_not_lines(tmp_path, sq_spec):
         read_trace_csv(str(path))
 
 
+def test_read_trace_csv_skips_blank_lines_before_the_first_row(tmp_path, sq_spec):
+    path = tmp_path / "t.csv"
+    tr = run_path(sq_spec, seed=11, T=6)
+    write_trace_csv(tr, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:1] + ["\n", " \n"] + lines[1:]))
+    back = read_trace_csv(str(path))
+    assert np.array_equal(back.q, tr.q) and np.array_equal(back.event_ids, tr.event_ids)
+    path.write_text("".join(lines[:1] + ["\n", " \n"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # fails before numpy warns
+        with pytest.raises(ValueError, match="^trace has no slots$"):
+            read_trace_csv(str(path))
+
+
 @pytest.mark.parametrize("row", [5, 50])
 def test_read_trace_csv_leaves_queue_values_to_the_checker(tmp_path, sv_spec, row):
     # the reader parses, whichever row holds the negative queue, the last
@@ -349,6 +364,27 @@ def test_writer_matches_reference_on_signed_zeros_and_thirds(tmp_path):
     assert np.any((tr.z == 0.0) & np.signbit(tr.z))  # -0.0 is in the trace
     text = _assert_writers_agree(tr, str(tmp_path)).decode()
     assert ",-0.0," in text and ",0.3333333333333333," in text
+
+
+def test_writer_renders_every_row_when_row_keys_collide(tmp_path, sv_spec):
+    # one key for every row: each block finds different rows under it, so it
+    # renders every row, and the bytes are the same
+    tr = run_path(sv_spec, seed=2, T=core.TRACE_CSV_BLOCK + 4464)
+    with mock.patch.object(core, "_row_keys", lambda rows: np.zeros(len(rows[0]), np.uint64)):
+        assert core._distinct_rows((np.vstack((tr.event_ids, tr.action_indices)),)) is None
+        _assert_writers_agree(tr, str(tmp_path))
+
+
+def test_writer_matches_reference_when_every_row_repeats(tmp_path):
+    # one event whose one action empties the queue: every row but t is the same
+    spec = ProblemSpec(events=(EventOutcome(1.0, (ActionVector(0.25, (-0.5,)),)),),
+                       L=1, z_max=1.0, B=1.0, V=3.0)
+    tr = run_path(spec, seed=4, T=3 * core.TRACE_CSV_BLOCK)
+    first, inv = core._distinct_rows((np.vstack((tr.event_ids, tr.action_indices)),
+                                      np.vstack((tr.z0, tr.z.T, tr.q_before.T, tr.drift))))
+    assert len(first) == 1 and not inv.any()
+    text = _assert_writers_agree(tr, str(tmp_path)).decode()
+    assert text.endswith(f"\n{3 * core.TRACE_CSV_BLOCK},0,0,0.25,-0.5,0.0,0.0\n")
 
 
 _doubles = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308]), st.floats())

@@ -1,5 +1,5 @@
 """Golden outcomes of the lockstep engine: 512 paths x 200 slots on five
-specs under eleven variants (chaos rules, KeyFeature, understated B or
+specs under thirteen variants (chaos rules, KeyFeature, understated B or
 z_max, understated c1 and c2).  Each outcome is the sha256 of every
 ``PathStats`` field or the violation's replay fields, pinned as the engine
 gave them when recorded.  A refactor of ``simulate_chunk`` that changes any
@@ -31,7 +31,8 @@ SPECS = {
     "non_lattice": non_lattice_spec,
     "tight": lambda: tight_step_spec(33.3, V=4e5),
 }
-# name: (spec field factors, constant factors, simulate_paths keywords)
+# name: (spec field factors, constants replaced, simulate_paths keywords); a
+# replaced constant is a function of the honest constants
 VARIANTS = {
     "bare": ({}, {}, {}),
     "KeyFeature": ({}, {}, {"key_feature": True}),
@@ -44,7 +45,14 @@ VARIANTS = {
     "B*0.99": ({"B": 0.99}, {}, {}),
     "z_max/100": ({"z_max": 0.01}, {}, {}),
     "z_max/100+KeyFeature": ({"z_max": 0.01}, {}, {"key_feature": True}),
-    "c1/50,c2/3": ({}, {"c1": 1 / 50, "c2": 1 / 3}, {}),
+    "c1/50,c2/3": ({}, {"c1": lambda c: c.c1 * (1 / 50), "c2": lambda c: c.c2 * (1 / 3)}, {}),
+    # c2 below the server's steps of 10 and 11, so that a step is flagged, where
+    # c2/3 stays far above every step: at c1 = 13.1 (test_montecarlo's stop
+    # test) the first flagged step comes before its path stops; at c1 = 12
+    # a stopped path takes a flagged step first, so the outcome also depends
+    # on flags not counting after the stop
+    "c1=13.1,c2=10.5": ({}, {"c1": lambda c: 13.1, "c2": lambda c: 10.5}, {}),
+    "c1=12,c2=9.5": ({}, {"c1": lambda c: 12.0, "c2": lambda c: 9.5}, {}),
 }
 
 
@@ -59,10 +67,10 @@ def outcome(name: str, variant: str):
     index, seed, slot, detail).  The constants and the stationary optimum
     are the honest spec's, whatever the variant understates."""
     spec, sol = _honest(name)
-    spec_factors, const_factors, kwargs = VARIANTS[variant]
+    spec_factors, const_values, kwargs = VARIANTS[variant]
     consts = constants_for_horizon(spec, sol.xi, T, 0.05)
     spec = unchecked_spec(spec, **{k: getattr(spec, k) * f for k, f in spec_factors.items()})
-    consts = replace(consts, **{k: getattr(consts, k) * f for k, f in const_factors.items()})
+    consts = replace(consts, **{k: f(consts) for k, f in const_values.items()})
     try:
         stats = simulate_paths(spec, derive_seeds(SEED, 0, N), T, sol.z_opt, consts, **kwargs)
     except InvariantViolation as e:
@@ -101,6 +109,12 @@ DIGESTS = {
         '238414d45c73ac6dd48df5604edf05153cc9500f0958acb86a68ce0a2665c835',
     ('server', 'c1/50,c2/3'):
         '238414d45c73ac6dd48df5604edf05153cc9500f0958acb86a68ce0a2665c835',
+    ('server', 'c1=13.1,c2=10.5'):
+        ('stopped process difference bound', 238, 16753303054302939283, 47,
+         '11.0 exceeds 10.5'),
+    ('server', 'c1=12,c2=9.5'):
+        ('stopped process difference bound', 260, 13138863634577620791, 70,
+         '10.0 exceeds 9.5'),
     ('single', 'bare'):
         'c56c96d84a7dde88a619996240a633b3973375d0698ca39ce6d31ef7a54479a8',
     ('single', 'KeyFeature'):
@@ -126,6 +140,10 @@ DIGESTS = {
     ('single', 'z_max/100+KeyFeature'):
         'c56c96d84a7dde88a619996240a633b3973375d0698ca39ce6d31ef7a54479a8',
     ('single', 'c1/50,c2/3'):
+        'c56c96d84a7dde88a619996240a633b3973375d0698ca39ce6d31ef7a54479a8',
+    ('single', 'c1=13.1,c2=10.5'):
+        'c56c96d84a7dde88a619996240a633b3973375d0698ca39ce6d31ef7a54479a8',
+    ('single', 'c1=12,c2=9.5'):
         'c56c96d84a7dde88a619996240a633b3973375d0698ca39ce6d31ef7a54479a8',
     ('ragged', 'bare'):
         '54e1bc99d27676b08d5ded83c6f7bd8971c8d654ed11bbf982853d2cbc5dea95',
@@ -153,6 +171,10 @@ DIGESTS = {
         '54e1bc99d27676b08d5ded83c6f7bd8971c8d654ed11bbf982853d2cbc5dea95',
     ('ragged', 'c1/50,c2/3'):
         '54e1bc99d27676b08d5ded83c6f7bd8971c8d654ed11bbf982853d2cbc5dea95',
+    ('ragged', 'c1=13.1,c2=10.5'):
+        '54e1bc99d27676b08d5ded83c6f7bd8971c8d654ed11bbf982853d2cbc5dea95',
+    ('ragged', 'c1=12,c2=9.5'):
+        '54e1bc99d27676b08d5ded83c6f7bd8971c8d654ed11bbf982853d2cbc5dea95',
     ('non_lattice', 'bare'):
         '53eecc1049d5e4e23d14ba1eca4c1de8dbcd6198f99cae9b29f8f1aa8975608a',
     ('non_lattice', 'KeyFeature'):
@@ -178,6 +200,12 @@ DIGESTS = {
         '53eecc1049d5e4e23d14ba1eca4c1de8dbcd6198f99cae9b29f8f1aa8975608a',
     ('non_lattice', 'c1/50,c2/3'):
         '53eecc1049d5e4e23d14ba1eca4c1de8dbcd6198f99cae9b29f8f1aa8975608a',
+    ('non_lattice', 'c1=13.1,c2=10.5'):
+        ('stopped process difference bound', 0, 8429667923240978791, 1,
+         '15.850083081869803 exceeds 10.5'),
+    ('non_lattice', 'c1=12,c2=9.5'):
+        ('stopped process difference bound', 0, 8429667923240978791, 1,
+         '15.850083081869803 exceeds 9.5'),
     ('tight', 'bare'):
         '2563c5fe225fe9a2c8b1c418839c202b7dd768fa98718662c25638b85dcf8480',
     ('tight', 'KeyFeature'):
@@ -203,12 +231,23 @@ DIGESTS = {
         '2563c5fe225fe9a2c8b1c418839c202b7dd768fa98718662c25638b85dcf8480',
     ('tight', 'c1/50,c2/3'):
         '2563c5fe225fe9a2c8b1c418839c202b7dd768fa98718662c25638b85dcf8480',
+    ('tight', 'c1=13.1,c2=10.5'):
+        ('stopped process difference bound', 0, 8429667923240978791, 1,
+         '100000.0 exceeds 10.5'),
+    ('tight', 'c1=12,c2=9.5'):
+        ('stopped process difference bound', 0, 8429667923240978791, 1,
+         '100000.0 exceeds 9.5'),
 }
 
 
 @pytest.mark.parametrize("name, variant", sorted(DIGESTS))
 def test_engine_digest(name, variant):
     assert outcome(name, variant) == DIGESTS[name, variant]
+
+
+@pytest.mark.parametrize("variant", ["c1=13.1,c2=10.5", "c1=12,c2=9.5"])
+def test_understated_c2_flags_a_server_step(variant):
+    assert outcome("server", variant) != outcome("server", "bare")
 
 
 if __name__ == "__main__":
