@@ -15,7 +15,9 @@ update is an identity and is checked exactly.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -23,6 +25,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 LAW_TOL = 1e-9
 PROB_TOL = 1e-12
@@ -327,7 +330,7 @@ def trace_csv_header(L: int) -> str:
     return f"t,event_id,action_index,z0,{zcols},{qcols},drift"
 
 
-TRACE_CSV_BLOCK = 65536  # rows rendered and written at a time
+TRACE_CSV_BLOCK = 65536  # rows rendered and written, and 16x as many bytes read, at a time
 
 
 def _text_rows(values: np.ndarray) -> list[list[str]]:
@@ -344,9 +347,10 @@ def _text_rows(values: np.ndarray) -> list[list[str]]:
 
 
 def _row_keys(cols: Sequence[np.ndarray]) -> np.ndarray:
-    """A 64-bit key per slot of the equal-length uint64 trace columns
-    ``cols``: a multiply-xor fold across them.  Equal rows get equal keys;
-    different rows can share one, so a caller checks the rows that do."""
+    """A 64-bit key per slot of the equal-length uint64 columns ``cols`` (of
+    a trace, or words of its text): a multiply-xor fold across them.  Equal
+    rows get equal keys; different rows can share one, so a caller checks
+    the rows that do."""
     key = cols[0].copy()
     for c in cols[1:]:
         key *= np.uint64(0x9E3779B97F4A7C15)
@@ -356,12 +360,12 @@ def _row_keys(cols: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _distinct_rows(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct rows of 2-D 64-bit ``blocks`` (a trace column per array
-    row, a slot per array column), compared by bits, as ``(rep, inv)``: slot
+    """The distinct rows of 2-D 64-bit ``blocks`` (a column per array row, a
+    slot per array column), compared by bits, as ``(rep, inv)``: slot
     ``rep[inv[i]]`` holds the bits of slot ``i`` in every column.  Slots are
     grouped by :func:`_row_keys` and each is checked against its group's
     representative.  None if two different rows share a key, or if no two
-    slots share a row: then every slot is rendered."""
+    slots share a row: then every slot is rendered, or parsed."""
     cols = [c for b in blocks for c in b.view(np.uint64)]
     key = _row_keys(cols)
     groups, inv = np.unique(key, return_inverse=True)
@@ -417,53 +421,202 @@ def first_true_row(bad: np.ndarray) -> int:
     return i // (bad.size // len(bad)) if bad.flat[i] else len(bad)
 
 
+def _count_lines(f, size: int) -> int:
+    """Lines from ``f``'s position to its end, each ended by "\\n", "\\r\\n"
+    or "\\r" (as text mode reads them) or by the end of the file: at least
+    as many as the data rows there.  Read ``size`` bytes at a time."""
+    n, last = 0, b"\n"
+    for chunk in iter(lambda: f.read(size), b""):
+        n += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
+        if b"\r" in chunk:
+            n += chunk.count(b"\r") - chunk.count(b"\r\n")
+        last = chunk[-1:]
+    return n + (last not in b"\r\n")
+
+
+def _line_blocks(f, size: int):
+    """The rest of ``f`` in blocks of whole lines, ``size`` bytes each and
+    the rest of the line where that ends.  Every line of a block ends with
+    "\\n" ("\\r\\n" and "\\r" are read as "\\n", as text mode reads them;
+    a file whose lines all end with "\\r" is one block)."""
+    for buf in iter(lambda: f.read(size), b""):
+        buf += f.readline()
+        if b"\r" in buf:
+            buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield buf if buf.endswith(b"\n") else buf + b"\n"
+
+
+def _parse_lines(text: bytes) -> np.ndarray:
+    """(rows, columns) float64 of the CSV lines ``text``, by numpy's float
+    parser.  Nothing is a comment."""
+    return np.loadtxt(io.BytesIO(text), delimiter=",", dtype=np.float64, comments=None,
+                      ndmin=2, encoding="utf-8")
+
+
+def _distinct_tails(text: bytes, k0: int) -> tuple[np.ndarray, ...] | None:
+    """Group the CSV lines ``text``, rows k0+1.. of a trace, by their bytes
+    after ``t``, as ``(rep, inv, plain, ends)``: line ``rep[inv[i]]``
+    has the bytes of line ``i`` after ``t``, line ``i`` ends at ``ends[i]``,
+    and its ``t`` is its row number in plain digits where ``plain[i]``.  Any
+    other line is a group of its own, so that it is parsed whole.  Lines are
+    grouped by :func:`_distinct_rows`, their tails padded to whole 8-byte
+    words.  None if no two lines share a group, if the tails are too wide to
+    group cheaply, if a line is empty, or if the first lines of the block
+    (those ending in its first 64 KiB) repeat no tail: then grouping would
+    not pay."""
+    first = text[:1 << 16].split(b"\n")[:-1]
+    if len({line.partition(b",")[2] for line in first}) == len(first):
+        return None
+    a = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    if ends[0] == 0 or np.any(np.diff(ends) == 1):  # an empty line, which numpy skips
+        return None
+    n = len(ends)
+    k = np.arange(k0 + 1, k0 + n + 1)
+    D = len(str(k0 + n))  # digits of the largest k
+    digits = np.ones(n, dtype=np.int64)  # of each k
+    for p in range(1, D):
+        digits += k >= 10 ** p
+    tail = np.concatenate(([0], ends[:-1] + 1)) + digits + 1  # if t is plain
+    tail_len = np.maximum(ends - tail, 0)
+    W = max(1, (int(tail_len.max()) + 7) // 8)  # words per tail
+    if 8 * W * n > 4 * len(a) or 8 * W + D + 1 > len(a):
+        return None
+    # t is plain if its comma follows k's digits: the last of D + 1 bytes;
+    # a line whose bytes do not fit in the windows is a group of its own
+    head = sliding_window_view(a, D + 1)[np.clip(tail - 1 - D, 0, len(a) - 1 - D)]
+    plain = (tail - 1 - D >= 0) & (tail + 8 * W <= len(a)) & (head[:, D] == ord(","))
+    number = np.zeros(n, dtype=np.int64)
+    for c in range(D):  # the byte at decimal place D - 1 - c
+        digit = head[:, c] - np.uint8(ord("0"))  # a digit if below 10
+        live = digits > D - 1 - c
+        plain &= ~live | (digit < 10)
+        number = 10 * number + np.where(live, digit, 0)
+    plain &= number == k
+    tails = sliding_window_view(a, 8 * W)[np.minimum(tail, len(a) - 8 * W)].view(np.uint64)
+    low = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)  # b low bytes
+    for j in range(W):  # keep the tail's bytes of each word
+        tails[:, j] &= low[np.clip(tail_len - 8 * j, 0, 8)]
+    alone = np.where(plain, 0, np.arange(1, n + 1)).astype(np.uint64)
+    distinct = _distinct_rows((tails.T, alone[None]))
+    return None if distinct is None else (*distinct, plain, ends)
+
+
+def _block_rows(text: bytes, k0: int) -> np.ndarray:
+    """The (rows, columns) float64 values of the CSV lines ``text``, rows
+    k0+1.. of a trace, with each group of :func:`_distinct_tails` parsed
+    once, or every line if there are none."""
+    distinct = _distinct_tails(text, k0)
+    if distinct is None:
+        return _parse_lines(text)
+    rep, inv, plain, ends = distinct
+    order = np.argsort(rep)
+    rank = np.empty(len(rep), dtype=np.intp)
+    rank[order] = np.arange(len(rep))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lines = zip(starts[rep[order]].tolist(), (ends[rep[order]] + 1).tolist())
+    raw = _parse_lines(b"".join(text[i:j] for i, j in lines))[rank[inv]]
+    raw[plain, 0] = np.arange(k0 + 1, k0 + len(ends) + 1)[plain]
+    return raw
+
+
+def _first_unparseable(buf: bytes, ends: np.ndarray, n: int) -> int:
+    """The first of lines 0..n-1 of ``buf`` that numpy cannot parse, or n if
+    they all parse, found by bisection."""
+    lo, hi = 0, n + 1  # lines before lo parse; the first that does not, or n, is before hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_lines(buf[(ends[lo - 1] + 1 if lo else 0):ends[mid - 1] + 1])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def _read_block(buf: bytes, k0: int, ncol: int) -> np.ndarray:
+    """The (rows, ncol) float64 values of the CSV lines ``buf``, rows k0+1..,
+    after the checks of :func:`read_trace_csv`; raises naming the first bad
+    row."""
+    try:
+        raw = _block_rows(buf, k0) if buf.lstrip() else np.empty((0, ncol))  # not all blank
+    except ValueError:
+        raw = None
+    stop = ""
+    if raw is None or raw.shape[1] != ncol:
+        # Drop the blank lines, which are not counted (numpy skips the empty
+        # ones, and fails on one of whitespace), and parse the rows before
+        # the first that cannot be parsed.
+        buf = re.sub(rb"(?m)^[ \t\v\f]*\n", b"", buf)
+        a = np.frombuffer(buf, dtype=np.uint8)
+        ends = np.flatnonzero(a == ord("\n"))
+        commas = np.flatnonzero(a == ord(","))
+        columns = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+        n = first_true_row(columns != ncol)
+        stop = f"{columns[n]} columns, not the header's {ncol}" if n < len(ends) else ""
+        parsed = _first_unparseable(buf, ends, n)
+        if parsed < n:
+            n, stop = parsed, "a value does not parse"
+        raw = _block_rows(buf[:ends[n - 1] + 1], k0) if n else np.empty((0, ncol))
+    n = len(raw)
+    if n:
+        ids = np.ascontiguousarray(raw[:, 1:3])  # event_id, action_index; fast to compare
+        rules = (  # (what is wrong, first row where it is), checked in this order per row
+            ("a value is not finite", first_true_row(~np.isfinite(raw))),
+            ("t is not the row number",
+             first_true_row(raw[:, 0] != np.arange(k0 + 1, k0 + n + 1))),
+            ("event_id or action_index is not an integer in 0..2**53",
+             first_true_row(~((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids))))),
+        )
+        row, i = min((row, i) for i, (_, row) in enumerate(rules))
+        if row < n:
+            raise ValueError(f"trace row {k0 + row + 1}: {rules[i][0]}: "
+                             f"{','.join(repr(v) for v in raw[row].tolist())}")
+    if stop:
+        line = buf[(ends[n - 1] + 1 if n else 0):ends[n]].decode("utf-8", "replace")
+        raise ValueError(f"trace row {k0 + n + 1}: {stop}: {line}")
+    return raw
+
+
 def read_trace_csv(path: str) -> PathTrace:
     """Rebuild a trace from its CSV form.  The final post-update queue vector
     is reconstructed as max{q + z, 0} of the last row.
 
+    The file is read in blocks of whole lines, into arrays sized by a first
+    pass that counts the lines, and within a block each distinct row after
+    ``t`` (compared by bytes) is parsed once, by numpy's float parser.
+
     Fails closed with a ValueError naming the first bad row (data rows count
-    from 1; numpy skips blank lines, so they are not counted): a ``t`` column
-    other than 1..T, an ``event_id`` or ``action_index`` that is not an
-    integer in 0..2**53 (beyond which float parsing cannot tell), or any
-    value that is not finite.  Queue values are not judged here:
+    from 1; blank lines, of whitespace only, are skipped and not counted): a
+    row whose number of columns differs from the header's, a value that does
+    not parse as a number (nothing is a comment), a ``t`` column other than
+    1..T, an ``event_id`` or ``action_index`` that is not an integer in
+    0..2**53 (beyond which float parsing cannot tell), or any value that is
+    not finite.  Queue values are not judged here:
     :func:`verify_trace_dynamics` checks every row of them."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
+    size = 16 * TRACE_CSV_BLOCK  # bytes read at a time
+    with open(path, "rb") as f:
+        first = f.readline()
+        first = first.splitlines(keepends=True)[0] if first else b""
+        header = first.decode("utf-8").strip()
         ncol = len(header.split(","))
         L = (ncol - 5) // 2
         if trace_csv_header(L) != header:
             raise ValueError(f"unrecognized trace header {header!r}")
-        start, line = f.tell(), f.readline()
-        while line and not line.strip():  # numpy skips blank lines too
-            start, line = f.tell(), f.readline()
-        if not line:
-            raise ValueError("trace has no slots")
-        f.seek(start)
-        raw = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2)
-    T = raw.shape[0]
-    ids = np.ascontiguousarray(raw[:, 1:3])  # event_id, action_index
-    rules = (  # (what is wrong, first row where it is), checked in this order per row
-        ("a value is not finite", first_true_row(~np.isfinite(raw))),
-        ("t is not the row number", first_true_row(raw[:, 0] != np.arange(1, T + 1))),
-        ("event_id or action_index is not an integer in 0..2**53",
-         first_true_row(~((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids))))),
-    )
-    row, i = min((row, i) for i, (_, row) in enumerate(rules))
-    if row < T:
-        raise ValueError(f"trace row {row + 1}: {rules[i][0]}: "
-                         f"{','.join(repr(v) for v in raw[row].tolist())}")
-    event_ids, action_indices = (ids[:, c].astype(np.int64) for c in (0, 1))
-    del ids  # so that the reader's peak stays raw plus the trace
-    z = raw[:, 4:4 + L]
-    qb = raw[:, 4 + L:4 + 2 * L]
-    q = np.empty((T + 1, L), dtype=np.float64)
-    q[:T] = qb
-    q[T] = np.maximum(qb[T - 1] + z[T - 1], 0.0)
-    return PathTrace(
-        event_ids=event_ids,
-        action_indices=action_indices,
-        z0=raw[:, 3].copy(),
-        z=z.copy(),
-        q=q,
-        drift=raw[:, -1].copy(),
-    )
+        f.seek(len(first))
+        n = _count_lines(f, size)
+        f.seek(len(first))
+        event_ids, action_indices = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        z0, z, q, drift = np.empty(n), np.empty((n, L)), np.empty((n + 1, L)), np.empty(n)
+        T = 0
+        for buf in _line_blocks(f, size):
+            raw = _read_block(buf, T, ncol)
+            rows = slice(T, T + len(raw))
+            event_ids[rows], action_indices[rows], z0[rows] = raw[:, 1], raw[:, 2], raw[:, 3]
+            z[rows], q[rows], drift[rows] = raw[:, 4:4 + L], raw[:, 4 + L:4 + 2 * L], raw[:, -1]
+            T += len(raw)
+    if not T:
+        raise ValueError("trace has no slots")
+    q[T] = np.maximum(q[T - 1] + z[T - 1], 0.0)
+    return PathTrace(event_ids=event_ids[:T], action_indices=action_indices[:T],
+                     z0=z0[:T], z=z[:T], q=q[:T + 1], drift=drift[:T])

@@ -555,3 +555,46 @@ def empirical_tail(traces, statistic: str, threshold: float, *,
     n = len(values)
     lo, hi = wilson_interval(k, n)
     return TailEstimate(k / n, lo, hi, k, n)
+
+
+def reference_read_trace_csv(path: str) -> PathTrace:
+    """The trace CSV reader's contract, one line at a time: the package's
+    block reader must return the same arrays, or raise the same message.
+    Lines end with "\\n", "\\r\\n" or "\\r"; blank lines (whitespace
+    only) are skipped and not counted; each row is checked in this order:
+    column count, parse (numpy's float parser, no comments), finiteness,
+    ``t``, the two ids."""
+    with open(path, "rb") as f:
+        lines = f.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    header = lines[0].decode("utf-8").strip()
+    ncol = len(header.split(","))
+    L = (ncol - 5) // 2
+    if trace_csv_header(L) != header:
+        raise ValueError(f"unrecognized trace header {header!r}")
+    rows = []
+    for i, line in enumerate((line for line in lines[1:] if line.strip(b" \t\v\f")), 1):
+        text = line.decode("utf-8", "replace")
+        if len(line.split(b",")) != ncol:
+            raise ValueError(f"trace row {i}: {len(line.split(b','))} columns, not the "
+                             f"header's {ncol}: {text}")
+        try:
+            row = np.loadtxt([line.decode("utf-8")], delimiter=",", comments=None, ndmin=2)[0]
+        except ValueError:
+            raise ValueError(f"trace row {i}: a value does not parse: {text}") from None
+        ids = row[1:3]
+        for bad, what in ((not np.isfinite(row).all(), "a value is not finite"),
+                          (row[0] != i, "t is not the row number"),
+                          (not ((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids))).all(),
+                           "event_id or action_index is not an integer in 0..2**53")):
+            if bad:
+                raise ValueError(f"trace row {i}: {what}: "
+                                 f"{','.join(repr(v) for v in row.tolist())}")
+        rows.append(row)
+    if not rows:
+        raise ValueError("trace has no slots")
+    raw = np.array(rows)
+    q = np.empty((len(raw) + 1, L))
+    q[:-1] = raw[:, 4 + L:4 + 2 * L]
+    q[-1] = np.maximum(q[-2] + raw[-1, 4:4 + L], 0.0)
+    return PathTrace(raw[:, 1].astype(np.int64), raw[:, 2].astype(np.int64), raw[:, 3].copy(),
+                     raw[:, 4:4 + L].copy(), q, raw[:, -1].copy())

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import tempfile
@@ -10,7 +11,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import (build_trace_from_z, drift, non_lattice_spec, norm_sq, ragged_spec,
-                     reference_write_trace_csv, tight_step_spec, unchecked_spec)
+                     reference_read_trace_csv, reference_write_trace_csv, tight_step_spec,
+                     unchecked_spec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,6 +278,11 @@ def _rewrite_cell(path: Path, row: int, col: int, value: str) -> None:
     (4, 2, "-2", "event_id or action_index is not an integer in 0..2**53"),
     (5, 6, "nan", "a value is not finite"),
     (1, 4, "-inf", "a value is not finite"),
+    # numpy's float parser, not float(): it rejects 1_0 too
+    (3, 3, "abc", "a value does not parse"),
+    (2, 4, "", "a value does not parse"),
+    (4, 5, "1_0", "a value does not parse"),
+    (6, 0, "1_0", "a value does not parse"),
 ])
 def test_read_trace_csv_rejects_malformed_rows(tmp_path, sq_spec, row, col, value, reason):
     path = tmp_path / "t.csv"
@@ -286,13 +293,75 @@ def test_read_trace_csv_rejects_malformed_rows(tmp_path, sq_spec, row, col, valu
         read_trace_csv(str(path))
 
 
+def _second_block_row(path: Path) -> int:
+    """A data row that the reader reads in its second block: it reads
+    16 * TRACE_CSV_BLOCK bytes and the rest of the line at a time."""
+    body = path.read_bytes().split(b"\n", 1)[1]
+    first_block = body.index(b"\n", 16 * core.TRACE_CSV_BLOCK) + 1
+    assert len(body) > first_block
+    return body[:first_block].count(b"\n") + 2
+
+
+@pytest.mark.parametrize("where", ["first row", "second block"])
+@pytest.mark.parametrize("change,columns", [(lambda cells: cells[:-1], 10),
+                                            (lambda cells: cells + ["9.0"], 12)])
+def test_read_trace_csv_rejects_rows_whose_column_count_differs(tmp_path, sv_spec, where,
+                                                                 change, columns):
+    # one row short or long, where the rest agree with the header: before,
+    # a file of such rows only was read with its columns misassigned
+    path = tmp_path / "t.csv"
+    write_trace_csv(run_path(sv_spec, seed=3, T=core.TRACE_CSV_BLOCK // 2), str(path))
+    row = 1 if where == "first row" else _second_block_row(path)
+    lines = path.read_text().splitlines()
+    bad = [",".join(change(line.split(","))) for line in lines]
+    path.write_text("\n".join(lines[:row] + bad[row:row + 1] + lines[row + 1:]) + "\n")
+    with pytest.raises(ValueError, match=rf"^trace row {row}: {columns} columns, not the "
+                                         rf"header's 11: {re.escape(bad[row])}$"):
+        read_trace_csv(str(path))
+    if where == "first row":  # every row short or long
+        path.write_text("\n".join(lines[:1] + bad[1:]) + "\n")
+        with pytest.raises(ValueError, match=rf"^trace row 1: {columns} columns"):
+            read_trace_csv(str(path))
+
+
+@pytest.mark.parametrize("t", ["{}.0", "0{}", "{}e0", "{}_0"])
+def test_read_trace_csv_reads_t_as_a_number_where_rows_repeat(tmp_path, sv_spec, t):
+    # t in other digits than the row number's is parsed whole, by numpy's
+    # float parser, in a block whose other rows are grouped by their tails
+    path = tmp_path / "t.csv"
+    tr = run_path(sv_spec, seed=3, T=core.TRACE_CSV_BLOCK // 2)
+    write_trace_csv(tr, str(path))
+    row = _second_block_row(path)
+    _rewrite_cell(path, row, 0, t.format(row))
+    if t == "{}_0":
+        with pytest.raises(ValueError, match=rf"^trace row {row}: a value does not parse: "):
+            read_trace_csv(str(path))
+    else:
+        _assert_same_trace(read_trace_csv(str(path)), tr)
+        _rewrite_cell(path, row, 0, t.format(row + 1))
+        with pytest.raises(ValueError, match=rf"^trace row {row}: t is not the row number: "):
+            read_trace_csv(str(path))
+
+
+@pytest.mark.parametrize("row", ["1,0,0,0.0,1.0,0.0,0.5 # c", "#1,0,0,0.0,1.0,0.0,0.5"])
+def test_read_trace_csv_has_no_comments(tmp_path, row):
+    path = tmp_path / "t.csv"
+    path.write_text(trace_csv_header(1) + "\n" + row + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^trace row 1: a value does not parse: "
+                                             rf"{re.escape(row)}$"):
+            read_trace_csv(str(path))
+
+
 def test_read_trace_csv_counts_data_rows_not_lines(tmp_path, sq_spec):
-    # a blank line is skipped, so the bad row after it is still data row 4
+    # blank lines, empty or of whitespace, are skipped, so the bad row after
+    # them is still data row 4
     path = tmp_path / "t.csv"
     write_trace_csv(run_path(sq_spec, seed=11, T=6), str(path))
     _rewrite_cell(path, 4, -1, "nan")
     lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
+    path.write_text("".join(lines[:2] + [" \t\n"] + lines[2:3] + ["\n"] + lines[3:]))
     with pytest.raises(ValueError, match=r"^trace row 4: a value is not finite: "):
         read_trace_csv(str(path))
 
@@ -310,6 +379,39 @@ def test_read_trace_csv_skips_blank_lines_before_the_first_row(tmp_path, sq_spec
         warnings.simplefilter("error")  # fails before numpy warns
         with pytest.raises(ValueError, match="^trace has no slots$"):
             read_trace_csv(str(path))
+
+
+@pytest.mark.parametrize("blank", ["", " \t"])
+def test_read_trace_csv_skips_blank_lines_where_rows_repeat(tmp_path, sv_spec, blank):
+    path = tmp_path / "t.csv"
+    tr = run_path(sv_spec, seed=3, T=200)
+    write_trace_csv(tr, str(path))
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(lines[:50] + [blank] + lines[50:]))
+    _assert_same_trace(read_trace_csv(str(path)), tr)
+
+
+@pytest.mark.parametrize("rows", [("2,0,0,0,0.0,1.0,0.0,0.5", "3.0,0,0,0.0,1.0,0.0,0.5"),
+                                  ("2.0,0,0,0.0,1.0,0.0,0.5", "3,0,0,0,0.0,1.0,0.0,0.5")])
+def test_read_trace_csv_groups_rows_by_their_bytes_after_t(tmp_path, rows):
+    # a t of other digits ("3.0") is parsed whole: its bytes after the row
+    # number's digits equal a long row's bytes after t, which must not hide
+    # the long row
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([trace_csv_header(1), "1,0,0,0.0,1.0,0.0,0.5", *rows,
+                               "4,0,0,0.0,1.0,0.0,0.5", "5,0,0,0.0,1.0,0.0,0.5"]) + "\n")
+    long = 2 if rows[0].count(",") == 7 else 3
+    with pytest.raises(ValueError, match=rf"^trace row {long}: 8 columns, not the header's 7: "):
+        read_trace_csv(str(path))
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_read_trace_csv_reads_any_line_end(tmp_path, sq_spec, end):
+    path = tmp_path / "t.csv"
+    tr = run_path(sq_spec, seed=11, T=6)
+    write_trace_csv(tr, str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+    _assert_same_trace(read_trace_csv(str(path)), tr)
 
 
 @pytest.mark.parametrize("row", [5, 50])
@@ -331,6 +433,34 @@ def test_read_trace_csv_reports_the_first_bad_row(tmp_path):
     with pytest.raises(ValueError, match=r"^trace row 1: t is not the "
                                          r"row number: 7\.0,1\.5,-2\.0,"):
         read_trace_csv(str(path))
+
+
+def _assert_same_trace(got: PathTrace, want: PathTrace) -> None:
+    for name in ("event_ids", "action_indices", "z0", "z", "q", "drift"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert a.flags.c_contiguous and a.flags.writeable, name
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_reader_round_trips_across_blocks(tmp_path, sv_spec, collide):
+    # each distinct row after t is parsed once; when every row key collides,
+    # no rows are grouped and every row is parsed, with the same result
+    T = core.TRACE_CSV_BLOCK + 4464
+    tr = run_path(sv_spec, seed=2, T=T)
+    path = tmp_path / "t.csv"
+    write_trace_csv(tr, str(path))
+    parsed, parse = [], core._parse_lines
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(
+            core, "_parse_lines", lambda text: parsed.append(parse(text)) or parsed[-1]))
+        if collide:
+            patches.enter_context(mock.patch.object(
+                core, "_row_keys", lambda rows: np.zeros(len(rows[0]), np.uint64)))
+        back = read_trace_csv(str(path))
+    _assert_same_trace(back, tr)
+    rows = sum(len(p) for p in parsed)
+    assert rows == T if collide else rows < T / 20
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +520,21 @@ def test_writer_matches_reference_when_every_row_repeats(tmp_path):
 _doubles = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308]), st.floats())
 
 
+_finite_doubles = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
 @st.composite
-def _any_trace(draw) -> PathTrace:
+def _any_trace(draw, doubles=_doubles, ids=st.integers(-2 ** 63, 2 ** 63 - 1)) -> PathTrace:
     T, L = draw(st.integers(1, 30)), draw(st.integers(1, 3))
 
     def floats(*shape):
         n = int(np.prod(shape))
-        return np.array(draw(st.lists(_doubles, min_size=n, max_size=n)),
+        return np.array(draw(st.lists(doubles, min_size=n, max_size=n)),
                         dtype=np.float64).reshape(shape)
 
     def ints():
-        return np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
-                                      min_size=T, max_size=T)), dtype=np.int64)
+        return np.array(draw(st.lists(ids, min_size=T, max_size=T)), dtype=np.int64)
 
     return PathTrace(ints(), ints(), floats(T), floats(T, L), floats(T + 1, L), floats(T))
 
@@ -414,11 +547,82 @@ def test_writer_matches_reference_on_any_trace(trace):
         _assert_writers_agree(trace, d)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_any_trace(_finite_doubles, st.integers(0, 2 ** 53)), st.data())
+def test_reader_round_trips_any_finite_trace(trace, data):
+    # rows drawn from a few of the trace's own, so that tails repeat within
+    # a block, and small blocks, so that most examples cross block boundaries
+    rows = np.array(data.draw(st.lists(st.integers(0, min(trace.T, 4) - 1),
+                                       min_size=1, max_size=40)))
+    q = np.vstack((trace.q_before[rows], np.zeros((1, trace.L))))
+    tr = PathTrace(trace.event_ids[rows], trace.action_indices[rows], trace.z0[rows],
+                   trace.z[rows], q, trace.drift[rows])
+    with np.errstate(over="ignore"):  # 1e308 + 1e308
+        tr.q[-1] = np.maximum(tr.q[-2] + tr.z[-1], 0.0)  # as the reader rebuilds it
+    block = data.draw(st.integers(1, 256))
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(core, "TRACE_CSV_BLOCK", block), \
+            np.errstate(over="ignore"):
+        write_trace_csv(tr, str(Path(d, "t.csv")))
+        _assert_same_trace(read_trace_csv(str(Path(d, "t.csv"))), tr)
+
+
+_cells = st.sampled_from(["abc", "", "1_0", "nan", "-inf", "1.5", "-1", "-0", "9007199254740993",
+                          " 7 ", "0.5 # c", "#1", "0x10", "1e400", "\xa0", "\u3000", "\uff11"])
+
+
+def _reader_outcome(read, path: str):
+    try:
+        with np.errstate(over="ignore"):
+            return read(path)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_trace(_finite_doubles, st.integers(0, 2 ** 53)), st.data())
+def test_reader_matches_the_row_by_row_reference_on_corrupted_files(trace, data):
+    # a block reader must name the same first bad row, for the same reason,
+    # as a reader that checks one line at a time, wherever blocks split
+    rows = np.array(data.draw(st.lists(st.integers(0, min(trace.T, 3) - 1),
+                                       min_size=1, max_size=30)))
+    tr = PathTrace(trace.event_ids[rows], trace.action_indices[rows], trace.z0[rows],
+                   trace.z[rows], np.vstack((trace.q_before[rows], trace.q[-1:])),
+                   trace.drift[rows])
+    with tempfile.TemporaryDirectory() as d:
+        path = str(Path(d, "t.csv"))
+        write_trace_csv(tr, path)
+        lines = Path(path).read_text().split("\n")
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(1, len(lines) - 1))
+            cells = lines[i].split(",")
+            edit = data.draw(st.sampled_from(["cell", "t", "short", "long", "blank"]))
+            if edit == "cell":
+                cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_cells)
+            elif edit == "t":
+                cells[0] = data.draw(st.sampled_from(["{}", "0{}", "{}.0", "{}e0"])).format(
+                    i + data.draw(st.integers(-1, 1)))
+            elif edit in ("short", "long"):
+                cells = cells[:-1] if edit == "short" else cells + ["9.0"]
+            else:  # a blank line before this one
+                cells = [data.draw(st.sampled_from(["", " ", "\t", "\f"])) + "\n" + lines[i]]
+            lines[i] = ",".join(cells)
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        Path(path).write_bytes(end.join(lines).encode("utf-8"))
+        with mock.patch.object(core, "TRACE_CSV_BLOCK", data.draw(st.integers(1, 64))):
+            got = _reader_outcome(read_trace_csv, path)
+        want = _reader_outcome(reference_read_trace_csv, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_trace(got, want)
+
+
 # ---------------------------------------------------------------------------
-# memory: run_path's buffers and the writer's per-block working set
+# memory: run_path's buffers and the writer's and reader's per-block working sets
 # ---------------------------------------------------------------------------
 
 WRITER_EXTRA_PEAK = 32 << 20  # bytes; the 2e5-slot server trace needs ~18 MB
+READER_EXTRA_PEAK = 8 << 20  # bytes; a 1 MiB block of the server trace needs ~7.1 MB
 
 
 def _traced_peak(fn):
@@ -447,6 +651,16 @@ def test_write_trace_csv_memory_does_not_grow_with_T(tmp_path, sv_spec, T):
     tr = run_path(sv_spec, seed=1, T=T)
     _, peak = _traced_peak(lambda: write_trace_csv(tr, str(tmp_path / "t.csv")))
     assert peak <= WRITER_EXTRA_PEAK
+
+
+def test_read_trace_csv_memory_stays_near_the_trace(tmp_path, sv_spec):
+    # the reader fills the trace's own arrays block by block: it holds no
+    # whole-file array beside them
+    path = tmp_path / "t.csv"
+    write_trace_csv(run_path(sv_spec, seed=1, T=200_000), str(path))
+    tr, peak = _traced_peak(lambda: read_trace_csv(str(path)))
+    arrays = (tr.event_ids, tr.action_indices, tr.z0, tr.z, tr.q, tr.drift)
+    assert peak <= 1.1 * sum(a.nbytes for a in arrays) + READER_EXTRA_PEAK
 
 
 def test_extreme_seeds_replay(sv_spec):
