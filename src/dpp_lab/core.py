@@ -301,21 +301,23 @@ def verify_trace_dynamics(trace: PathTrace, B: float) -> list[str]:
     """
     problems: list[str] = []
     qb, qa, z = trace.q_before, trace.q_after, trace.z
-    # max{u,0} == (u + |u|)/2 exactly in IEEE arithmetic; this recomputation
-    # is independent of how the trace was produced.
-    u = qb + z
-    expect = (u + np.abs(u)) / 2.0
-    bad = np.nonzero(~np.all(qa == expect, axis=1))[0]
-    for i in bad[:5]:
+    # a value that overflows to inf or NaN here fails its check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # max{u,0} == (u + |u|)/2 exactly in IEEE arithmetic; this
+        # recomputation is independent of how the trace was produced.
+        u = qb + z
+        update_bad = np.nonzero(~np.all(qa == (u + np.abs(u)) / 2.0, axis=1))[0]
+        v = trace_law_values(trace)
+        drift_bad = np.nonzero(~(np.abs(0.5 * (v.na2 - v.nb2) - trace.drift) <= LAW_TOL))[0]
+        v.B = B
+        law_msgs = law_problems(DYNAMICS_LAWS, v, trace.T)
+    for i in update_bad[:5]:
         problems.append(f"slot {i + 1}: queue update not exact")
     if np.any(trace.q < 0.0):
         problems.append("negative queue component")
-    v = trace_law_values(trace)
-    bad = np.nonzero(~(np.abs(0.5 * (v.na2 - v.nb2) - trace.drift) <= LAW_TOL))[0]
-    for i in bad[:5]:
+    for i in drift_bad[:5]:
         problems.append(f"slot {i + 1}: stored drift differs from recomputed value")
-    v.B = B
-    for name, msgs in law_problems(DYNAMICS_LAWS, v, trace.T).items():
+    for name, msgs in law_msgs.items():
         problems.extend(f"{name}: {m}" for m in msgs)
     return problems
 
@@ -617,6 +619,7 @@ def read_trace_csv(path: str) -> PathTrace:
             T += len(raw)
     if not T:
         raise ValueError("trace has no slots")
-    q[T] = np.maximum(q[T - 1] + z[T - 1], 0.0)
+    with np.errstate(over="ignore"):  # q + z past the largest double reads back as inf
+        q[T] = np.maximum(q[T - 1] + z[T - 1], 0.0)
     return PathTrace(event_ids=event_ids[:T], action_indices=action_indices[:T],
                      z0=z0[:T], z=z[:T], q=q[:T + 1], drift=drift[:T])

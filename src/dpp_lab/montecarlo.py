@@ -10,9 +10,10 @@ is paid once per theorem.
 A decision and every per-slot law input depend only on the queue vector and
 the realized event, so a batch runs over a transition table: each new
 queue vector is scored once under every event by
-:class:`dpp_lab.controller.ScoreTensor`, and a slot gathers each path's
-(state, event) entry, the slot's output block.  A path carries its queue
-vector's rows, the first rows of that block, in either phase.  Once new
+:class:`dpp_lab.controller.ScoreTensor`, and each (state, event) entry holds
+the slot's output block.  A slot gathers, at each path's entry, only the
+rows that it adds: the queue norm and the path sums.  The queue vector's
+rows are gathered once, where the batch hands over or ends.  Once new
 states come too fast, or a path takes an entry where a law fails, the
 batch hands over to scoring every event of every path each slot, the one
 loop that reports a violation.  The tensor's float order is the scalar
@@ -173,17 +174,18 @@ class _Table:
     states by one call.
 
     Rows of ``ev`` (per entry): the slot's ``out``, unchanged; ``nxt`` is
-    the next state (-1 until a path takes the entry).  A state owns no rows:
-    ``pending`` holds the input rows of the states numbered since the last
-    :meth:`score`, each the first rows of the entry that reached it.  Rows of
-    ``bad``: whether one of ``laws`` fails there for a running path, and for
-    a stopped one (dy = 0)."""
+    the next state's first entry s*W (-1 until a path takes the entry).  A
+    state owns no rows: ``pending`` holds the input rows of the states
+    numbered since the last :meth:`score`, each the first rows of the entry
+    that reached it.  Rows of ``bad``: whether one of ``laws`` fails there
+    for a running path, and for a stopped one (dy = 0).  ``crossed``: whether
+    some scored entry's q_1 is not at or below the cap C0*V."""
 
     def __init__(self, spec: ProblemSpec, c: SimpleNamespace, laws):
         self.spec, self.c, self.laws, L = spec, c, laws, spec.L
         self.number = {np.zeros(L).tobytes(): 0}
         self.pending = np.zeros((L + 2, 1))  # state 0's
-        self.flagged = False
+        self.flagged = self.crossed = False
         self.ev = np.zeros((2 * L + (6 if L == 1 else 4), 0))
         self.nxt = np.zeros(0, dtype=np.int64)
         self.bad = np.zeros((2, 0), dtype=bool)
@@ -191,9 +193,10 @@ class _Table:
     def resolve(self, ent: np.ndarray) -> np.ndarray:
         """Number the next states of the entries ``ent`` taken for the first
         time, and return every entry's next state."""
-        lo, L, new = len(self.number), self.spec.L, []
+        lo, L, W, new = len(self.number), self.spec.L, len(self.spec.events), []
         for e in np.unique(ent[self.nxt.take(ent) < 0]).tolist():
-            self.nxt[e] = s = self.number.setdefault(self.ev[:L, e].tobytes(), len(self.number))
+            s = self.number.setdefault(self.ev[:L, e].tobytes(), len(self.number))
+            self.nxt[e] = s * W
             if s == lo + len(new):
                 new.append(e)
         self.pending = np.concatenate((self.pending, self.ev[:L + 2, new]), axis=1)
@@ -212,6 +215,7 @@ class _Table:
                 if law_bad is not None:
                     flags |= law_bad.reshape(-1, n)  # a KeyFeature law's, per state
         self.flagged |= bool(bad.any())
+        self.crossed |= not (v.out[0] <= self.c.cap).all()
         self.ev, self.nxt, self.bad = (_room(a, hi * W) for a in (self.ev, self.nxt, self.bad))
         for a, rows in ((self.ev, v.out), (self.nxt, np.full(W * n, -1)), (self.bad, bad)):
             # event-major pairs into state-major entries
@@ -226,20 +230,27 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
     per-path law as it goes.  ``seeds`` must be uint64.
 
     Each slot gives every path an ``out`` block (of :func:`_decide`, or its
-    :class:`_Table` entry): the path carries the first rows, its queue
-    vector's, to the next slot, and adds the rest into one accumulator.  The
-    states the paths enter are scored before the next slot.  The run hands
-    over to deciding each path's slot afresh, every event scored, when the
-    entries scored since the start of a :data:`TABLE_BLOCK`-slot block would
-    pass half the N paths, or the table :data:`TABLE_STATES` states, or when
-    some path takes a flagged entry (a stopped-process flag counts while
-    ``max_qnorm <= c1``).  Only that per-slot loop checks the laws; a flag
-    comes from the same comparison over the same bits, so it raises at the
-    flagged slot.  Both phases give the same bits.  The table's arrays stay
-    below 2*TABLE_STATES*W*(16L + 58) + N*(8L + 16) bytes, 14 MiB at W = 8,
-    L = 3, N = 10^4.  Besides, peak RSS grows by about 260 bytes per path in
-    the table phase (the server builtin) and 730 in the per-slot phase
-    (``tests/helpers.non_lattice_spec``), measured at 10^4 and 10^5 paths."""
+    :class:`_Table` entry).  The path adds the sums rows into one
+    accumulator and keeps the norm row, and the per-slot loop carries the
+    first rows, its queue vector's, to the next slot.  A tabled slot gathers
+    the norm and sums rows only; the queue rows are gathered at the last
+    slot's entries where the per-slot loop takes over, and q_1 after slot T.
+    With one constraint, while no scored entry leaves the cap, every slot
+    starts at or below it, so the telescoping visit is recorded once: where
+    the first such entry is scored, at the hand-over or after slot T, and
+    checked each slot from there.  The states the paths enter are scored
+    before the next slot.  The run hands over to deciding each path's slot
+    afresh, every event scored, when the entries scored since the start of a
+    :data:`TABLE_BLOCK`-slot block would pass half the N paths, or the table
+    :data:`TABLE_STATES` states, or when some path takes a flagged entry (a
+    stopped-process flag counts while ``max_qnorm <= c1``).  Only that
+    per-slot loop checks the laws; a flag comes from the same comparison over
+    the same bits, so it raises at the flagged slot.  Both phases give the
+    same bits.  The table's arrays stay below 2*TABLE_STATES*W*(16L + 58) +
+    N*(8L + 16) bytes, 14 MiB at W = 8, L = 3, N = 10^4.  Besides, peak RSS
+    grows by about 250 bytes per path in the table phase (the server
+    builtin) and 730 in the per-slot phase (``tests/helpers.non_lattice_spec``),
+    measured at 10^4 and 10^5 paths."""
     N = seeds.shape[0]
     cum = cumulative_probabilities(spec)
     L, V, B, W = spec.L, spec.V, spec.B, len(spec.events)
@@ -255,11 +266,6 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
 
     sums = np.zeros((L + 4 if single else L + 2, N))  # the sums rows of _decide's out
     max_qnorm = np.zeros(N)
-    if single:
-        # the last slot in 1..T+1 that starts with q_1 <= C0*V; the sum of tz, q_1 there
-        nJ = np.ones(N, dtype=np.int64)
-        s_at_nJ = np.zeros(N)
-        q1_at_nJ = np.zeros(N)
 
     def enforce(laws, v, t: int) -> None:
         for law in laws:
@@ -272,13 +278,17 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
 
     table = _Table(spec, c, laws)
     at = np.zeros((L + 2, N))  # each path's queue vector rows, as _decide reads them
-    state = np.zeros(N, dtype=np.int64)  # every path starts at state 0
-    ent = np.empty(N, dtype=np.int64)
+    norm = at[L + 1]  # each path's queue norm
+    state = ent = np.zeros(N, dtype=np.int64)  # s*W for each path's state s; all start at 0
+    # with one constraint, nJ is the last slot in 1..T+1 that starts with
+    # q_1 <= C0*V (a visit), s_at_nJ the sum of tz and q1_at_nJ q_1 there;
+    # they are first written when a slot might not be one
+    every_visit = single
     u = np.empty(N)
     for t in range(1, T + 1):
         # through the module name, which perfbench's tracer patches
         ids = event_ids(cum, uniform_across(seeds, t, out=u))
-        np.maximum(max_qnorm, at[L + 1], out=max_qnorm)  # a path stops once past c1
+        np.maximum(max_qnorm, norm, out=max_qnorm)  # a path stops once past c1
         if table is not None:
             if (t - 1) % TABLE_BLOCK == 0:
                 scored = 0  # entries scored in this block
@@ -286,30 +296,41 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
             scored += W * new
             if new and 2 * scored <= N and len(table.number) <= TABLE_STATES:
                 table.score()
-            np.multiply(state, W, out=ent)
-            ent += ids
+            prev, ent = ent, state + ids
             # hand over when this slot's states went unscored or a path takes a flagged entry
-            if table.pending.shape[1] or table.flagged and np.where(
-                    max_qnorm > c1, table.bad[1].take(ent), table.bad[0].take(ent)).any():
+            hand_over = table.pending.shape[1] or table.flagged and np.where(
+                max_qnorm > c1, table.bad[1].take(ent), table.bad[0].take(ent)).any()
+            if t > 1 and (hand_over or every_visit and table.crossed):
+                at = table.ev[:L + 2].take(prev, axis=1)  # the queue rows the last slot left
+            if hand_over:
                 table, tensor = None, ScoreTensor(spec, N)
+        if every_visit and (table is None or table.crossed):
+            # slots 1..t were visits; from here each slot checks its own
+            every_visit = False
+            nJ, s_at_nJ, q1_at_nJ = np.full(N, t), sums[L + 3].copy(), at[0].copy()
         if table is None:
             v = _decide(tensor, at, ids, c)
             v.dy = np.where(max_qnorm > c1, 0.0, v.dx)
             enforce(laws, v, t)
             out = v.out
             del v
+            at, norm = out[:L + 2], out[L + 1]
+            sums += out[L + 2:]
         else:
             state = table.nxt.take(ent)
             if state.min() < 0:
                 state = table.resolve(ent)
-            out = table.ev.take(ent, axis=1)
-        at = out[:L + 2]
-        sums += out[L + 2:]
-        if single:
-            visit = at[0] <= cap  # slot t+1 starts at or below the cap
+            rows = table.ev[L + 1:].take(ent, axis=1)  # the norm, then the sums rows
+            norm = rows[0]
+            sums += rows[1:]
+        if single and not every_visit:
+            q1 = at[0] if table is None else table.ev[0].take(ent)
+            visit = q1 <= cap  # slot t+1 starts at or below the cap
             np.putmask(nJ, visit, t + 1)
             np.putmask(s_at_nJ, visit, sums[L + 3])
-            np.putmask(q1_at_nJ, visit, at[0])
+            np.putmask(q1_at_nJ, visit, q1)
+    if every_visit:  # so is slot T+1
+        nJ, s_at_nJ, q1_at_nJ = np.full(N, T + 1), sums[L + 3], table.ev[0].take(ent)
 
     tele_gap = tele_bound = tele_avg = None
     if single:
@@ -330,7 +351,7 @@ def simulate_chunk(spec: ProblemSpec, seeds: np.ndarray, T: int, z_opt: float,
         tele_gap=tele_gap,
         tele_bound=tele_bound,
         tele_avg=tele_avg,
-        final_qnorm=at[L + 1],
+        final_qnorm=norm,
     )
 
 

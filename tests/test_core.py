@@ -354,6 +354,20 @@ def test_read_trace_csv_has_no_comments(tmp_path, row):
             read_trace_csv(str(path))
 
 
+def test_overflowing_final_queue_is_read_and_checked_without_warnings(tmp_path):
+    # 1e308 + 1e308 overflows: the final queue row reads back as inf, and the
+    # checker reports the row, with numpy's overflow warnings off only there
+    path = tmp_path / "t.csv"
+    path.write_text(trace_csv_header(1) + "\n1,0,0,0.0,1e308,1e308,0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = read_trace_csv(str(path))
+        assert trace.q.tolist() == [[1e308], [math.inf]]
+        assert verify_trace_dynamics(trace, 1.0) == [
+            "slot 1: stored drift differs from recomputed value",
+            "queue norm step bound: slot 1: nan exceeds 1.0"]
+
+
 def test_read_trace_csv_counts_data_rows_not_lines(tmp_path, sq_spec):
     # blank lines, empty or of whitespace, are skipped, so the bad row after
     # them is still data row 4
@@ -560,8 +574,7 @@ def test_reader_round_trips_any_finite_trace(trace, data):
     with np.errstate(over="ignore"):  # 1e308 + 1e308
         tr.q[-1] = np.maximum(tr.q[-2] + tr.z[-1], 0.0)  # as the reader rebuilds it
     block = data.draw(st.integers(1, 256))
-    with tempfile.TemporaryDirectory() as d, mock.patch.object(core, "TRACE_CSV_BLOCK", block), \
-            np.errstate(over="ignore"):
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(core, "TRACE_CSV_BLOCK", block):
         write_trace_csv(tr, str(Path(d, "t.csv")))
         _assert_same_trace(read_trace_csv(str(Path(d, "t.csv"))), tr)
 
@@ -572,7 +585,7 @@ _cells = st.sampled_from(["abc", "", "1_0", "nan", "-inf", "1.5", "-1", "-0", "9
 
 def _reader_outcome(read, path: str):
     try:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # the reference's final q + z
             return read(path)
     except ValueError as e:
         return str(e)

@@ -334,6 +334,29 @@ def test_table_matches_per_slot_loop(name, variant, monkeypatch):
     assert logs[1].rows and logs[2].handed_over and not logs[2].rows
 
 
+def test_telescoping_visit_matches_per_slot_loop_where_it_switches(monkeypatch):
+    # with C0 = 0.55 the cap is 5.5: the sixth of the 12 states scored is the
+    # first with an entry above it, so a table of 3..5 states hands over
+    # while every slot so far was a visit, one of 6 or 7 states switches to
+    # the per-slot visit check and then hands over, and the unforced table
+    # switches and runs to the end
+    spec = ENGINE_SPECS["single"]()
+    sol = solve_stationary_optimum(spec)
+    N, T = 1024, 150
+    consts = replace(constants_for_horizon(spec, sol.xi, T, 0.05), C0=0.55)
+    seeds = derive_seeds(6, 0, N)
+    outcomes = {}
+    for cap in (montecarlo.TABLE_STATES, 3, 4, 5, 6, 7, 0):
+        monkeypatch.setattr(montecarlo, "TABLE_STATES", cap)
+        log = _ScoreLog(monkeypatch, N)
+        outcomes[cap] = _outcome(spec, seeds, T, sol.z_opt, consts)
+        assert log.handed_over == (cap < 12) and len(log.rows) == min(cap, 12)
+    assert isinstance(outcomes[0], dict)  # a clean run
+    assert len(np.unique(np.frombuffer(outcomes[0]["tele_bound"]))) > 1  # nJ varies
+    for cap, outcome in outcomes.items():
+        assert outcome == outcomes[0], cap
+
+
 def test_non_lattice_table_matches_per_slot_loop_without_hand_over(monkeypatch):
     # four slots of a spec whose queue vectors do not repeat fit the table
     spec = non_lattice_spec()
