@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -512,71 +511,67 @@ def _block_rows(text: bytes, k0: int) -> np.ndarray:
     if distinct is None:
         return _parse_lines(text)
     rep, inv, plain, ends = distinct
-    order = np.argsort(rep)
-    rank = np.empty(len(rep), dtype=np.intp)
-    rank[order] = np.arange(len(rep))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    lines = zip(starts[rep[order]].tolist(), (ends[rep[order]] + 1).tolist())
-    raw = _parse_lines(b"".join(text[i:j] for i, j in lines))[rank[inv]]
+    lines = zip(starts[rep].tolist(), (ends[rep] + 1).tolist())
+    raw = _parse_lines(b"".join(text[i:j] for i, j in lines))[inv]
     raw[plain, 0] = np.arange(k0 + 1, k0 + len(ends) + 1)[plain]
     return raw
 
 
-def _first_unparseable(buf: bytes, ends: np.ndarray, n: int) -> int:
-    """The first of lines 0..n-1 of ``buf`` that numpy cannot parse, or n if
-    they all parse, found by bisection."""
-    lo, hi = 0, n + 1  # lines before lo parse; the first that does not, or n, is before hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _parse_lines(buf[(ends[lo - 1] + 1 if lo else 0):ends[mid - 1] + 1])
-            lo = mid
-        except ValueError:
-            hi = mid
-    return lo
+def _check_values(raw: np.ndarray, k0: int) -> None:
+    """Raise naming the first of the parsed rows ``raw``, rows k0+1.. of a
+    trace, that breaks a value rule of :func:`read_trace_csv`, with the
+    first rule it breaks."""
+    n = len(raw)
+    ids = np.ascontiguousarray(raw[:, 1:3])  # event_id, action_index; fast to compare
+    rules = (  # (what is wrong, first row where it is), checked in this order per row
+        ("a value is not finite", first_true_row(~np.isfinite(raw))),
+        ("t is not the row number", first_true_row(raw[:, 0] != np.arange(k0 + 1, k0 + n + 1))),
+        ("event_id or action_index is not an integer in 0..2**53",
+         first_true_row(~((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids))))),
+    )
+    row, i = min((row, i) for i, (_, row) in enumerate(rules))
+    if row < n:
+        raise ValueError(f"trace row {k0 + row + 1}: {rules[i][0]}: "
+                         f"{','.join(repr(v) for v in raw[row].tolist())}")
+
+
+def _parsed_block(text: bytes, k0: int, ncol: int) -> np.ndarray | None:
+    """:func:`_block_rows` of ``text``, or None if it fails or is not
+    ``ncol`` wide."""
+    try:
+        raw = _block_rows(text, k0)
+    except ValueError:
+        return None
+    return raw if raw.shape[1] == ncol else None
 
 
 def _read_block(buf: bytes, k0: int, ncol: int) -> np.ndarray:
     """The (rows, ncol) float64 values of the CSV lines ``buf``, rows k0+1..,
     after the checks of :func:`read_trace_csv`; raises naming the first bad
     row."""
-    try:
-        raw = _block_rows(buf, k0) if buf.lstrip() else np.empty((0, ncol))  # not all blank
-    except ValueError:
-        raw = None
-    stop = ""
-    if raw is None or raw.shape[1] != ncol:
-        # Drop the blank lines, which are not counted (numpy skips the empty
-        # ones, and fails on one of whitespace), and parse the rows before
-        # the first that cannot be parsed.
-        buf = re.sub(rb"(?m)^[ \t\v\f]*\n", b"", buf)
-        a = np.frombuffer(buf, dtype=np.uint8)
-        ends = np.flatnonzero(a == ord("\n"))
-        commas = np.flatnonzero(a == ord(","))
-        columns = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
-        n = first_true_row(columns != ncol)
-        stop = f"{columns[n]} columns, not the header's {ncol}" if n < len(ends) else ""
-        parsed = _first_unparseable(buf, ends, n)
-        if parsed < n:
-            n, stop = parsed, "a value does not parse"
-        raw = _block_rows(buf[:ends[n - 1] + 1], k0) if n else np.empty((0, ncol))
-    n = len(raw)
-    if n:
-        ids = np.ascontiguousarray(raw[:, 1:3])  # event_id, action_index; fast to compare
-        rules = (  # (what is wrong, first row where it is), checked in this order per row
-            ("a value is not finite", first_true_row(~np.isfinite(raw))),
-            ("t is not the row number",
-             first_true_row(raw[:, 0] != np.arange(k0 + 1, k0 + n + 1))),
-            ("event_id or action_index is not an integer in 0..2**53",
-             first_true_row(~((ids >= 0) & (ids <= 2.0 ** 53) & (ids == np.floor(ids))))),
-        )
-        row, i = min((row, i) for i, (_, row) in enumerate(rules))
-        if row < n:
-            raise ValueError(f"trace row {k0 + row + 1}: {rules[i][0]}: "
-                             f"{','.join(repr(v) for v in raw[row].tolist())}")
-    if stop:
-        line = buf[(ends[n - 1] + 1 if n else 0):ends[n]].decode("utf-8", "replace")
-        raise ValueError(f"trace row {k0 + n + 1}: {stop}: {line}")
+    if not buf.lstrip():  # no data, on which numpy warns
+        return np.empty((0, ncol))
+    raw = _parsed_block(buf, k0, ncol)
+    if raw is None:  # numpy skips empty lines but fails on one of whitespace
+        lines = [line for line in buf.split(b"\n") if line.strip()]
+        raw = _parsed_block(b"\n".join(lines) + b"\n", k0, ncol)
+    if raw is None:
+        raw = np.empty((len(lines), ncol))
+        for row, line in enumerate(lines):  # up to the first bad one, which raises
+            columns = line.count(b",") + 1
+            stop = f"{columns} columns, not the header's {ncol}" if columns != ncol else ""
+            if not stop:
+                try:
+                    raw[row] = _parse_lines(line)[0]
+                except ValueError:
+                    stop = "a value does not parse"
+            if stop:
+                if row:  # a bad value in an earlier row comes first
+                    _check_values(raw[:row], k0)
+                raise ValueError(f"trace row {k0 + row + 1}: {stop}: "
+                                 f"{line.decode('utf-8', 'replace')}")
+    _check_values(raw, k0)
     return raw
 
 
@@ -586,7 +581,12 @@ def read_trace_csv(path: str) -> PathTrace:
 
     The file is read in blocks of whole lines, into arrays sized by a first
     pass that counts the lines, and within a block each distinct row after
-    ``t`` (compared by bytes) is parsed once, by numpy's float parser.
+    ``t`` (compared by bytes) is parsed once, by numpy's float parser.  A
+    block that does not parse whole, or not to the header's width, is parsed
+    once more without its blank lines (numpy fails on a line of whitespace).
+    If that fails too, its lines are read one at a time up to the first bad
+    one, which raises: up to some 0.2 s more for a 1 MiB block of the server
+    trace, paid once, by a file that is rejected.
 
     Fails closed with a ValueError naming the first bad row (data rows count
     from 1; blank lines, of whitespace only, are skipped and not counted): a

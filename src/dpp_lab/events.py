@@ -122,28 +122,25 @@ def build_server_scheduling_spec(arrival_means=(0.5, 0.7, 0.4), V: float = 10.0)
     return ProblemSpec(events=tuple(events), L=3, z_max=2.0, B=math.sqrt(3.0), V=float(V))
 
 
-def build_single_queue_spec(arrival_mean: float = 0.5, V: float = 10.0,
-                            serve_cost: float = 1.0) -> ProblemSpec:
+def build_single_queue_spec(arrival_mean: float = 0.5, V: float = 10.0) -> ProblemSpec:
     """One queue, one server that can be rested.
 
     Two events (arrival / no arrival); two actions per event: idle at zero
-    cost, or serve one packet at ``serve_cost``.  The single constraint is
+    cost, or serve one packet at cost 1.  The single constraint is
     arrivals minus service.
     """
     m = float(arrival_mean)
     if not 0.0 < m < 1.0:
         raise ValueError("arrival mean must lie strictly inside (0, 1)")
-    if serve_cost <= 0.0:
-        raise ValueError("serve cost must be positive")
     events = []
     for a in (1, 0):
         p = m if a == 1 else 1.0 - m
         actions = (
-            ActionVector(0.0, (float(a),)),               # idle
-            ActionVector(float(serve_cost), (float(a - 1),)),  # serve
+            ActionVector(0.0, (float(a),)),      # idle
+            ActionVector(1.0, (float(a - 1),)),  # serve
         )
         events.append(EventOutcome(p, actions))
-    return ProblemSpec(events=tuple(events), L=1, z_max=float(serve_cost), B=1.0, V=float(V))
+    return ProblemSpec(events=tuple(events), L=1, z_max=1.0, B=1.0, V=float(V))
 
 
 BUILTIN_SPECS = {

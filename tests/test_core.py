@@ -449,6 +449,48 @@ def test_read_trace_csv_reports_the_first_bad_row(tmp_path):
         read_trace_csv(str(path))
 
 
+def test_read_trace_csv_names_the_first_bad_row_of_a_full_block(tmp_path, sv_spec):
+    # in a whole 1 MiB block, event_id 1.5 at one row and a cell that does
+    # not parse at a later one: the block is read line by line, and the
+    # first row is named, with its rule
+    path = tmp_path / "t.csv"
+    write_trace_csv(run_path(sv_spec, seed=3, T=50_000), str(path))
+    assert path.stat().st_size > 2 * 16 * core.TRACE_CSV_BLOCK  # the second block is whole
+    r1 = _second_block_row(path) + 1000
+    r2 = r1 + 1000
+    _rewrite_cell(path, r1, 1, "1.5")
+    _rewrite_cell(path, r2, 3, "abc")
+    with pytest.raises(ValueError, match=rf"^trace row {r1}: event_id or action_index is not "
+                                         r"an integer in 0\.\.2\*\*53: "):
+        read_trace_csv(str(path))
+
+
+def test_blank_lines_keep_a_block_on_the_block_parse(tmp_path, sv_spec, monkeypatch):
+    # a whitespace line in each of two blocks: each block is parsed whole,
+    # which fails there, then once more without it, and reads back exactly
+    path = tmp_path / "t.csv"
+    tr = run_path(sv_spec, seed=3, T=40_000)
+    write_trace_csv(tr, str(path))
+    row = _second_block_row(path) + 100
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(lines[:100] + [" \t"] + lines[100:row] + [" \t"] + lines[row:]))
+    blocks, read, parse = [], core._read_block, core._parse_lines
+
+    def read_block(buf, k0, ncol):
+        blocks.append([b"\n \t\n" in buf, 0])  # has the blank line, parses so far
+        return read(buf, k0, ncol)
+
+    def parse_lines(text):
+        blocks[-1][1] += 1
+        return parse(text)
+
+    monkeypatch.setattr(core, "_read_block", read_block)
+    monkeypatch.setattr(core, "_parse_lines", parse_lines)
+    _assert_same_trace(read_trace_csv(str(path)), tr)
+    assert [blank for blank, _ in blocks] == [True, True]
+    assert all(parses <= 2 for _, parses in blocks), blocks
+
+
 def _assert_same_trace(got: PathTrace, want: PathTrace) -> None:
     for name in ("event_ids", "action_indices", "z0", "z", "q", "drift"):
         a, b = getattr(got, name), getattr(want, name)
